@@ -13,12 +13,12 @@ downstream membership tests remain decidable; the other families return
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, PrecisionExhausted
 from .intervals import Enclosure
-from .radicals import Radical, exact_pow
+from .radicals import exact_div, exact_mul, exact_pow
 
 FAMILIES = ("power", "power_log", "exp")
 
@@ -68,15 +68,12 @@ class FunctionSpec:
             return Fraction(1)
         return Fraction(0)
 
-    def is_exact(self) -> bool:
-        return self.family == "power"
-
     # -- evaluation -------------------------------------------------------
 
     def value(self, t):
-        """f(t); a Radical/Fraction for the power family, else an Enclosure."""
+        """f(t); a Radical/Fraction for the power family at exact t, else an Enclosure."""
         if self.family == "power":
-            return self._mul_coeff(exact_pow(t, self.exponent))
+            return exact_mul(self.coeff, exact_pow(t, self.exponent))
         et = Enclosure.of(t)
         if et.lo <= self.t_min:
             raise DomainError(f"t={float(et.lo)} outside domain of {self.family}")
@@ -90,12 +87,6 @@ class FunctionSpec:
             * (lnt.ln() * Enclosure(self.log_exponent)).exp()
         )
 
-    def _mul_coeff(self, v):
-        if isinstance(v, Radical):
-            r = Radical(self.coeff) * v
-            return r.as_fraction() if r.is_rational() else r
-        return self.coeff * Fraction(v)
-
     # -- inversion ----------------------------------------------------------
 
     def inverse_at(self, s, lo=None, hi=None, rel_tol: Fraction = Fraction(1, 10**12)):
@@ -105,17 +96,8 @@ class FunctionSpec:
         enclosure has relative width below ``rel_tol``.
         """
         if self.family == "power":
-            return self._power_inverse(s)
+            return exact_pow(exact_div(s, self.coeff), 1 / self.exponent)
         return self._bisect_inverse(s, lo, hi, rel_tol)
-
-    def _power_inverse(self, s):
-        if isinstance(s, Enclosure):
-            return (s / Enclosure(self.coeff)).pow(1 / self.exponent)
-        if isinstance(s, Radical):
-            ratio = s / Radical(self.coeff)
-        else:
-            ratio = Fraction(s) / self.coeff
-        return exact_pow(ratio, 1 / self.exponent)
 
     def _bisect_inverse(self, s, lo, hi, rel_tol):
         target = Enclosure.of(s)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BudgetExceeded
 from .intervals import Enclosure
-from .radicals import Radical, exact_le, exact_floor, floor_within
+from .radicals import exact_le, exact_floor, floor_within
 
 DEFAULT_ENUM_BUDGET = 10**7
 

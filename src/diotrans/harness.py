@@ -15,12 +15,14 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from .errors import DomainError
 from .functions import FunctionSpec
 from .geometry import BestApproxTable, System, best_approx_table
 from .presets import PRESETS, random_system
+from .radicals import exact_div, exact_le, exact_mul
 
 MAX_EXP = Fraction(50)
 DEFAULT_TOL = 0.1
@@ -193,22 +195,6 @@ def estimate_both_sides(system: System, t_max_primal: int, t_max_dual: int, budg
 # inequality checkers
 # ---------------------------------------------------------------------------
 
-FAMILIES = (
-    "jarnik_equality",
-    "jarnik_ineq_i",
-    "jarnik_ineq_ii",
-    "jarnik_ineq_iii",
-    "apfelbeck_i",
-    "apfelbeck_ii",
-    "khintchine",
-    "dyson",
-    "bugeaud_laurent",
-    "my_inequalities",
-    "loranoyadenie_1",
-    "loranoyadenie_2",
-    "loranoyadenie_3",
-)
-
 _CAP = float(MAX_EXP)
 
 
@@ -240,27 +226,140 @@ class InequalityReport:
         }
 
 
-def _report(family, n, m, inputs, lhs, rhs, tol, note="") -> InequalityReport:
-    slack = lhs - rhs
-    return InequalityReport(
-        family, n, m, inputs, lhs, rhs, slack, slack >= -tol, tol, note
-    )
-
-
-def _two_sided(family, n, m, inputs, value, lower, upper, tol, note=""):
-    slack = min(value - lower, upper - value)
-    return InequalityReport(
-        family, n, m, inputs, value, lower, slack, slack >= -tol, tol,
-        note or f"two-sided: {lower:.4g} <= {value:.4g} <= {upper:.4g}",
-    )
-
-
 def _capped_div(num: float, den: float) -> float:
     if abs(den) < 1e-12:
         if abs(num) < 1e-12:
             return 0.0
         return _CAP if num > 0 else -_CAP
     return num / den
+
+
+def _below(lhs, rhs, note=""):
+    """The bound lhs >= rhs, as (lhs, rhs, slack, note)."""
+    return lhs, rhs, lhs - rhs, note
+
+
+def _dyson_bound(n, m, xs):
+    """(n x + n - 1) / ((m - 1) x + m), the weakest over the candidates x."""
+    return min(_capped_div(n * x + n - 1, (m - 1) * x + m) for x in xs)
+
+
+_TWO_DIRECTIONS = "two transference directions, certified-floor left sides"
+
+
+def _two_directions(m, xs, xs_t, own_eff, t_eff):
+    """Lower bounds both ways: on the transposed exponent from candidates xs,
+    and on the system's own from xs_t (the rearranged upper estimate)."""
+    lower = min(_capped_div(x, (m - 1) * x + m) for x in xs)
+    slack = min(t_eff - lower, own_eff - min(m * x + m - 1 for x in xs_t))
+    return t_eff, lower, slack, _TWO_DIRECTIONS
+
+
+def _jarnik_equality(e):
+    lhs = _capped_div(1.0, e.a) + e.at
+    return lhs, 1.0, -abs(lhs - 1.0), "1/alpha + alpha_t = 1"
+
+
+def _jarnik_iii(e):
+    xs = [y for y in e.AT if y < 1] or [e.at]
+    rhs = min(e.m - 2 + _capped_div(1.0, 1.0 - x) for x in xs)
+    return _below(e.a_eff, min(rhs, _CAP), "last term uses the transposed exponent")
+
+
+def _apfelbeck_ii(e):
+    n, m = e.n, e.m
+
+    def bound(x: float) -> float:
+        num = n * (n * x - m) - 2 * n * (m + n - 3)
+        den = (m - 1) * (n * x - m) + m - (m - 2) * (m + n - 3)
+        return (n + _capped_div(num, den)) / m
+
+    return _below(e.at_eff, min(bound(x) for x in e.A))
+
+
+def _bugeaud_laurent(e):
+    m = e.m
+    lower = min(
+        _capped_div((x - 1) * y, ((m - 2) * x + 1) * y + (m - 1) * x)
+        for x in e.A
+        for y in e.B
+    )
+    slack = e.bt_eff - lower
+    if e.at < 1:
+        # upper estimate rearranged as a lower bound on beta
+        b_req = min(
+            _capped_div((m - 1) * y + m - 2 + x, 1 - x)
+            for x in e.AT
+            if x < 1
+            for y in e.BT
+        )
+        slack = min(slack, e.b_eff - b_req)
+    return e.bt_eff, lower, slack, _TWO_DIRECTIONS
+
+
+def _my_inequalities(e):
+    n, m = e.n, e.m
+    if e.a <= 1 or m == 1:
+        # one form (m=1) pins the uniform exponent at <= 1, so only this
+        # case can occur; clamp estimation overshoot accordingly.
+        rhs = min(_capped_div(n - 1, m - min(x, 1.0)) for x in e.A)
+        return _below(e.at_eff, min(rhs, _CAP), "case alpha <= 1")
+    rhs = min(_capped_div(n - _capped_div(1.0, x), m - 1) for x in e.A)
+    return _below(e.at_eff, min(rhs, _CAP), "case alpha >= 1")
+
+
+def _loranoyadenie(p, q):
+    """Bounds 2 and 3: ((n-1) p - q) / ((m-1) p + q) with p from beta and q
+    from alpha, the weakest over the candidates, capped."""
+
+    def bound(e):
+        rhs = min(
+            _capped_div((e.n - 1) * p(y) - q(x), (e.m - 1) * p(y) + q(x))
+            for x in e.A
+            for y in e.B
+        )
+        return _below(e.bt_eff, min(rhs, _CAP))
+
+    return bound
+
+
+def _always(n, m, a, at) -> bool:
+    return True
+
+
+def _one_form(n, m, a, at) -> bool:
+    return n == 1
+
+
+# family: (domain predicate on n, m, alpha, alpha_t; its DomainError message;
+# bound on the exponent data of check_inequality, giving lhs, rhs, slack, note)
+_TABLE = {
+    "jarnik_equality": (lambda n, m, a, at: (n, m) == (1, 2), "equality form needs n=1, m=2",
+                        _jarnik_equality),
+    "jarnik_ineq_i": (_one_form, "needs n=1",
+                      lambda e: _two_directions(e.m, e.A, e.AT, e.a_eff, e.at_eff)),
+    "jarnik_ineq_ii": (
+        lambda n, m, a, at: n == 1 and m > 1 and a > m * (2 * m - 3),
+        "needs n=1, m>1 and alpha > m(2m-3)",
+        lambda e: _below(
+            e.at_eff, min((1.0 - _capped_div(1.0, x - 2 * e.m + 4)) / (e.m - 1) for x in e.A)),
+    ),
+    "jarnik_ineq_iii": (lambda n, m, a, at: n == 1 and at > (m - 1) / m,
+                        "needs n=1 and alpha_t > (m-1)/m", _jarnik_iii),
+    "apfelbeck_i": (_always, "", lambda e: _below(e.at_eff, _dyson_bound(e.n, e.m, e.A))),
+    "apfelbeck_ii": (lambda n, m, a, at: m > 1 and a > (2 * (m + n - 1) * (m + n - 3) + m) / n,
+                     "needs m > 1 and the side condition on alpha", _apfelbeck_ii),
+    "khintchine": (_one_form, "needs n=1",
+                   lambda e: _two_directions(e.m, e.B, e.BT, e.b_eff, e.bt_eff)),
+    "dyson": (_always, "", lambda e: _below(e.bt_eff, _dyson_bound(e.n, e.m, e.B))),
+    "bugeaud_laurent": (_one_form, "needs n=1", _bugeaud_laurent),
+    "my_inequalities": (_always, "", _my_inequalities),
+    "loranoyadenie_1": (_always, "", lambda e: _below(e.bt_eff, _dyson_bound(e.n, e.m, e.B))),
+    "loranoyadenie_2": (_always, "", _loranoyadenie(lambda y: 1 + y, lambda x: 1 - x)),
+    "loranoyadenie_3": (_always, "", _loranoyadenie(lambda y: 1 + _capped_div(1.0, y),
+                                                    lambda x: _capped_div(1.0, x) - 1)),
+}
+FAMILIES = tuple(_TABLE)
 
 
 def check_inequality(
@@ -272,18 +371,24 @@ def check_inequality(
     transpose (floats or Fractions; values at the MAX_EXP cap make the
     corresponding bound vacuous-but-finite).
     """
-    a = float(exps.get("alpha", 0.0))
-    at = float(exps.get("alpha_t", 0.0))
-    b = float(exps.get("beta", 0.0))
-    bt = float(exps.get("beta_t", 0.0))
+    if family not in _TABLE:
+        raise DomainError(f"unknown family {family!r}")
+    applies, domain_error, bound = _TABLE[family]
+    e = SimpleNamespace(n=n, m=m)
+    e.a = float(exps.get("alpha", 0.0))
+    e.at = float(exps.get("alpha_t", 0.0))
+    e.b = float(exps.get("beta", 0.0))
+    e.bt = float(exps.get("beta_t", 0.0))
+    if not applies(n, m, e.a, e.at):
+        raise DomainError(domain_error)
     # Effective values for the bounded-below side of a >= check: a certified
     # record exponent is a true statement about the data, so it may raise
     # (never lower) the side a theorem bounds from below.
-    a_eff = max(a, float(exps.get("alpha_lower", 0.0)))
-    at_eff = max(at, float(exps.get("alpha_t_lower", 0.0)))
-    b_eff = max(b, float(exps.get("beta_lower", 0.0)))
-    bt_eff = max(bt, float(exps.get("beta_t_lower", 0.0)))
-    inputs = {"alpha": a, "alpha_t": at, "beta": b, "beta_t": bt}
+    e.a_eff = max(e.a, float(exps.get("alpha_lower", 0.0)))
+    e.at_eff = max(e.at, float(exps.get("alpha_t_lower", 0.0)))
+    e.b_eff = max(e.b, float(exps.get("beta_lower", 0.0)))
+    e.bt_eff = max(e.bt, float(exps.get("beta_t_lower", 0.0)))
+
     # Candidate sets for exponents feeding the bounding side: the decimal fit
     # (within the stated exponent tolerance), and the certified record
     # exponent, are both data-consistent values of the same quantity, so a
@@ -297,133 +402,14 @@ def check_inequality(
             vals.append(lo)
         return tuple(vals)
 
-    A = _cands(a, "alpha_lower")
-    AT = _cands(at, "alpha_t_lower")
-    B = _cands(b, "beta_lower")
-    BT = _cands(bt, "beta_t_lower")
+    e.A = _cands(e.a, "alpha_lower")
+    e.AT = _cands(e.at, "alpha_t_lower")
+    e.B = _cands(e.b, "beta_lower")
+    e.BT = _cands(e.bt, "beta_t_lower")
 
-    if family == "jarnik_equality":
-        if (n, m) != (1, 2):
-            raise DomainError("equality form needs n=1, m=2")
-        lhs = _capped_div(1.0, a) + at
-        slack = -abs(lhs - 1.0)
-        return InequalityReport(
-            family, n, m, inputs, lhs, 1.0, slack, slack >= -tol, tol,
-            "1/alpha + alpha_t = 1",
-        )
-    if family == "jarnik_ineq_i":
-        if n != 1:
-            raise DomainError("needs n=1")
-        # both directions are lower bounds: on alpha_t from alpha, and on
-        # alpha from alpha_t (the rearranged upper estimate)
-        lower = min(_capped_div(x, (m - 1) * x + m) for x in A)
-        slack = min(at_eff - lower, a_eff - min(m * x + m - 1 for x in AT))
-        return InequalityReport(
-            family, n, m, inputs, at_eff, lower, slack, slack >= -tol, tol,
-            "two transference directions, certified-floor left sides",
-        )
-    if family == "jarnik_ineq_ii":
-        if n != 1:
-            raise DomainError("needs n=1")
-        if a <= m * (2 * m - 3):
-            raise DomainError("side condition alpha > m(2m-3) fails")
-        if m > 1:
-            rhs = min((1.0 - _capped_div(1.0, x - 2 * m + 4)) / (m - 1) for x in A)
-        else:
-            rhs = _CAP
-        return _report(family, n, m, inputs, at_eff, rhs, tol)
-    if family == "jarnik_ineq_iii":
-        if n != 1:
-            raise DomainError("needs n=1")
-        if at <= (m - 1) / m:
-            raise DomainError("side condition alpha_t > (m-1)/m fails")
-        rhs = min(m - 2 + _capped_div(1.0, 1.0 - x) for x in ([y for y in AT if y < 1] or [at]))
-        return _report(
-            family, n, m, inputs, a_eff, min(rhs, _CAP), tol,
-            "last term uses the transposed exponent",
-        )
-    if family == "apfelbeck_i":
-        rhs = min(_capped_div(n * x + n - 1, (m - 1) * x + m) for x in A)
-        return _report(family, n, m, inputs, at_eff, rhs, tol)
-    if family == "apfelbeck_ii":
-        if m <= 1:
-            raise DomainError("needs m > 1")
-        if a <= (2 * (m + n - 1) * (m + n - 3) + m) / n:
-            raise DomainError("side condition on alpha fails")
-        def _apf2(x: float) -> float:
-            num = n * (n * x - m) - 2 * n * (m + n - 3)
-            den = (m - 1) * (n * x - m) + m - (m - 2) * (m + n - 3)
-            return (n + _capped_div(num, den)) / m
-
-        rhs = min(_apf2(x) for x in A)
-        return _report(family, n, m, inputs, at_eff, rhs, tol)
-    if family == "khintchine":
-        if n != 1:
-            raise DomainError("needs n=1")
-        # both directions are lower bounds: on beta_t from beta, and on beta
-        # from beta_t (the rearranged upper estimate)
-        lower = min(_capped_div(x, (m - 1) * x + m) for x in B)
-        slack = min(bt_eff - lower, b_eff - min(m * x + m - 1 for x in BT))
-        return InequalityReport(
-            family, n, m, inputs, bt_eff, lower, slack, slack >= -tol, tol,
-            "two transference directions, certified-floor left sides",
-        )
-    if family == "dyson":
-        rhs = min(_capped_div(n * x + n - 1, (m - 1) * x + m) for x in B)
-        return _report(family, n, m, inputs, bt_eff, rhs, tol)
-    if family == "bugeaud_laurent":
-        if n != 1:
-            raise DomainError("needs n=1")
-        lower = min(
-            _capped_div((x - 1) * y, ((m - 2) * x + 1) * y + (m - 1) * x)
-            for x in A
-            for y in B
-        )
-        slack = bt_eff - lower
-        if at < 1:
-            # upper estimate rearranged as a lower bound on beta
-            b_req = min(
-                _capped_div((m - 1) * y + m - 2 + x, 1 - x)
-                for x in AT
-                if x < 1
-                for y in BT
-            )
-            slack = min(slack, b_eff - b_req)
-        return InequalityReport(
-            family, n, m, inputs, bt_eff, lower, slack, slack >= -tol, tol,
-            "two transference directions, certified-floor left sides",
-        )
-    if family == "my_inequalities":
-        if a <= 1 or m == 1:
-            # one form (m=1) pins the uniform exponent at <= 1, so only this
-            # case can occur; clamp estimation overshoot accordingly.
-            rhs = min(_capped_div(n - 1, m - min(x, 1.0)) for x in A)
-            note = "case alpha <= 1"
-        else:
-            rhs = min(_capped_div(n - _capped_div(1.0, x), m - 1) for x in A)
-            note = "case alpha >= 1"
-        return _report(family, n, m, inputs, at_eff, min(rhs, _CAP), tol, note)
-    if family == "loranoyadenie_1":
-        rhs = min(_capped_div(n * x + n - 1, (m - 1) * x + m) for x in B)
-        return _report(family, n, m, inputs, bt_eff, rhs, tol)
-    if family == "loranoyadenie_2":
-        rhs = min(
-            _capped_div((n - 1) * (1 + y) - (1 - x), (m - 1) * (1 + y) + (1 - x))
-            for x in A
-            for y in B
-        )
-        return _report(family, n, m, inputs, bt_eff, min(rhs, _CAP), tol)
-    if family == "loranoyadenie_3":
-        rhs = min(
-            _capped_div(
-                (n - 1) * (1 + _capped_div(1.0, y)) - (_capped_div(1.0, x) - 1),
-                (m - 1) * (1 + _capped_div(1.0, y)) + (_capped_div(1.0, x) - 1),
-            )
-            for x in A
-            for y in B
-        )
-        return _report(family, n, m, inputs, bt_eff, min(rhs, _CAP), tol)
-    raise DomainError(f"unknown family {family!r}")
+    lhs, rhs, slack, note = bound(e)
+    inputs = {"alpha": e.a, "alpha_t": e.at, "beta": e.b, "beta_t": e.bt}
+    return InequalityReport(family, n, m, inputs, lhs, rhs, slack, slack >= -tol, tol, note)
 
 
 # ---------------------------------------------------------------------------
@@ -604,21 +590,19 @@ def exponents_for_system(system: System, tier: str = "standard", budget: int = 1
     return ep, ed
 
 
+# The order of reports, which campaign details and benchmark verdicts keep.
+_REPORT_ORDER = (
+    "apfelbeck_i", "dyson", "my_inequalities",
+    "loranoyadenie_1", "loranoyadenie_2", "loranoyadenie_3",
+    "jarnik_ineq_i", "khintchine", "bugeaud_laurent",
+    "jarnik_equality", "jarnik_ineq_ii", "jarnik_ineq_iii", "apfelbeck_ii",
+)
+
+
 def applicable_families(n: int, m: int, exps: dict) -> list[str]:
     """Families whose domain conditions hold for these dimensions/values."""
-    out = ["apfelbeck_i", "dyson", "my_inequalities",
-           "loranoyadenie_1", "loranoyadenie_2", "loranoyadenie_3"]
-    if n == 1:
-        out += ["jarnik_ineq_i", "khintchine", "bugeaud_laurent"]
-        if m == 2:
-            out.append("jarnik_equality")
-        if exps["alpha"] > m * (2 * m - 3) and m > 1:
-            out.append("jarnik_ineq_ii")
-        if exps["alpha_t"] > (m - 1) / m:
-            out.append("jarnik_ineq_iii")
-    if m > 1 and exps["alpha"] > (2 * (m + n - 1) * (m + n - 3) + m) / n:
-        out.append("apfelbeck_ii")
-    return out
+    a, at = float(exps.get("alpha", 0.0)), float(exps.get("alpha_t", 0.0))
+    return [f for f in _REPORT_ORDER if _TABLE[f][0](n, m, a, at)]
 
 
 # families whose checks are robust to estimation noise on short scans: the
@@ -945,20 +929,18 @@ def uniform_bound_comparison(psi: FunctionSpec, t, eps=Fraction(1, 1000), delta=
     vs. sharpened 3/(4t) * psi^-(2/(3t)).  Branch 'ii' (t*psi increasing):
     classical 4(1+eps+delta)/f^-(t/2) vs. sharpened 2/(3 f^-(t/2)).
     """
-    from .transfer import exact_div_any, xmul
-
     t = Fraction(t)
     f = _f_spec(psi)
     one_pe = 1 + Fraction(eps) + Fraction(delta)
     if not f.increasing:
         branch = "i"
-        classical = xmul(Fraction(12) * one_pe / t, psi.inverse_at(Fraction(1) / t))
-        sharpened = xmul(Fraction(3, 4) / t, psi.inverse_at(Fraction(2, 3) / t))
+        classical = exact_mul(Fraction(12) * one_pe / t, psi.inverse_at(Fraction(1) / t))
+        sharpened = exact_mul(Fraction(3, 4) / t, psi.inverse_at(Fraction(2, 3) / t))
     else:
         branch = "ii"
         finv = f.inverse_at(t / 2)
-        classical = exact_div_any(Fraction(4) * one_pe, finv)
-        sharpened = exact_div_any(Fraction(2, 3), finv)
+        classical = exact_div(Fraction(4) * one_pe, finv)
+        sharpened = exact_div(Fraction(2, 3), finv)
     return branch, classical, sharpened
 
 
@@ -980,15 +962,13 @@ def campaign_uniform_bounds(
 ) -> CampaignResult:
     """Grid check: the sharpened bound never exceeds the classical one, and
     on the decreasing branch beats it by at least a factor of 4."""
-    from .transfer import xle, xmul
-
     result = CampaignResult(family="uniform-bounds", trials=0, passed=0)
     for psi in psis:
         for t in grid:
             branch, classical, sharpened = uniform_bound_comparison(psi, t, eps, delta)
-            ok = xle(sharpened, classical)
+            ok = exact_le(sharpened, classical)
             if ok and branch == "i":
-                ok = xle(xmul(Fraction(4), sharpened), classical)
+                ok = exact_le(exact_mul(Fraction(4), sharpened), classical)
             result.trials += 1
             entry = {"psi": psi.describe(), "t": t, "branch": branch,
                      "classical": str(classical), "sharpened": str(sharpened)}

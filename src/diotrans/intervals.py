@@ -22,8 +22,6 @@ def _iv_prec(prec: int):
     finally:
         mpmath.iv.prec = old
 
-from .radicals import Radical
-
 DEFAULT_PREC = int(os.environ.get("DIOTRANS_PRECISION", "160"))
 
 
@@ -48,6 +46,7 @@ class Enclosure:
 
     @staticmethod
     def of(value, prec: int = DEFAULT_PREC) -> "Enclosure":
+        from .radicals import Radical  # deferred: radicals imports this module
         if isinstance(value, Enclosure):
             return value
         if isinstance(value, Radical):
@@ -158,6 +157,3 @@ class Enclosure:
 
     def __repr__(self):
         return f"Enclosure({float(self.lo)!r}, {float(self.hi)!r})"
-
-    def decimal_str(self, digits: int = 12) -> str:
-        return f"[{float(self.lo):.{digits}g}, {float(self.hi):.{digits}g}]"

@@ -5,13 +5,20 @@ division, rational powers, and exact comparison.  It is all that is needed
 to carry quantities like sqrt(2d(d-1)) or Delta_d**(-1/(d-1)) through the
 transference machinery without ever rounding: two radicals are compared by
 raising both to the lcm of their root indices, which lands in Q.
+
+The exact_* functions are the one mixed-type arithmetic: they take int,
+Fraction, Radical and Enclosure operands, keep rational results in Fraction,
+and turn an Enclosure operand into an Enclosure result or an endpoint test.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from numbers import Rational
 from typing import Union
+
+from .errors import PrecisionExhausted
+from .intervals import Enclosure
 
 Exact = Union[int, Fraction, "Radical"]
 
@@ -142,21 +149,16 @@ class Radical:
 
     def __float__(self) -> float:
         num, den = self.radicand.numerator, self.radicand.denominator
-        # Scale into float range before taking the root.
-        shift = max(num.bit_length(), den.bit_length()) - 500
-        if shift > 0:
-            num >>= shift
-            den >>= shift
-            den = max(den, 1)
-        return (num / den) ** (1.0 / self.index)
+        # Scale each into float range; the root takes the powers of two back out.
+        shift_num = max(num.bit_length() - 500, 0)
+        shift_den = max(den.bit_length() - 500, 0)
+        ratio = (num >> shift_num) / (den >> shift_den)
+        return ratio ** (1.0 / self.index) * 2.0 ** ((shift_num - shift_den) / self.index)
 
     def floor(self) -> int:
-        guess = int(float(self))
-        while Fraction(guess + 1) ** self.index <= self.radicand:
-            guess += 1
-        while guess > 0 and Fraction(guess) ** self.index > self.radicand:
-            guess -= 1
-        return max(guess, 0)
+        # (p/q)^(1/k) = (p q^(k-1))^(1/k) / q, and floor(y/q) = floor(floor(y)/q)
+        p, q, k = self.radicand.numerator, self.radicand.denominator, self.index
+        return _int_nth_root(p * q ** (k - 1), k)[0] // q
 
     def __repr__(self):
         if self.index == 1:
@@ -164,30 +166,46 @@ class Radical:
         return f"Radical({self.radicand}, {self.index})"
 
 
+def _rational_if_possible(r: Radical):
+    return r.as_fraction() if r.is_rational() else r
+
+
 def exact_le(a, b) -> bool:
-    """a <= b for mixed int/Fraction/Radical operands (radicals positive)."""
-    if isinstance(a, Radical) or isinstance(b, Radical):
-        if not isinstance(a, Radical):
-            a = Fraction(a)
-            if a <= 0:
-                return True
-            a = Radical(a)
+    """a <= b; with an enclosure "surely <=", so False when undecided."""
+    if isinstance(a, Enclosure) or isinstance(b, Enclosure):
+        return Enclosure.of(a).surely_le(b)
+    if isinstance(a, Radical):
         return a <= b
+    if isinstance(b, Radical):
+        return b >= a
     return Fraction(a) <= Fraction(b)
 
 
 def exact_lt(a, b) -> bool:
-    if isinstance(a, Radical) or isinstance(b, Radical):
-        if not isinstance(a, Radical):
-            a = Fraction(a)
-            if a <= 0:
-                return True
-            a = Radical(a)
-        return a < b
-    return Fraction(a) < Fraction(b)
+    """a < b; raises PrecisionExhausted when enclosures cannot decide."""
+    if isinstance(a, Enclosure) or isinstance(b, Enclosure):
+        a, b = Enclosure.of(a), Enclosure.of(b)
+        if a.surely_lt(b):
+            return True
+        if b.surely_le(a):
+            return False
+        raise PrecisionExhausted("enclosures too wide to order")
+    return not exact_le(b, a)
+
+
+def exact_eq(a, b) -> bool:
+    """a == b; enclosures count as equal when they overlap."""
+    if isinstance(a, Enclosure) or isinstance(b, Enclosure):
+        a, b = Enclosure.of(a), Enclosure.of(b)
+        return a.lo <= b.hi and b.lo <= a.hi
+    return a == b
 
 
 def exact_max(a, b):
+    """The larger operand; with an enclosure the interval max [max lo, max hi]."""
+    if isinstance(a, Enclosure) or isinstance(b, Enclosure):
+        a, b = Enclosure.of(a), Enclosure.of(b)
+        return Enclosure(max(a.lo, b.lo), max(a.hi, b.hi))
     return b if exact_le(a, b) else a
 
 
@@ -196,26 +214,37 @@ def exact_min(a, b):
 
 
 def exact_mul(a, b):
-    """Product staying in Fraction when both operands are rational."""
+    """a * b; Fraction(0) if either is a rational zero, else an enclosure
+    operand gives the interval product."""
+    if a == 0 or b == 0:  # a Radical is positive, an Enclosure never == 0
+        return Fraction(0)
+    if isinstance(a, Enclosure) or isinstance(b, Enclosure):
+        return Enclosure.of(a) * Enclosure.of(b)
     if isinstance(a, Radical) or isinstance(b, Radical):
-        r = Radical.of(a) * Radical.of(b)
-        return r.as_fraction() if r.is_rational() else r
+        return _rational_if_possible(Radical.of(a) * Radical.of(b))
     return Fraction(a) * Fraction(b)
 
 
 def exact_div(a, b):
+    """a / b; Fraction(0) for a rational zero over a nonzero b, else an
+    enclosure gives the interval quotient (ZeroDivisionError if it holds 0)."""
+    if a == 0 and b != 0:
+        return Fraction(0)
+    if isinstance(a, Enclosure) or isinstance(b, Enclosure):
+        return Enclosure.of(a) / Enclosure.of(b)
     if isinstance(a, Radical) or isinstance(b, Radical):
-        r = Radical.of(a) / Radical.of(b)
-        return r.as_fraction() if r.is_rational() else r
+        return _rational_if_possible(Radical.of(a) / Radical.of(b))
     return Fraction(a) / Fraction(b)
 
 
 def exact_pow(a, exponent):
+    """a ** exponent for a rational exponent; an enclosure gives its power."""
     e = Fraction(exponent)
-    if not isinstance(a, Radical) and e.denominator == 1:
+    if isinstance(a, Enclosure):
+        return a.pow(e)
+    if not isinstance(a, Radical) and (e.denominator == 1 or a == 0):
         return Fraction(a) ** e.numerator
-    r = Radical.of(a) ** e
-    return r.as_fraction() if r.is_rational() else r
+    return _rational_if_possible(Radical.of(a) ** e)
 
 
 def exact_floor(bound) -> int:

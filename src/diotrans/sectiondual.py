@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Sequence
 
-from .geometry import Box, System, build_T
+from .geometry import Box, build_T
 from .intervals import Enclosure
 from .radicals import Radical
 

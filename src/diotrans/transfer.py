@@ -31,10 +31,11 @@ from .geometry import (
     box_contains,
     enumerate_nonzero,
     enumerate_nonzero_general,
-    minkowski_guaranteed,
 )
 from .intervals import DEFAULT_PREC, Enclosure
-from .radicals import Radical, exact_div, exact_le, exact_max, exact_mul, exact_pow
+from .radicals import (
+    Radical, exact_div, exact_eq, exact_le, exact_lt, exact_max, exact_mul, exact_pow,
+)
 from .sectiondual import delta_d, improved_mahler_factor
 
 DEFAULT_BUDGET = 10**7
@@ -45,26 +46,6 @@ DEFAULT_BUDGET = 10**7
 # ---------------------------------------------------------------------------
 
 
-def _is_zero(v) -> bool:
-    return not isinstance(v, (Radical, Enclosure)) and Fraction(v) == 0
-
-
-def xmul(a, b):
-    """exact_mul with rational zeros allowed."""
-    if _is_zero(a) or _is_zero(b):
-        return Fraction(0)
-    if isinstance(a, Enclosure) or isinstance(b, Enclosure):
-        return Enclosure.of(a) * Enclosure.of(b)
-    return exact_mul(a, b)
-
-
-def xle(a, b) -> bool:
-    """a <= b, pessimistic (False) when an enclosure cannot decide."""
-    if isinstance(a, Enclosure) or isinstance(b, Enclosure):
-        return Enclosure.of(a).surely_le(Enclosure.of(b))
-    return exact_le(a, b)
-
-
 def _rat_lower(value, floor_at=None, prec: int = DEFAULT_PREC) -> Fraction:
     """A rational lower bound of an exact/enclosed positive value.
 
@@ -72,12 +53,9 @@ def _rat_lower(value, floor_at=None, prec: int = DEFAULT_PREC) -> Fraction:
     raised until the bound is >= floor_at, so conservative target boxes
     never exclude an already-found witness.
     """
-    if isinstance(value, Enclosure):
-        lo = value.lo
-    elif isinstance(value, Radical):
-        lo = Enclosure.of(value, prec).lo
-    else:
+    if not isinstance(value, (Radical, Enclosure)):
         return Fraction(value)
+    lo = Enclosure.of(value, prec).lo
     if floor_at is not None:
         while lo < floor_at and prec < 20000:
             prec *= 2
@@ -250,16 +228,10 @@ def transference_parameters(system: System, X, U):
     d = system.d
     n, m = system.n, system.m
     factor = improved_mahler_factor(d)
-    if isinstance(X, Enclosure) or isinstance(U, Enclosure):
-        ex, eu = Enclosure.of(X), Enclosure.of(U)
-        f = Enclosure.of(factor)
-        y = f * (ex.pow(Fraction(m, d - 1)) * eu.pow(Fraction(1 - m, d - 1)))
-        v = f * (ex.pow(Fraction(1 - n, d - 1)) * eu.pow(Fraction(n, d - 1)))
-        return y, v
-    y = factor * Radical.of(X) ** Fraction(m, d - 1) * Radical.of(U) ** Fraction(1 - m, d - 1)
-    v = factor * Radical.of(X) ** Fraction(1 - n, d - 1) * Radical.of(U) ** Fraction(n, d - 1)
-    y = y.as_fraction() if y.is_rational() else y
-    v = v.as_fraction() if v.is_rational() else v
+    y = exact_mul(factor, exact_mul(exact_pow(X, Fraction(m, d - 1)),
+                                    exact_pow(U, Fraction(1 - m, d - 1))))
+    v = exact_mul(factor, exact_mul(exact_pow(X, Fraction(1 - n, d - 1)),
+                                    exact_pow(U, Fraction(n, d - 1))))
     return y, v
 
 
@@ -323,14 +295,7 @@ def mahler_transfer(
 
 
 def _identity_eq(Y, a, V, b, delta, rhs) -> bool:
-    lhs = xmul(xmul(exact_pow_any(Y, a), exact_pow_any(V, b)), delta)
-    return _radical_eq(lhs, rhs)
-
-
-def exact_pow_any(base, e):
-    if isinstance(base, Enclosure):
-        return base.pow(Fraction(e))
-    return exact_pow(base, Fraction(e))
+    return exact_eq(exact_mul(exact_mul(exact_pow(Y, a), exact_pow(V, b)), delta), rhs)
 
 
 def mahler_transfer_asymmetric(
@@ -361,8 +326,8 @@ def mahler_transfer_asymmetric(
     lam[k] = Fraction(d - 1)
     # Constraint order: j = 0..m-1 are the r-side forms, then i = 0..n-1 the
     # h-side coordinates.
-    rbounds = [xmul(lam[j], vbase) for j in range(m)]
-    hbounds = [xmul(lam[m + i], ybase) for i in range(n)]
+    rbounds = [exact_mul(lam[j], vbase) for j in range(m)]
+    hbounds = [exact_mul(lam[m + i], ybase) for i in range(n)]
 
     cert = Certificate(
         kind="mahler_asymmetric",
@@ -425,17 +390,17 @@ def main_lemma_hypothesis(system: System, v1, v2, h, r, constant_sq: Fraction):
     r1, h1 = system.primal_values(v1)
     r2, h2 = system.primal_values(v2)
     lhs = exact_max(
-        xmul(xmul(exact_pow_any(r, 2), r1), r2),
+        exact_mul(exact_mul(exact_pow(r, 2), r1), r2),
         exact_max(
-            xmul(xmul(exact_pow_any(h, 2), h1), h2),
-            xmul(xmul(xmul(h, r), max(r1, r2)), max(h1, h2)),
+            exact_mul(exact_mul(exact_pow(h, 2), h1), h2),
+            exact_mul(exact_mul(exact_mul(h, r), max(r1, r2)), max(h1, h2)),
         ),
     )
-    rhs_sq = xmul(
-        xmul(exact_pow_any(h, 2 * n), exact_pow_any(r, 2 * m)), constant_sq
+    rhs_sq = exact_mul(
+        exact_mul(exact_pow(h, 2 * n), exact_pow(r, 2 * m)), constant_sq
     )
-    lhs_sq = xmul(lhs, lhs)
-    return xle(lhs_sq, rhs_sq), {"h1": h1, "r1": r1, "h2": h2, "r2": r2}
+    lhs_sq = exact_mul(lhs, lhs)
+    return exact_le(lhs_sq, rhs_sq), {"h1": h1, "r1": r1, "h2": h2, "r2": r2}
 
 
 def main_lemma_transfer(
@@ -529,8 +494,8 @@ def main_lemma_transfer_3d(
 def products_inequality(h1, r1, h2, r2) -> bool:
     """r1 r2 h1 h2 <= (max(r1,r2) max(h1,h2))^2 — the elementary fact behind
     the sufficiency shortcut for the product bound."""
-    cross = xmul(exact_max(r1, r2), exact_max(h1, h2))
-    return xle(xmul(xmul(r1, r2), xmul(h1, h2)), xmul(cross, cross))
+    cross = exact_mul(exact_max(r1, r2), exact_max(h1, h2))
+    return exact_le(exact_mul(exact_mul(r1, r2), exact_mul(h1, h2)), exact_mul(cross, cross))
 
 
 # ---------------------------------------------------------------------------
@@ -547,15 +512,13 @@ def semicore_parameters(system: System, t, Phi, Psi, direction: int):
     t, Phi, Psi = Radical.of(t), Radical.of(Phi), Radical.of(Psi)
     e = Fraction(1, d - 2)
     if direction == 1:
-        h = (c * t ** Fraction(m) * Phi * Psi ** Fraction(1 - m)) ** e
-        r = (c * t ** Fraction(2 - n) * Phi * Psi ** Fraction(n - 1)) ** e
+        h = exact_pow(c * t ** Fraction(m) * Phi * Psi ** Fraction(1 - m), e)
+        r = exact_pow(c * t ** Fraction(2 - n) * Phi * Psi ** Fraction(n - 1), e)
     elif direction == -1:
-        h = (c * t ** Fraction(2 - m) * Phi * Psi ** Fraction(m - 1)) ** e
-        r = (c * t ** Fraction(n) * Phi * Psi ** Fraction(1 - n)) ** e
+        h = exact_pow(c * t ** Fraction(2 - m) * Phi * Psi ** Fraction(m - 1), e)
+        r = exact_pow(c * t ** Fraction(n) * Phi * Psi ** Fraction(1 - n), e)
     else:
         raise ValueError("direction must be 1 or -1")
-    h = h.as_fraction() if h.is_rational() else h
-    r = r.as_fraction() if r.is_rational() else r
     return h, r
 
 
@@ -593,7 +556,7 @@ def semicore(
     """
     if not exact_le(Psi, Phi):
         raise HypothesisViolated("requires Phi >= Psi")
-    if not exact_le(Fraction(0), Psi) or _is_zero(Psi):
+    if not exact_lt(0, Psi):
         raise HypothesisViolated("requires Psi > 0")
     h, r = semicore_parameters(system, t, Phi, Psi, direction)
     if v1 is None or v2 is None:
@@ -601,15 +564,15 @@ def semicore(
     n, m, d = system.n, system.m, system.d
     c = Radical(2 * d * (d - 1), 2)
     if direction == 1:
-        id_a = _radical_eq(xmul(exact_pow_any(h, n - 2), exact_pow_any(r, m)),
-                           xmul(xmul(c, Phi), Psi))
+        id_a = exact_eq(exact_mul(exact_pow(h, n - 2), exact_pow(r, m)),
+                        exact_mul(exact_mul(c, Phi), Psi))
         box1, box2 = Box(system, Phi, t, "primal"), Box(system, Psi, t, "primal")
     else:
-        id_a = _radical_eq(xmul(exact_pow_any(h, n), exact_pow_any(r, m - 2)),
-                           xmul(xmul(c, Phi), Psi))
+        id_a = exact_eq(exact_mul(exact_pow(h, n), exact_pow(r, m - 2)),
+                        exact_mul(exact_mul(c, Phi), Psi))
         box1, box2 = Box(system, t, Phi, "primal"), Box(system, t, Psi, "primal")
-    id_b = _radical_eq(
-        xmul(exact_pow_any(h, n - 1), exact_pow_any(r, m - 1)), xmul(xmul(c, t), Phi)
+    id_b = exact_eq(
+        exact_mul(exact_pow(h, n - 1), exact_pow(r, m - 1)), exact_mul(exact_mul(c, t), Phi)
     )
     kind = "semicore1" if direction == 1 else "semicore2"
     extra = {
@@ -630,13 +593,6 @@ def semicore(
     return cert
 
 
-def _radical_eq(a, b) -> bool:
-    if isinstance(a, Enclosure) or isinstance(b, Enclosure):
-        ea, eb = Enclosure.of(a), Enclosure.of(b)
-        return ea.lo <= eb.hi and eb.lo <= ea.hi
-    return Radical.of(a) == Radical.of(b)
-
-
 # ---------------------------------------------------------------------------
 # the uniform-exponent core
 # ---------------------------------------------------------------------------
@@ -647,8 +603,8 @@ def core_parameters(system: System, phi: FunctionSpec, h):
     n, m, d = system.n, system.m, system.d
     delta = delta_d(d)
     r = phi.value(h)
-    h_star = xmul(xmul(exact_pow_any(r, m), exact_pow_any(h, n - 1)), delta)
-    r_star = xmul(xmul(exact_pow_any(r, m - 1), exact_pow_any(h, n)), delta)
+    h_star = exact_mul(exact_mul(exact_pow(r, m), exact_pow(h, n - 1)), delta)
+    r_star = exact_mul(exact_mul(exact_pow(r, m - 1), exact_pow(h, n)), delta)
     return r, h_star, r_star
 
 
@@ -661,23 +617,15 @@ def core_hypothesis_ok(system: System, phi: FunctionSpec, psi: FunctionSpec, t) 
     psi^-(Delta t^{n-1} phi(t)^m) <= 1/(c Delta phi(t)).
     Monotonicity of t*psi(t) is decided from the family shape.
     """
-    n, m, d = system.n, system.m, system.d
-    delta = delta_d(d)
-    c = Radical(2 * d * (d - 1), 2)
-    phit = phi.value(t)
+    d = system.d
+    c_delta = exact_mul(Radical(2 * d * (d - 1), 2), delta_d(d))
+    # The core parameters at h = t are phi(t) and the two arguments of psi.
+    phit, arg2, arg1 = core_parameters(system, phi, t)
     noninc, nondec = _t_times_monotonicity(psi)
-    if noninc:
-        arg = xmul(xmul(exact_pow_any(t, n), exact_pow_any(phit, m - 1)), delta)
-        lhs = psi.value(arg)
-        rhs = exact_div_any(1, xmul(xmul(c, delta), t))
-        if xle(lhs, rhs):
-            return 1
-    if nondec:
-        arg = xmul(xmul(exact_pow_any(t, n - 1), exact_pow_any(phit, m)), delta)
-        lhs = psi.inverse_at(arg)
-        rhs = exact_div_any(1, xmul(xmul(c, delta), phit))
-        if xle(lhs, rhs):
-            return 2
+    if noninc and exact_le(psi.value(arg1), exact_div(1, exact_mul(c_delta, t))):
+        return 1
+    if nondec and exact_le(psi.inverse_at(arg2), exact_div(1, exact_mul(c_delta, phit))):
+        return 2
     return None
 
 
@@ -693,16 +641,9 @@ def _t_times_monotonicity(psi: FunctionSpec) -> tuple[bool, bool]:
     return psi.log_exponent <= 0, psi.log_exponent >= 0
 
 
-def exact_div_any(a, b):
-    if isinstance(a, Enclosure) or isinstance(b, Enclosure):
-        return Enclosure.of(a) / Enclosure.of(b)
-    return exact_div(a, b)
-
-
 def _dilation_ratio(system, z, h_star, r_star):
     rv, hv = system.primal_values(z)
-    return exact_max(exact_div_any(hv, h_star) if hv else Fraction(0),
-                     exact_div_any(rv, r_star) if rv else Fraction(0))
+    return exact_max(exact_div(hv, h_star), exact_div(rv, r_star))
 
 
 def _minimal_dilation(system, h_star, r_star, budget, start=2):
@@ -716,7 +657,7 @@ def _minimal_dilation(system, h_star, r_star, budget, start=2):
     """
     mult = start
     while True:
-        box = Box(system, xmul(h_star, Fraction(mult)), xmul(r_star, Fraction(mult)), "primal")
+        box = Box(system, exact_mul(h_star, mult), exact_mul(r_star, mult), "primal")
         pts = enumerate_nonzero(box, budget=budget)
         if pts:
             break
@@ -726,22 +667,9 @@ def _minimal_dilation(system, h_star, r_star, budget, start=2):
     best_mu, best_pt = None, None
     for z in pts:
         mu = _dilation_ratio(system, z, h_star, r_star)
-        if best_mu is None or exact_lt_strict(mu, best_mu):
+        if best_mu is None or exact_lt(mu, best_mu):
             best_mu, best_pt = mu, z
     return best_mu, best_pt, pts, mult
-
-
-def exact_lt_strict(a, b) -> bool:
-    if isinstance(a, Enclosure) or isinstance(b, Enclosure):
-        ea, eb = Enclosure.of(a), Enclosure.of(b)
-        if ea.surely_lt(eb):
-            return True
-        if eb.surely_le(ea):
-            return False
-        raise PrecisionExhausted("cannot order dilation ratios")
-    from .radicals import exact_lt
-
-    return exact_lt(a, b)
 
 
 def alphas_core(
@@ -768,7 +696,7 @@ def alphas_core(
     # [r*, max(r*, psi^-(h*))]; for power data the ratio of the two sides is
     # monotone in t, so endpoint checks decide the whole interval.
     psi_inv = psi.inverse_at(h_star)
-    t_hi = psi_inv if xle(r_star, psi_inv) else r_star
+    t_hi = psi_inv if exact_le(r_star, psi_inv) else r_star
     cond_lo = core_hypothesis_ok(system, phi, psi, r_star)
     cond_hi = core_hypothesis_ok(system, phi, psi, t_hi)
     if cond_lo is None or cond_hi is None or cond_lo != cond_hi:
@@ -794,14 +722,14 @@ def alphas_core(
         cert.params["route"] = "mahler"
         # The Mahler parameters land exactly on (h, r).
         Y, V = transference_parameters(system, r_star, h_star)
-        cert.check("mahler_route_Y_eq_h", _radical_eq(Y, h))
-        cert.check("mahler_route_V_eq_r", _radical_eq(V, r))
+        cert.check("mahler_route_Y_eq_h", exact_eq(Y, h))
+        cert.check("mahler_route_V_eq_r", exact_eq(V, r))
         return cert
 
     mu, v, candidates, cand_mult = _minimal_dilation(system, h_star, r_star, budget)
     rv, hv = system.primal_values(v)
     # v is a "v1" when its r-side is small relative to its h-side.
-    is_v1 = xle(rv, xmul(exact_div_any(h, r), hv))
+    is_v1 = exact_le(rv, exact_mul(exact_div(h, r), hv))
     if is_v1:
         v1 = v
         v2, mu2 = _companion(
@@ -814,10 +742,10 @@ def alphas_core(
         )
     _, lam1 = system.primal_values(v1)
     lam2, _ = system.primal_values(v2)
-    lam_bound = exact_div_any(
-        xmul(exact_pow_any(r, m - 1), exact_pow_any(h, n - 1)), c
+    lam_bound = exact_div(
+        exact_mul(exact_pow(r, m - 1), exact_pow(h, n - 1)), c
     )
-    if not xle(xmul(lam1, lam2), lam_bound):
+    if not exact_le(exact_mul(lam1, lam2), lam_bound):
         raise HypothesisViolated("lambda_1 lambda_2 exceeds r^{m-1} h^{n-1} / c")
 
     params.update({"route": "dilation", "mu": _fmt(mu), "mu_prime": _fmt(mu2),
@@ -841,26 +769,22 @@ def _companion(system, candidates, mult, h_star, r_star, mu, budget, find: str):
         for z in candidates:
             rv, hv = system.primal_values(z)
             if find == "v2":
-                if not exact_lt_strict(hv, xmul(mu, h_star)):
+                if not exact_lt(hv, exact_mul(mu, h_star)):
                     continue
-                ratio = exact_div_any(rv, r_star) if rv else Fraction(0)
+                ratio = exact_div(rv, r_star)
             else:
-                if not exact_lt_strict(rv, xmul(mu, r_star)):
+                if not exact_lt(rv, exact_mul(mu, r_star)):
                     continue
-                ratio = exact_div_any(hv, h_star) if hv else Fraction(0)
-            if best is None or exact_lt_strict(ratio, best):
+                ratio = exact_div(hv, h_star)
+            if best is None or exact_lt(ratio, best):
                 best, best_pt = ratio, z
-        if best_pt is not None and xle(best, Fraction(mult)):
+        if best_pt is not None and exact_le(best, mult):
             return best_pt, best
         mult *= 2
         if mult > 2**20:
             raise BudgetExceeded("companion dilation search exceeded 2^20")
         if find == "v2":
-            box = Box(
-                system, xmul(h_star, mu), xmul(r_star, Fraction(mult)), "primal"
-            )
+            box = Box(system, exact_mul(h_star, mu), exact_mul(r_star, mult), "primal")
         else:
-            box = Box(
-                system, xmul(h_star, Fraction(mult)), xmul(r_star, mu), "primal"
-            )
+            box = Box(system, exact_mul(h_star, mult), exact_mul(r_star, mu), "primal")
         candidates = enumerate_nonzero(box, budget=budget)

@@ -1,12 +1,16 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from diotrans.geometry import System
 from diotrans.harness import (
     CORE_FAMILIES,
+    FAMILIES,
     MAX_EXP,
+    applicable_families,
     check_all_inequalities,
     check_inequality,
     campaign_dominions,
@@ -95,6 +99,77 @@ def test_jarnik_equality_exact_point():
     exps = {"alpha": 2.0, "alpha_t": 0.5, "beta": 2.0, "beta_t": 0.5}
     rep = check_inequality("jarnik_equality", 1, 2, exps)
     assert rep.passed and abs(rep.slack) <= 0.1
+
+
+def test_jarnik_ineq_ii_needs_two_forms():
+    # one form (m = 1) has no (m - 1) denominator to divide by
+    exps = {"alpha": 1.0, "alpha_t": 1.0, "beta": 1.0, "beta_t": 1.0}
+    assert "jarnik_ineq_ii" not in applicable_families(1, 1, exps)
+    with pytest.raises(DomainError):
+        check_inequality("jarnik_ineq_ii", 1, 1, exps)
+
+
+# Recorded from check_inequality before it became a table of families; the
+# jarnik_ineq_ii entries at m = 1 hold the failing reports it then returned.
+SNAPSHOT = Path(__file__).with_name("check_inequality_snapshot.json")
+SNAPSHOT_SHAPES = ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 2))
+SNAPSHOT_EXPS = {
+    # certified floors, some above their fits
+    "certified_floors": {"alpha": 0.8, "alpha_t": 1.3, "beta": 1.6, "beta_t": 2.2,
+                         "alpha_lower": 0.85, "beta_lower": 1.5,
+                         "alpha_t_lower": 1.25, "beta_t_lower": 2.3},
+    "at_cap": {"alpha": 50.0, "alpha_t": 1.5, "beta": 50.0, "beta_t": 4.0},
+    # the second direction of bugeaud_laurent
+    "alpha_t_below_one": {"alpha": 0.9, "alpha_t": 0.6, "beta": 1.2, "beta_t": 0.8},
+    # the alpha > 1 case of my_inequalities
+    "alpha_above_one": {"alpha": 2.5, "alpha_t": 1.4, "beta": 3.0, "beta_t": 1.9},
+}
+
+
+def check_inequality_snapshot() -> dict:
+    """Every family on every snapshot shape and exponent set: the report as
+    a dict, or the name of the exception raised."""
+    out = {}
+    for exps_name, exps in SNAPSHOT_EXPS.items():
+        for n, m in SNAPSHOT_SHAPES:
+            for family in FAMILIES:
+                try:
+                    result = check_inequality(family, n, m, exps).as_dict()
+                except Exception as exc:  # noqa: BLE001 - the class is the result
+                    result = type(exc).__name__
+                out[f"{exps_name} {n}x{m} {family}"] = result
+    return out
+
+
+def test_check_inequality_matches_snapshot():
+    expected = json.loads(SNAPSHOT.read_text())
+    actual = check_inequality_snapshot()
+    assert actual.keys() == expected.keys()
+    for key, want in expected.items():
+        if key.endswith(" 1x1 jarnik_ineq_ii"):
+            assert actual[key] == "DomainError", key
+        else:
+            assert actual[key] == want, key
+
+
+def test_applicable_families_match_check_domains():
+    for exps in SNAPSHOT_EXPS.values():
+        for n, m in SNAPSHOT_SHAPES:
+            raising = set()
+            for family in FAMILIES:
+                try:
+                    check_inequality(family, n, m, exps)
+                except DomainError:
+                    raising.add(family)
+            applicable = applicable_families(n, m, exps)
+            assert set(applicable) == set(FAMILIES) - raising, (n, m, exps)
+    # reports keep this order, so campaign details and verdicts stay the same
+    assert applicable_families(1, 2, SNAPSHOT_EXPS["at_cap"]) == [
+        "apfelbeck_i", "dyson", "my_inequalities",
+        "loranoyadenie_1", "loranoyadenie_2", "loranoyadenie_3",
+        "jarnik_ineq_i", "khintchine", "bugeaud_laurent",
+        "jarnik_equality", "jarnik_ineq_ii", "jarnik_ineq_iii", "apfelbeck_ii",
+    ]
 
 
 def test_loranoyadenie_rhs_exact_values():

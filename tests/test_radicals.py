@@ -3,9 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from diotrans.errors import PrecisionExhausted
+from diotrans.intervals import Enclosure
 from diotrans.radicals import (
     Radical,
     exact_div,
+    exact_eq,
     exact_floor,
     exact_le,
     exact_lt,
@@ -68,6 +71,97 @@ def test_exact_pow_on_fractions():
     assert exact_pow(Fraction(4), Fraction(1, 2)) == 2
     v = exact_pow(Fraction(2), Fraction(1, 3))
     assert isinstance(v, Radical) and v.index == 3
+
+
+def test_floor_at_every_magnitude():
+    rho = Fraction(2**700 + 1, 3)
+    f = Radical(rho, 3).floor()
+    assert f**3 <= rho < (f + 1) ** 3
+    rho = Fraction(3, 2**900 + 7)
+    assert Radical(rho, 2).floor() == 0
+    assert Radical(Fraction(10**40 + 1), 40).floor() == 10
+    assert Radical(Fraction(10**40 - 1), 40).floor() == 9
+
+
+def test_float_at_every_magnitude():
+    huge = Radical(Fraction(2**1200 + 1, 3), 2)
+    assert float(huge) == pytest.approx(2.0**600 / 3**0.5, rel=1e-12)
+    assert float(Radical(Fraction(1, 2**1200), 2)) == pytest.approx(2.0**-600, rel=1e-12)
+    assert float(Radical(Fraction(2**1500, 3**400), 5)) == pytest.approx(
+        2.0**300 / 3.0**80, rel=1e-12
+    )
+    assert float(Radical(Fraction(7, 3), 2)) == (7 / 3) ** 0.5
+
+
+SQRT2 = Radical(2, 2)
+UNDECIDED = (Enclosure(1, 3), Enclosure(2, 4))  # overlapping: no order is certain
+
+
+def test_exact_mul_on_mixed_operands_and_zeros():
+    assert exact_mul(2, 3) == 6 and isinstance(exact_mul(2, 3), Fraction)
+    assert exact_mul(SQRT2, SQRT2) == 2 and isinstance(exact_mul(SQRT2, SQRT2), Fraction)
+    assert exact_mul(Fraction(1, 2), SQRT2) == Radical(Fraction(1, 2), 2)
+    for other in (SQRT2, Fraction(5), Enclosure(1, 2)):
+        for zero in (0, Fraction(0)):
+            assert exact_mul(zero, other) == 0 and isinstance(exact_mul(zero, other), Fraction)
+            assert exact_mul(other, zero) == 0 and isinstance(exact_mul(other, zero), Fraction)
+    prod = exact_mul(Enclosure(2, 3), SQRT2)
+    assert isinstance(prod, Enclosure) and 2 * 1.4142 < prod.lo and prod.hi < 3 * 1.4143
+    assert exact_mul(Fraction(3), Enclosure(1, 2)).lo == 3
+
+
+def test_exact_div_and_pow_on_mixed_operands_and_zeros():
+    assert exact_div(0, SQRT2) == 0 and isinstance(exact_div(0, SQRT2), Fraction)
+    assert exact_div(Fraction(0), Enclosure(1, 2)) == 0
+    with pytest.raises(ZeroDivisionError):
+        exact_div(1, 0)
+    assert exact_div(SQRT2, SQRT2) == 1 and isinstance(exact_div(SQRT2, SQRT2), Fraction)
+    q = exact_div(Enclosure(2, 4), 2)
+    assert (q.lo, q.hi) == (1, 2)
+    assert exact_pow(0, Fraction(1, 2)) == 0
+    assert exact_pow(SQRT2, 4) == 4 and isinstance(exact_pow(SQRT2, 4), Fraction)
+    p = exact_pow(Enclosure(4, 9), Fraction(1, 2))
+    assert isinstance(p, Enclosure) and p.lo <= 2 and 3 <= p.hi < Fraction(301, 100)
+    sq = exact_pow(Enclosure(2, 3), 2)
+    assert (sq.lo, sq.hi) == (4, 9)
+
+
+def test_exact_le_is_surely_le_on_enclosures():
+    a, b = UNDECIDED
+    assert not exact_le(a, b) and not exact_le(b, a)
+    assert exact_le(Enclosure(1, 2), Enclosure(2, 3))
+    assert exact_le(Enclosure(1, Fraction(141, 100)), SQRT2)
+    assert not exact_le(SQRT2, Enclosure(1, Fraction(141, 100)))
+    assert exact_le(0, SQRT2) and not exact_le(SQRT2, 0)
+    assert exact_le(Fraction(-1), Enclosure(0, 1))
+
+
+def test_exact_lt_raises_when_enclosures_cannot_decide():
+    a, b = UNDECIDED
+    with pytest.raises(PrecisionExhausted):
+        exact_lt(a, b)
+    assert exact_lt(Enclosure(1, 2), Enclosure(3, 4))
+    assert not exact_lt(Enclosure(3, 4), Enclosure(1, 3))
+    assert exact_lt(0, SQRT2) and not exact_lt(SQRT2, 1)
+
+
+def test_exact_eq_is_overlap_on_enclosures():
+    a, b = UNDECIDED
+    assert exact_eq(a, b)
+    assert not exact_eq(Enclosure(1, 2), Enclosure(3, 4))
+    assert exact_eq(Enclosure(1, 2), SQRT2)
+    assert exact_eq(exact_mul(SQRT2, SQRT2), 2)
+    assert not exact_eq(0, SQRT2) and exact_eq(0, Fraction(0))
+
+
+def test_exact_max_is_interval_max_on_enclosures():
+    a, b = UNDECIDED
+    top = exact_max(a, b)
+    assert top is not a and top is not b
+    assert (top.lo, top.hi) == (2, 4)
+    top = exact_max(Fraction(0), Enclosure(1, 2))
+    assert (top.lo, top.hi) == (1, 2)
+    assert exact_max(SQRT2, 0) is SQRT2 and exact_max(1, SQRT2) is SQRT2
 
 
 def test_rejects_nonpositive():

@@ -9,14 +9,16 @@ from diotrans.errors import (
     NonCollinearRequired,
     Only3D,
 )
-from diotrans.functions import power_spec
+from diotrans.functions import FunctionSpec, power_spec
 from diotrans.geometry import Box, System, best_approx_table, box_contains
+from diotrans.intervals import Enclosure
 from diotrans.presets import get_preset
 from diotrans.radicals import Radical
 from diotrans.sectiondual import improved_mahler_factor
 from diotrans.transfer import (
     Certificate,
     alphas_core,
+    core_hypothesis_ok,
     cube_section_bound_squared,
     mahler_transfer,
     mahler_transfer_asymmetric,
@@ -209,3 +211,31 @@ def test_output_lands_in_inflated_dual_box():
     Y, V = transference_parameters(system, Fraction(2), Fraction(1, 100))
     box = Box(system, Y, V, "dual")
     assert box_contains(box, cert.output_point) is True
+
+
+def test_mahler_transfer_with_enclosure_inputs():
+    cert = mahler_transfer(_half(), Enclosure(10), Enclosure(Fraction(1, 10)))
+    assert cert.params == {
+        "X": "[10, 10]", "U": "[1/10, 1/10]", "Y": "[10, 10]", "V": "[1/10, 1/10]"
+    }
+    assert cert.all_ok() and verify_certificate(cert)[0]
+
+
+def test_main_lemma_hypothesis_with_enclosed_r():
+    system = get_preset("plastic").build()
+    records = best_approx_table(system, "primal", 12).records
+    v1, v2 = records[2].witness, records[3].witness
+    r = Enclosure(3, Fraction(31, 10))
+    ok, details = main_lemma_hypothesis(system, v1, v2, Fraction(4), r, Fraction(1, 12))
+    assert ok is False  # it fails at both ends of r as well
+    assert set(details) == {"h1", "r1", "h2", "r2"}
+    ok, _ = main_lemma_hypothesis(system, v1, v2, Fraction(256), Enclosure(1000, 1001),
+                                  Fraction(1, 12))
+    assert ok is True
+
+
+def test_core_hypothesis_with_power_log_phi():
+    system = get_preset("plastic").build()
+    phi = FunctionSpec("power_log", 1, Fraction(-1, 2), -1)
+    psi = power_spec(Fraction(1, 100), -2)
+    assert core_hypothesis_ok(system, phi, psi, Fraction(40)) in (1, 2, None)
