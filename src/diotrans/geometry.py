@@ -11,13 +11,14 @@ import io
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
-
-import numpy as np
+from functools import cached_property
+from itertools import product
+from math import lcm
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import BudgetExceeded
 from .intervals import Enclosure
-from .radicals import exact_le, exact_floor, floor_within
+from .radicals import exact_floor, exact_le, exact_mul, floor_within
 
 DEFAULT_ENUM_BUDGET = 10**7
 
@@ -27,6 +28,14 @@ def _frac_matrix(theta, n, m):
     if len(rows) != n or any(len(r) != m for r in rows):
         raise ValueError(f"theta must be {n}x{m}")
     return rows
+
+
+class IntegerForm(NamedTuple):
+    """Theta = rows / den with an integer matrix; cols is its transpose."""
+
+    rows: tuple[tuple[int, ...], ...]
+    cols: tuple[tuple[int, ...], ...]
+    den: int
 
 
 @dataclass(frozen=True)
@@ -46,6 +55,14 @@ class System:
     def d(self) -> int:
         return self.n + self.m
 
+    @cached_property
+    def integer_form(self) -> IntegerForm:
+        """Theta = A / D with A an integer matrix and D the lcm of the
+        denominators, so every residual is an integer numerator over D."""
+        den = lcm(*(v.denominator for row in self.theta for v in row))
+        rows = tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in self.theta)
+        return IntegerForm(rows, tuple(zip(*rows)), den)
+
     def transposed(self) -> "System":
         tt = tuple(tuple(self.theta[i][j] for i in range(self.n)) for j in range(self.m))
         return System(self.m, self.n, tt)
@@ -54,25 +71,33 @@ class System:
         z = tuple(int(v) for v in z)
         return z[: self.m], z[self.m :]
 
+    def primal_numerators(self, z: Sequence[int]) -> list[int]:
+        """D * (Theta x + y) for z = (x, y)."""
+        x, y = self.split(z)
+        form = self.integer_form
+        return [_dot(row, x) + form.den * yi for row, yi in zip(form.rows, y)]
+
+    def dual_numerators(self, z: Sequence[int]) -> list[int]:
+        """D * (tTheta y - x) for z = (x, y)."""
+        x, y = self.split(z)
+        form = self.integer_form
+        return [_dot(col, y) - form.den * xj for col, xj in zip(form.cols, x)]
+
     def primal_values(self, z: Sequence[int]) -> tuple[int, Fraction]:
         """(|x|_inf, |Theta x + y|_inf) for z = (x, y)."""
-        x, y = self.split(z)
-        xinf = max(abs(v) for v in x)
-        resid = Fraction(0)
-        for i in range(self.n):
-            v = sum(self.theta[i][j] * x[j] for j in range(self.m)) + y[i]
-            resid = max(resid, abs(v))
-        return xinf, resid
+        xinf = max(abs(int(v)) for v in z[: self.m])
+        resid = max(abs(v) for v in self.primal_numerators(z))
+        return xinf, Fraction(resid, self.integer_form.den)
 
     def dual_values(self, z: Sequence[int]) -> tuple[int, Fraction]:
         """(|y|_inf, |tTheta y - x|_inf) for z = (x, y)."""
-        x, y = self.split(z)
-        yinf = max(abs(v) for v in y)
-        resid = Fraction(0)
-        for j in range(self.m):
-            v = sum(self.theta[i][j] * y[i] for i in range(self.n)) - x[j]
-            resid = max(resid, abs(v))
-        return yinf, resid
+        yinf = max(abs(int(v)) for v in z[self.m :])
+        resid = max(abs(v) for v in self.dual_numerators(z))
+        return yinf, Fraction(resid, self.integer_form.den)
+
+
+def _dot(row: Sequence[int], v: Sequence[int]) -> int:
+    return sum(a * b for a, b in zip(row, v))
 
 
 def build_T(system: System):
@@ -164,71 +189,44 @@ def enumerate_nonzero_general(
     Primal: |x_j| <= rbounds[j], |(Theta x + y)_i| <= hbounds[i].
     Dual:   |y_i| <= hbounds[i], |(tTheta y - x)_j| <= rbounds[j].
     Lexicographically sorted, exact.
-    """
-    n, m = system.n, system.m
-    if side == "primal":
-        outer_bounds = [exact_floor(b) for b in rbounds]
-        inner_bounds = hbounds
-    else:
-        outer_bounds = [exact_floor(b) for b in hbounds]
-        inner_bounds = rbounds
 
+    With Theta = A / D, an inner coordinate v is bounded by |D v + N| <= D b
+    for the integer center numerator N of the outer vector; the left side is
+    an integer, so D b may be replaced by B = floor(D b), decided once per
+    box.  Each outer vector then costs integer arithmetic only.
+    """
+    form = system.integer_form
+    den = form.den
+    if side == "primal":
+        outer_bounds, inner_bounds, forms, sign = rbounds, hbounds, form.rows, 1
+    else:
+        outer_bounds, inner_bounds, forms, sign = hbounds, rbounds, form.cols, -1
+
+    outer_bounds = [exact_floor(b) for b in outer_bounds]
     count = 1
     for b in outer_bounds:
         count *= 2 * b + 1
         if count > budget:
             raise BudgetExceeded(f"outer box has more than {budget} candidates")
+    thresholds = [floor_within(exact_mul(den, b), 0) for b in inner_bounds]
 
     points = []
-
-    def emit(outer_vec):
-        # Residual centers for each inner coordinate.
-        if side == "primal":
-            centers = [
-                sum(system.theta[i][j] * outer_vec[j] for j in range(m)) for i in range(n)
-            ]
-            # y_i in [-h_i - c_i, h_i - c_i]
-            for inner_vec in _product_ranges(centers, inner_bounds):
-                z = tuple(outer_vec) + tuple(inner_vec)
-                if any(z):
-                    points.append(z)
+    for outer in product(*(range(-b, b + 1) for b in outer_bounds)):
+        inner_ranges = []
+        for row, B in zip(forms, thresholds):
+            # primal: |D y_i + (A x)_i| <= B;  dual: |D x_j - (tA y)_j| <= B
+            N = sign * _dot(row, outer)
+            lo, hi = -((B + N) // den), (B - N) // den
+            if lo > hi:
+                break
+            inner_ranges.append(range(lo, hi + 1))
         else:
-            centers = [
-                -sum(system.theta[i][j] * outer_vec[i] for i in range(n)) for j in range(m)
-            ]
-            # x_j in [tThetaY_j - r_j, tThetaY_j + r_j] i.e. |x_j + c_j| <= r_j
-            for inner_vec in _product_ranges(centers, inner_bounds):
-                z = tuple(inner_vec) + tuple(outer_vec)
+            for inner in product(*inner_ranges):
+                z = outer + inner if side == "primal" else inner + outer
                 if any(z):
                     points.append(z)
-
-    _iterate_cube(outer_bounds, emit)
     points.sort()
     return points
-
-
-def _product_ranges(centers, bounds):
-    """All integer vectors v with |v_i + centers_i| <= bounds_i."""
-    ranges = []
-    for c, b in zip(centers, bounds):
-        hi = floor_within(b, c)  # largest v with v + c <= b
-        lo = -floor_within(b, -c)  # smallest v with -(v + c) <= b
-        if lo > hi:
-            return
-        ranges.append(range(lo, hi + 1))
-    out = [()]
-    for r in ranges:
-        out = [t + (v,) for t in out for v in r]
-    yield from out
-
-
-def _iterate_cube(bounds, fn, prefix=()):
-    if not bounds:
-        fn(prefix)
-        return
-    b = bounds[0]
-    for v in range(-b, b + 1):
-        _iterate_cube(bounds[1:], fn, prefix + (v,))
 
 
 def enumerate_nonzero(box: Box, budget: int = DEFAULT_ENUM_BUDGET) -> list[tuple[int, ...]]:
@@ -377,6 +375,10 @@ def _scan_exact_1d(work, t_max, table, system, side):
 
 
 def _scan_float(work, t_max, table, system, side):
+    # numpy serves only the float shell scan; importing it here keeps its
+    # ~13 MB of resident memory out of processes that never scan.
+    import numpy as np
+
     n_eff, m_eff = work.n, work.m
     theta = np.array([[float(v) for v in row] for row in work.theta])
     best = None  # exact Fraction of current record
@@ -399,6 +401,8 @@ def _scan_float(work, t_max, table, system, side):
 
 def _shell_argmin(theta, n_eff, m_eff, s):
     """Float min of |theta x mod 1|_inf over the shell |x|_inf = s (mod +-)."""
+    import numpy as np
+
     best_val = None
     best_x = None
     for axis in range(m_eff):

@@ -730,17 +730,18 @@ def _witness_pair(system, t_scan: int = 12):
 def _cheapest_lemma_params(system, v1, v2, constant_sq, cost_cap=3 * 10**5):
     """Smallest-volume (h, r) on a power-of-two grid satisfying the product
     bound, or None when every admissible pair is too large to enumerate."""
-    from .transfer import main_lemma_hypothesis
+    from .transfer import _product_bound_holds
 
     n, m = system.n, system.m
+    r1, h1 = system.primal_values(v1)
+    r2, h2 = system.primal_values(v2)
     best = None
     for h in _SCALE_GRID:
         for r in _SCALE_GRID:
             cost = (2 * float(h) + 1) ** n * (2 * float(r) + 2) ** m
             if cost > cost_cap or (best and cost >= best[0]):
                 continue
-            ok, _ = main_lemma_hypothesis(system, v1, v2, h, r, constant_sq)
-            if ok:
+            if _product_bound_holds(system, r1, h1, r2, h2, h, r, constant_sq):
                 best = (cost, h, r)
     return None if best is None else (best[1], best[2])
 

@@ -256,13 +256,11 @@ def exact_floor(bound) -> int:
 
 
 def floor_within(bound, shift: Fraction) -> int:
-    """Largest integer y with y + shift <= bound."""
-    if not isinstance(bound, Radical):
-        f = Fraction(bound) - shift
-        return f.numerator // f.denominator
-    y = int(float(bound) - float(shift))
-    while exact_le(Fraction(y + 1) + shift, bound):
-        y += 1
-    while not exact_le(Fraction(y) + shift, bound):
-        y -= 1
-    return y
+    """Largest integer y with y + shift <= bound, exact at every magnitude.
+
+    For shift = p/q in lowest terms, y + p/q <= bound iff q y + p <=
+    floor(q bound), so y is one integer floor of q * bound.
+    """
+    shift = Fraction(shift)
+    p, q = shift.numerator, shift.denominator
+    return (exact_floor(exact_mul(q, bound)) - p) // q

@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 
 from .errors import (
     BudgetExceeded,
+    DioTransError,
     HypothesisViolated,
     NonCollinearRequired,
     NoWitnesses,
@@ -175,20 +176,15 @@ def verify_certificate(cert: Certificate) -> tuple[bool, list]:
 
 def _in_coordinate_box(system, side, z, hbounds, rbounds) -> bool:
     x, y = system.split(z)
+    den = system.integer_form.den
     if side == "dual":
-        hvals = [abs(Fraction(v)) for v in y]
-        rvals = [
-            abs(sum(system.theta[i][j] * y[i] for i in range(system.n)) - x[j])
-            for j in range(system.m)
-        ]
+        coords, coord_bounds = y, hbounds
+        nums, num_bounds = system.dual_numerators(z), rbounds
     else:
-        rvals = [abs(Fraction(v)) for v in x]
-        hvals = [
-            abs(sum(system.theta[i][j] * x[j] for j in range(system.m)) + y[i])
-            for i in range(system.n)
-        ]
-    return all(a <= b for a, b in zip(hvals, hbounds)) and all(
-        a <= b for a, b in zip(rvals, rbounds)
+        coords, coord_bounds = x, rbounds
+        nums, num_bounds = system.primal_numerators(z), hbounds
+    return all(abs(v) <= b for v, b in zip(coords, coord_bounds)) and all(
+        Fraction(abs(v), den) <= b for v, b in zip(nums, num_bounds)
     )
 
 
@@ -201,8 +197,8 @@ def cube_section_bound_squared(system: System, z1: Sequence, z2: Sequence) -> Fr
     """Squared upper bound 2d(d-1) max(...)^2 for |z1 ^ z2|.
 
     The max runs over |x1||x2|, |y1||y2| and max(|x1|,|x2|) max(|y1|,|y2|)
-    with x the first m and y the last n coordinates.  Also asserts that the
-    actual squared wedge norm does not exceed the bound.
+    with x the first m and y the last n coordinates.  Raises DioTransError
+    if the actual squared wedge norm exceeds the bound.
     """
     d = system.d
     x1, y1 = system.split(z1)
@@ -214,7 +210,8 @@ def cube_section_bound_squared(system: System, z1: Sequence, z2: Sequence) -> Fr
     mx = max(ax1 * ax2, ay1 * ay2, max(ax1, ax2) * max(ay1, ay2))
     bound_sq = 2 * d * (d - 1) * mx**2
     actual = wedge_norm_squared((tuple(z1), tuple(z2)))
-    assert actual <= bound_sq, "wedge bound violated - arithmetic bug"
+    if actual > bound_sq:
+        raise DioTransError("wedge bound violated - arithmetic bug")
     return bound_sq
 
 
@@ -354,11 +351,8 @@ def mahler_transfer_asymmetric(
     if not pts:
         raise PrecisionExhausted("guaranteed asymmetric dual box came back empty")
     out = pts[0]
-    x, y = system.split(out)
-    yvals = [abs(v) for v in y]
-    rvals = [
-        abs(sum(system.theta[i][j] * y[i] for i in range(n)) - x[j]) for j in range(m)
-    ]
+    yvals = [abs(v) for v in system.split(out)[1]]
+    rvals = [Fraction(abs(v), system.integer_form.den) for v in system.dual_numerators(out)]
     h_lo = [_rat_lower(b, floor_at=Fraction(v)) for b, v in zip(hbounds, yvals)]
     r_lo = [_rat_lower(b, floor_at=v) for b, v in zip(rbounds, rvals)]
     cert.output_point = out
@@ -386,9 +380,15 @@ def main_lemma_hypothesis(system: System, v1, v2, h, r, constant_sq: Fraction):
     (1/(2d(d-1)) in general, 1/4 in the sharpened 3D form); the comparison
     is done on squares so everything stays rational/radical-exact.
     """
-    n, m = system.n, system.m
     r1, h1 = system.primal_values(v1)
     r2, h2 = system.primal_values(v2)
+    holds = _product_bound_holds(system, r1, h1, r2, h2, h, r, constant_sq)
+    return holds, {"h1": h1, "r1": r1, "h2": h2, "r2": r2}
+
+
+def _product_bound_holds(system: System, r1, h1, r2, h2, h, r, constant_sq) -> bool:
+    """The product bound of ``main_lemma_hypothesis`` for the witness values
+    (r1, h1) and (r2, h2) of ``System.primal_values``."""
     lhs = exact_max(
         exact_mul(exact_mul(exact_pow(r, 2), r1), r2),
         exact_max(
@@ -397,10 +397,9 @@ def main_lemma_hypothesis(system: System, v1, v2, h, r, constant_sq: Fraction):
         ),
     )
     rhs_sq = exact_mul(
-        exact_mul(exact_pow(h, 2 * n), exact_pow(r, 2 * m)), constant_sq
+        exact_mul(exact_pow(h, 2 * system.n), exact_pow(r, 2 * system.m)), constant_sq
     )
-    lhs_sq = exact_mul(lhs, lhs)
-    return exact_le(lhs_sq, rhs_sq), {"h1": h1, "r1": r1, "h2": h2, "r2": r2}
+    return exact_le(exact_mul(lhs, lhs), rhs_sq)
 
 
 def main_lemma_transfer(

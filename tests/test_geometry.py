@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -11,9 +13,12 @@ from diotrans.geometry import (
     box_contains,
     build_T,
     enumerate_nonzero,
+    enumerate_nonzero_general,
     minkowski_guaranteed,
 )
 from diotrans.presets import get_preset
+from diotrans.radicals import Radical, exact_floor
+from diotrans.transfer import _in_coordinate_box
 
 
 def _fib(k):
@@ -105,3 +110,106 @@ def test_table_serialization_roundtrip():
 def test_transposed_involution():
     system = System(1, 2, ((Fraction(1, 3), Fraction(2, 5)),))
     assert system.transposed().transposed() == system
+
+
+def test_integer_form_residuals_match_rational_definition():
+    system = System(2, 2, ((Fraction(1, 3), Fraction(-2, 7)), (Fraction(5, 6), Fraction(0))))
+    A, At, D = system.integer_form
+    assert D == 42 and At == tuple(zip(*A))
+    assert all(Fraction(a, D) == t for ra, rt in zip(A, system.theta) for a, t in zip(ra, rt))
+    z = (3, -1, 2, -4)
+    x, y = z[:2], z[2:]
+    primal = [sum(t * v for t, v in zip(row, x)) + yi for row, yi in zip(system.theta, y)]
+    dual = [sum(system.theta[i][j] * y[i] for i in range(2)) - x[j] for j in range(2)]
+    assert system.primal_numerators(z) == [D * v for v in primal]
+    assert system.dual_numerators(z) == [D * v for v in dual]
+    assert system.primal_values(z) == (3, max(abs(v) for v in primal))
+    assert system.dual_values(z) == (4, max(abs(v) for v in dual))
+    # the cached form leaves equality, hashing and repr alone
+    twin = System(2, 2, system.theta)
+    assert twin == system and hash(twin) == hash(system) and repr(twin) == repr(system)
+
+
+def _random_bound(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Fraction(0)
+    if kind == 1:
+        return Fraction(rng.randint(1, 12), rng.randint(1, 5))
+    return Radical(Fraction(rng.randint(1, 40), rng.randint(1, 6)), rng.choice([2, 3, 5]))
+
+
+def _brute_force(system, side, hbounds, rbounds):
+    """Every nonzero point of the bounding cube that passes the membership test."""
+    n, m = system.n, system.m
+    if side == "primal":
+        outer = [exact_floor(b) for b in rbounds]
+        reach = [sum(abs(t) * b for t, b in zip(row, outer)) for row in system.theta]
+        inner = [exact_floor(b) + int(c) + 1 for b, c in zip(hbounds, reach)]
+        cube = outer + inner
+    else:
+        outer = [exact_floor(b) for b in hbounds]
+        reach = [sum(abs(system.theta[i][j]) * outer[i] for i in range(n)) for j in range(m)]
+        inner = [exact_floor(b) + int(c) + 1 for b, c in zip(rbounds, reach)]
+        cube = inner + outer
+    return [
+        z
+        for z in product(*(range(-b, b + 1) for b in cube))
+        if any(z) and _in_coordinate_box(system, side, z, hbounds, rbounds)
+    ]
+
+
+def test_enumeration_matches_brute_force_walk():
+    rng = random.Random(7)
+    for trial in range(60):
+        d = 2 + trial % 3
+        m = rng.randint(1, d - 1)
+        n = d - m
+        theta = [
+            [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(m)] for _ in range(n)
+        ]
+        system = System(n, m, theta)
+        side = rng.choice(["primal", "dual"])
+        # keep the outer cube small: at most 2 per outer coordinate
+        hbounds = [_random_bound(rng) for _ in range(n)]
+        rbounds = [_random_bound(rng) for _ in range(m)]
+        if side == "primal":
+            rbounds = [min(b, Fraction(2)) if exact_floor(b) > 2 else b for b in rbounds]
+        else:
+            hbounds = [min(b, Fraction(2)) if exact_floor(b) > 2 else b for b in hbounds]
+        got = enumerate_nonzero_general(system, side, hbounds, rbounds)
+        assert got == _brute_force(system, side, hbounds, rbounds), (system, side, hbounds, rbounds)
+
+
+def test_enumeration_symmetric_box_matches_box_contains():
+    system = System(1, 2, ((Fraction(2, 3), Fraction(-1, 5)),))
+    for side in ("primal", "dual"):
+        box = Box(system, Radical(3, 2), Radical(Fraction(5, 2), 3), side)
+        pts = enumerate_nonzero(box)
+        cube = product(*(range(-4, 5) for _ in range(3)))
+        assert pts == [z for z in cube if any(z) and box_contains(box, z)]
+
+
+def test_enumeration_zero_bounds():
+    system = System(1, 1, ((Fraction(1, 2),),))
+    # only exact solutions of x/2 + y = 0 with |x| <= 2
+    assert enumerate_nonzero_general(system, "primal", [Fraction(0)], [Fraction(2)]) == [
+        (-2, 1),
+        (2, -1),
+    ]
+    # |y| <= 0: only x with |x| <= 1
+    assert enumerate_nonzero_general(system, "dual", [Fraction(0)], [Fraction(1)]) == [
+        (-1, 0),
+        (1, 0),
+    ]
+
+
+@pytest.mark.parametrize("side", ["primal", "dual"])
+def test_enumeration_budget_counts_outer_candidates(side):
+    system = System(2, 2, ((Fraction(1, 3), Fraction(1, 5)), (Fraction(2, 7), Fraction(1, 2))))
+    outer = [Fraction(5, 2), Radical(2, 2)]  # floors 2 and 1: 5 * 3 = 15 candidates
+    inner = [Fraction(1, 2), Fraction(1, 2)]
+    hbounds, rbounds = (inner, outer) if side == "primal" else (outer, inner)
+    assert enumerate_nonzero_general(system, side, hbounds, rbounds, budget=15)
+    with pytest.raises(BudgetExceeded, match="more than 14 candidates"):
+        enumerate_nonzero_general(system, side, hbounds, rbounds, budget=14)

@@ -22,10 +22,14 @@ from diotrans.harness import (
     loranoyadenie_rhs,
     reports_to_csv,
     uniform_bound_comparison,
+    _SCALE_GRID,
+    _cheapest_lemma_params,
+    _witness_pair,
 )
 from diotrans.errors import DomainError
 from diotrans.functions import FunctionSpec
-from diotrans.presets import get_preset
+from diotrans.presets import get_preset, random_rational_system
+from diotrans.transfer import main_lemma_hypothesis
 
 
 # ---------------------------------------------------------------------------
@@ -263,3 +267,34 @@ def test_campaign_uniform_bounds_deterministic():
     r2 = campaign_uniform_bounds()
     assert r1.all_passed
     assert r1.to_json() == r2.to_json()
+
+
+def test_cheapest_lemma_params_reads_witness_residuals_once(monkeypatch):
+    rng = random.Random(3)
+    found = 0
+    while found < 4:
+        n = rng.randint(1, 2)
+        system = random_rational_system(rng, n, 3 - n, max_den=8)
+        pair = _witness_pair(system)
+        if pair is None:
+            continue
+        found += 1
+        c2 = Fraction(1, 12)
+        # the grid search through the public hypothesis test
+        best = None
+        for h in _SCALE_GRID:
+            for r in _SCALE_GRID:
+                cost = (2 * float(h) + 1) ** system.n * (2 * float(r) + 2) ** system.m
+                if cost > 3 * 10**5 or (best and cost >= best[0]):
+                    continue
+                if main_lemma_hypothesis(system, *pair, h, r, c2)[0]:
+                    best = (cost, h, r)
+        calls = []
+        original = System.primal_values
+        monkeypatch.setattr(
+            System, "primal_values", lambda self, z: calls.append(z) or original(self, z)
+        )
+        params = _cheapest_lemma_params(system, *pair, c2)
+        monkeypatch.undo()
+        assert params == (None if best is None else best[1:])
+        assert calls == list(pair)

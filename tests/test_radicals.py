@@ -1,3 +1,5 @@
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from diotrans.radicals import (
     exact_min,
     exact_mul,
     exact_pow,
+    floor_within,
 )
 
 
@@ -193,3 +196,48 @@ def test_comparison_agrees_with_floats(a, b, j, k):
     fx, fy = float(a) ** (1.0 / j), float(b) ** (1.0 / k)
     if abs(fx - fy) > 1e-9:  # floats are only trusted away from ties
         assert (x < y) == (fx < fy)
+
+
+@contextmanager
+def _time_limit(seconds):
+    """Raise TimeoutError in the body once ``seconds`` of wall time pass."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"took longer than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_floor_within_huge_radicand_is_one_root():
+    # the cube root is about 2^233, far past the 53 bits of a float guess
+    bound = Radical(Fraction(2**700 + 1, 3), 3)
+    with _time_limit(1):
+        y = floor_within(bound, Fraction(1, 2))
+        y0 = floor_within(bound, 0)
+    assert y0 == bound.floor()
+    # y + 1/2 <= bound  iff  2y + 1 <= floor(2 bound)
+    assert y == ((2 * bound).floor() - 1) // 2
+    assert exact_le(Fraction(y) + Fraction(1, 2), bound)
+    assert exact_lt(bound, Fraction(y + 1) + Fraction(1, 2))
+
+
+@given(
+    num=st.integers(1, 10**6),
+    den=st.integers(1, 10**6),
+    scale=st.sampled_from([-700, -300, -60, 0, 60, 300, 700]),
+    index=st.sampled_from([1, 2, 3, 5]),
+    shift=st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=1000),
+)
+def test_floor_within_brackets_the_bound(num, den, scale, index, shift):
+    bound = Radical(Fraction(num, den) * Fraction(2) ** scale, index)
+    if bound.is_rational():
+        bound = bound.as_fraction()
+    y = floor_within(bound, shift)
+    assert exact_le(Fraction(y) + shift, bound)
+    assert exact_lt(bound, Fraction(y + 1) + shift)

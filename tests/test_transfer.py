@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import diotrans.transfer as transfer_module
 from diotrans.errors import (
+    DioTransError,
     HypothesisViolated,
     NoWitnesses,
     NonCollinearRequired,
@@ -140,7 +142,15 @@ def test_3d_gap_instance_separates_constants():
 def test_cube_section_bound_dominates_wedge():
     system = System(1, 2, ((Fraction(1, 3), Fraction(1, 7)),))
     b = cube_section_bound_squared(system, (1, 2, 3), (0, 1, -1))
-    assert b > 0  # the internal assertion already checked wedge <= bound
+    assert b > 0  # the internal check already confirmed wedge <= bound
+
+
+def test_cube_section_bound_violation_raises_library_error(monkeypatch):
+    # a plain assert would vanish under python -O
+    system = System(1, 2, ((Fraction(1, 3), Fraction(1, 7)),))
+    monkeypatch.setattr(transfer_module, "wedge_norm_squared", lambda pair: Fraction(10**9))
+    with pytest.raises(DioTransError, match="wedge bound violated"):
+        cube_section_bound_squared(system, (1, 2, 3), (0, 1, -1))
 
 
 @given(
