@@ -11,9 +11,9 @@ import io
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from itertools import product
-from math import lcm
+from functools import cached_property, reduce
+from itertools import accumulate, product
+from math import lcm, prod
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import BudgetExceeded
@@ -293,24 +293,6 @@ class BestApproxTable:
         return buf.getvalue()
 
 
-def _nearest_residual(theta_rows, x):
-    """Exact (psi, y) with y the nearest integer vector to -Theta x."""
-    ys = []
-    err = Fraction(0)
-    for row in theta_rows:
-        v = sum(t * xi for t, xi in zip(row, x))
-        # nearest integer to -v
-        y = -(v.numerator // v.denominator)
-        best = abs(v + y)
-        for cand in (y - 1, y + 1):
-            e = abs(v + cand)
-            if e < best:
-                best, y = e, cand
-        ys.append(y)
-        err = max(err, best)
-    return err, tuple(ys)
-
-
 def best_approx_table(
     system: System,
     side: str,
@@ -319,116 +301,128 @@ def best_approx_table(
 ) -> BestApproxTable:
     """Jump table of psi(t) = min over 0 < |x|_inf <= t of |Theta x - y|_inf.
 
-    side='dual' computes the transposed analog.  Exact for one free
-    variable; a vectorized float scan (with exact re-evaluation of each
-    witness) for two or more.
+    side='dual' computes the transposed analog.  Exact for every shape: a
+    float residual on the shell |x|_inf = s is within eps(s) = (k+2) s L
+    2^-52 + 2^-50 of the exact one (k free variables, L the largest row sum
+    of |Theta|), and every point within eps(s) of beating the record is
+    decided in integers on ``System.integer_form`` (see ``_scan``).
     """
-    work = system if side == "primal" else system.transposed()
-    n_eff, m_eff = work.n, work.m
-    if (2 * t_max + 1) ** m_eff > budget:
-        raise BudgetExceeded(f"(2*{t_max}+1)^{m_eff} exceeds budget {budget}")
+    form = system.integer_form
+    rows = form.rows if side == "primal" else form.cols
+    free = len(rows[0])
+    if (2 * t_max + 1) ** free > budget:
+        raise BudgetExceeded(f"(2*{t_max}+1)^{free} exceeds budget {budget}")
     table = BestApproxTable(side=side, t_max=t_max)
-    if m_eff == 1:
-        _scan_exact_1d(work, t_max, table, system, side)
-    else:
-        _scan_float(work, t_max, table, system, side)
+    for e, _, x, y in _scan(rows, form.den, t_max):
+        # box convention: psi = |Theta x + y|_inf resp. |tTheta y - x|_inf;
+        # on the dual side the free variable is y and -x its nearest vector
+        z = x + y if side == "primal" else tuple(-v for v in y) + x
+        table.records.append(ApproxRecord(max(map(abs, x)), Fraction(e, form.den), z))
     return table
 
 
-def _record(table, system, side, t, x, psi, y):
-    """Append (t, psi) with witness stored in the original system's layout.
+_BATCH_CAP = 2**14  # points per float batch, bounding the scan's memory
 
-    Witnesses use the box convention: psi = |Theta x + y|_inf (primal) or
-    |tTheta y - x|_inf (dual), so every witness lies in M_{psi,t} resp.
-    M-hat_{t,psi}.
+
+def _scan(rows, den, t_max):
+    """Yield (e, err_f, x, y) for each record of psi over the half-shells 1..t_max.
+
+    Theta = rows / den, with k = len(rows[0]) free variables.  Half-shell s
+    holds the x with |x|_inf = s whose first coordinate of size s is +s; its
+    block (s, a) has x_a = s, |x_b| < s for b < a, |x_b| <= s for b > a, and
+    runs lexicographically.  y_i is nearest to -(Theta x)_i (-floor on a half
+    tie) and psi(x) = e / den.  A record is a shell whose least e beats every
+    earlier one; its witness is the exact minimiser of least err_f, then the
+    first one.
+
+    err_f(x) = max_i |v_i - rint(v_i)| for v = fl(x Theta_f^t) is computed
+    without rounding (Sterbenz), and distance to Z is 1-Lipschitz, so
+    |err_f - psi| <= max_i |v_i - (Theta x)_i| <= gamma_{k+1} s L <= (k+2) u s L
+    with u = 2^-53 and L = max_i sum_j |theta_ij|: Theta rounded, k products
+    and k - 1 sums in any order (Higham, Accuracy and Stability of Numerical
+    Algorithms, 3.1).  eps(s) = (k+2) s L 2^-52 + 2^-50 doubles that, which
+    absorbs the rounding of L, of eps and of the float thresholds, and adds
+    an absolute term for underflow and thresholds near 0.  Residuals are
+    integers over den, so only a point with err_f <= (best - 1) / den +
+    eps(s) can beat the record best / den, and a shell minimiser has err_f <=
+    its block's float minimum + 2 eps(s).  Only such points are decided
+    exactly; ties with the record are never re-checked.
     """
-    if side == "primal":
-        z = tuple(x) + tuple(y)
-    else:
-        # work system was the transpose: its free variable is the original y
-        # and its negated-nearest vector is -x.
-        z = tuple(-v for v in y) + tuple(x)
-    table.records.append(ApproxRecord(t=t, psi=psi, witness=z))
+    import numpy as np  # kept out of processes that never scan (~13 MB)
+
+    free = len(rows[0])
+    theta = np.array([[a / den for a in row] for row in rows])
+    slope = (free + 2) * 2.0**-52 * (max(sum(map(abs, row)) for row in rows) / den)
+    best = None  # numerator of the current record
+    pending = None  # (e, err_f, x, y): the best candidate of the open shell
+    for x, shells, counts in _batches(np, free, t_max):
+        v = x @ theta.T
+        # column by column: .max(axis=1) along the short axis is ~60x slower
+        err = reduce(np.maximum, np.abs(v - np.rint(v)).T)
+        eps = slope * shells + 2.0**-50
+        limit = np.minimum.reduceat(err, np.cumsum(counts) - counts) + 2 * eps
+        if best is not None:
+            limit = np.minimum(limit, (best - 1) / den + eps)
+        for i in np.flatnonzero(err <= np.repeat(limit, counts)):
+            point = tuple(int(c) for c in x[i])
+            if pending is not None and max(map(abs, point)) > max(map(abs, pending[2])):
+                best = pending[0]
+                yield pending
+                if best == 0:
+                    return
+                pending = None
+            e, y = _nearest(rows, den, point)
+            f = float(err[i])
+            if (best is None or e < best) and (pending is None or (e, f) < pending[:2]):
+                pending = (e, f, point, y)
+    if pending is not None:
+        yield pending
 
 
-def _scan_exact_1d(work, t_max, table, system, side):
-    theta = [row[0] for row in work.theta]
-    nums = [f.numerator for f in theta]
-    dens = [f.denominator for f in theta]
-    best = None
-    for t in range(1, t_max + 1):
-        err = Fraction(0)
-        ys = []
-        for p, q in zip(nums, dens):
-            r = (p * t) % q
-            if r <= q - r:
-                e, nearest = r, (p * t - r) // q
-            else:
-                e, nearest = q - r, (p * t + (q - r)) // q
-            ys.append(-nearest)
-            err = max(err, Fraction(e, q))
-        if best is None or err < best:
-            best = err
-            _record(table, system, side, t, (t,), err, tuple(ys))
-            if best == 0:
-                break
+def _nearest(rows, den, x):
+    """(e, y): y_i nearest to -A_i x / den (-floor on a half tie), e = max_i |A_i x + den y_i|."""
+    e, y = 0, []
+    for row in rows:
+        q, r = divmod(_dot(row, x), den)
+        up = r > den - r
+        y.append(-q - up)
+        e = max(e, den - r if up else r)
+    return e, tuple(y)
 
 
-def _scan_float(work, t_max, table, system, side):
-    # numpy serves only the float shell scan; importing it here keeps its
-    # ~13 MB of resident memory out of processes that never scan.
-    import numpy as np
+def _batches(np, free, t_max):
+    """The half-shells 1..t_max in scan order, whole blocks at a time.
 
-    n_eff, m_eff = work.n, work.m
-    theta = np.array([[float(v) for v in row] for row in work.theta])
-    best = None  # exact Fraction of current record
-    best_f = np.inf
-    for s in range(1, t_max + 1):
-        cand = _shell_argmin(theta, n_eff, m_eff, s)
-        if cand is None:
-            continue
-        val_f, x = cand
-        if val_f > best_f * (1 + 1e-9):  # slack so near-ties get the exact check
-            continue
-        err, ys = _nearest_residual(work.theta, x)
-        if best is None or err < best:
-            best = err
-            best_f = float(err)
-            _record(table, system, side, s, x, err, ys)
-            if err == 0:
-                break
-
-
-def _shell_argmin(theta, n_eff, m_eff, s):
-    """Float min of |theta x mod 1|_inf over the shell |x|_inf = s (mod +-)."""
-    import numpy as np
-
-    best_val = None
-    best_x = None
-    for axis in range(m_eff):
-        grids = []
-        for b in range(m_eff):
-            if b == axis:
-                continue
-            if b < axis:
-                grids.append(np.arange(-(s - 1), s))
-            else:
-                grids.append(np.arange(-s, s + 1))
-        if grids:
-            mesh = np.meshgrid(*grids, indexing="ij")
-            pts = np.stack([g.ravel() for g in mesh], axis=-1)
+    Yields (points as floats, shell of each block, size of each block).
+    Batches start at 32 points and double up to _BATCH_CAP, so a scan that
+    stops early stays cheap; a block larger than the cap is a batch alone.
+    """
+    s, a, size = 1, 0, 32
+    while s <= t_max:
+        if free == 1:
+            shells = np.arange(s, min(s + size, t_max + 1), dtype=float)
+            s += len(shells)
+            yield shells.reshape(-1, 1), shells, np.ones(len(shells), dtype=int)
         else:
-            pts = np.zeros((1, 0), dtype=int)
-        x_full = np.insert(pts, axis, s, axis=1)
-        v = x_full @ theta.T  # shape (N, n_eff)
-        err = np.abs(v - np.rint(v)).max(axis=1)
-        i = int(err.argmin())
-        if best_val is None or err[i] < best_val:
-            best_val = float(err[i])
-            best_x = tuple(int(c) for c in x_full[i])
-    if best_x is None:
-        return None
-    return best_val, best_x
+            blocks, counts, total = [], [], 0
+            while s <= t_max:
+                shape = (2 * s - 1,) * a + (1,) + (2 * s + 1,) * (free - 1 - a)
+                if counts and total + prod(shape) > size:
+                    break
+                blocks.append((s, a, shape))
+                counts.append(prod(shape))
+                total += counts[-1]
+                s, a = (s, a + 1) if a + 1 < free else (s + 1, 0)
+            x = np.empty((total, free))
+            for (bs, ba, shape), end, count in zip(blocks, accumulate(counts), counts):
+                view = x[end - count : end].reshape(shape + (free,))
+                for b, length in enumerate(shape):
+                    axis = [1] * free
+                    axis[b] = length
+                    view[..., b] = np.arange(-(length // 2), length // 2 + 1).reshape(axis)
+                view[..., ba] = bs
+            yield x, np.array([bs for bs, _, _ in blocks], dtype=float), np.array(counts)
+        size = min(2 * size, _BATCH_CAP)
 
 
 def minkowski_guaranteed(system: System, h, r) -> bool:

@@ -1,8 +1,16 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import diotrans
 
 from diotrans.errors import BudgetExceeded
 from diotrans.exactlinalg import identity_matrix, mat_mul, transpose
@@ -213,3 +221,106 @@ def test_enumeration_budget_counts_outer_candidates(side):
     assert enumerate_nonzero_general(system, side, hbounds, rbounds, budget=15)
     with pytest.raises(BudgetExceeded, match="more than 14 candidates"):
         enumerate_nonzero_general(system, side, hbounds, rbounds, budget=14)
+
+
+SCAN_SNAPSHOT = Path(__file__).with_name("best_approx_snapshot.json")
+
+
+def _record_walk(system, side, t_max):
+    """(t, psi) records of an integer walk over the full shells |x|_inf = t."""
+    A, At, D = system.integer_form
+    rows = A if side == "primal" else At
+    records, best = [], None
+    for t in range(1, t_max + 1):
+        shell = min(
+            max(min(r, D - r) for r in (sum(a * v for a, v in zip(row, x)) % D for row in rows))
+            for x in product(range(-t, t + 1), repeat=len(rows[0]))
+            if max(map(abs, x)) == t
+        )
+        if best is None or shell < best:
+            best = shell
+            records.append((t, Fraction(shell, D)))
+            if shell == 0:
+                break
+    return records
+
+
+def _assert_scan_is_exact(system, side, t_max):
+    table = best_approx_table(system, side, t_max)
+    assert [(r.t, r.psi) for r in table.records] == _record_walk(system, side, t_max)
+    values = system.primal_values if side == "primal" else system.dual_values
+    for rec in table.records:
+        assert values(rec.witness) == (rec.t, rec.psi)
+
+
+NEAR_TIE = ((Fraction(3, 10), Fraction(3, 10)), (Fraction(16, 100), Fraction(84, 100)),
+            (Fraction(16, 100), Fraction(16, 100)))
+
+
+def test_near_tie_in_a_shell_is_decided_exactly():
+    # (1, 0) and (0, 1) tie at 3/10 in shell 1 until theta_00 grows by 2^-70;
+    # a float argmin cannot tell them apart and keeps the first
+    theta = [list(row) for row in NEAR_TIE]
+    theta[0][0] += Fraction(1, 2**70)
+    table = best_approx_table(System(3, 2, theta), "primal", 6)
+    assert (table.records[0].t, table.records[0].psi) == (1, Fraction(3, 10))
+    assert table.records[0].witness == (0, 1, 0, -1, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=st.fractions(Fraction(26, 100), Fraction(31, 100), max_denominator=1000),
+    k=st.integers(55, 80),
+    sign=st.sampled_from((1, -1)),
+    entry=st.integers(0, 1),
+    side=st.sampled_from(("primal", "dual")),
+)
+def test_near_ties_match_the_exact_walk(a, k, sign, entry, side):
+    # shell 1 holds (1, 0) and (0, 1) with psi = a each, split by 2^-k
+    theta = [list(row) for row in NEAR_TIE]
+    theta[0] = [a, a]
+    theta[0][entry] += sign * Fraction(1, 2**k)
+    system = System(3, 2, theta)
+    if side == "dual":
+        system = system.transposed()
+    _assert_scan_is_exact(system, side, 6)
+
+
+def test_scan_matches_exact_walk_on_every_shape():
+    rng = random.Random(11)
+    for free in (1, 2, 3):
+        t_max = 8 if free == 3 else 30
+        for side in ("primal", "dual"):
+            for other in (1, 2):
+                n, m = (other, free) if side == "primal" else (free, other)
+                generic = [
+                    [Fraction(rng.getrandbits(400), 2**400) for _ in range(m)] for _ in range(n)
+                ]
+                rational = [
+                    [Fraction(rng.randint(-8, 8), rng.randint(1, 8)) for _ in range(m)]
+                    for _ in range(n)
+                ]
+                for theta in (generic, rational):
+                    _assert_scan_is_exact(System(n, m, theta), side, t_max)
+
+
+def test_scan_matches_snapshot():
+    # presets at t = 2000 (one free variable) or 150 (two), and rational
+    # t = 12 scans whose records tie inside a shell; recorded before the
+    # float shell argmin was replaced, witnesses included
+    for case in json.loads(SCAN_SNAPSHOT.read_text()):
+        if "preset" in case:
+            system = get_preset(case["preset"]).build()
+        else:
+            theta = [[Fraction(v) for v in row] for row in case["theta"]]
+            system = System(case["n"], case["m"], theta)
+        records = best_approx_table(system, case["side"], case["t_max"]).records
+        assert [[r.t, str(r.psi), list(r.witness)] for r in records] == case["records"], case
+
+
+def test_import_leaves_numpy_unloaded():
+    src = str(Path(diotrans.__file__).resolve().parents[1])
+    code = "import sys, diotrans; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "False"
