@@ -391,38 +391,64 @@ def _nearest(rows, den, x):
 
 
 def _batches(np, free, t_max):
-    """The half-shells 1..t_max in scan order, whole blocks at a time.
+    """The half-shells 1..t_max in scan order, a run of whole pieces at a time.
 
-    Yields (points as floats, shell of each block, size of each block).
-    Batches start at 32 points and double up to _BATCH_CAP, so a scan that
-    stops early stays cheap; a block larger than the cap is a batch alone.
+    Yields (points as floats, shell of each piece, size of each piece).  A
+    piece is a block, or for a block of more than _BATCH_CAP points a slice
+    of it along its leading free coordinate (``_pieces``); a slice's float
+    minimum is >= its block's, so the scan's filter stays exact.  Batches
+    start at 32 points and double up to _BATCH_CAP, so a scan that stops
+    early stays cheap and no batch exceeds the cap.
     """
-    s, a, size = 1, 0, 32
-    while s <= t_max:
-        if free == 1:
+    size = 32
+    if free == 1:
+        s = 1
+        while s <= t_max:
             shells = np.arange(s, min(s + size, t_max + 1), dtype=float)
             s += len(shells)
             yield shells.reshape(-1, 1), shells, np.ones(len(shells), dtype=int)
-        else:
-            blocks, counts, total = [], [], 0
-            while s <= t_max:
-                shape = (2 * s - 1,) * a + (1,) + (2 * s + 1,) * (free - 1 - a)
-                if counts and total + prod(shape) > size:
-                    break
-                blocks.append((s, a, shape))
-                counts.append(prod(shape))
-                total += counts[-1]
-                s, a = (s, a + 1) if a + 1 < free else (s + 1, 0)
-            x = np.empty((total, free))
-            for (bs, ba, shape), end, count in zip(blocks, accumulate(counts), counts):
-                view = x[end - count : end].reshape(shape + (free,))
-                for b, length in enumerate(shape):
-                    axis = [1] * free
-                    axis[b] = length
-                    view[..., b] = np.arange(-(length // 2), length // 2 + 1).reshape(axis)
-                view[..., ba] = bs
-            yield x, np.array([bs for bs, _, _ in blocks], dtype=float), np.array(counts)
-        size = min(2 * size, _BATCH_CAP)
+            size = min(2 * size, _BATCH_CAP)
+        return
+    batch, total = [], 0
+    for s in range(1, t_max + 1):
+        for a in range(free):
+            block = [(1 - s, 2 * s - 1)] * a + [(s, 1)] + [(-s, 2 * s + 1)] * (free - 1 - a)
+            for piece, count in _pieces(block):
+                if batch and total + count > size:
+                    yield _filled(np, free, batch, total)
+                    batch, total, size = [], 0, min(2 * size, _BATCH_CAP)
+                batch.append((s, piece, count))
+                total += count
+    if batch:
+        yield _filled(np, free, batch, total)
+
+
+def _pieces(ranges):
+    """Lexicographic slices of at most _BATCH_CAP points, with their sizes, of
+    the block with coordinate b in range(lo_b, lo_b + n_b), given as [(lo_b, n_b)]."""
+    lengths = [n for _, n in ranges]
+    count = prod(lengths)
+    if count <= _BATCH_CAP:
+        return [(ranges, count)]
+    b = next(b for b, n in enumerate(lengths) if n > 1)
+    lo, n = ranges[b]
+    step = max(1, _BATCH_CAP // prod(lengths[b + 1 :]))
+    return [piece for start in range(lo, lo + n, step) for piece in
+            _pieces(ranges[:b] + [(start, min(step, lo + n - start))] + ranges[b + 1 :])]
+
+
+def _filled(np, free, batch, total):
+    """A batch as _batches yields it, from its (shell, piece, size) list."""
+    x = np.empty((total, free))
+    end = 0
+    for _, piece, count in batch:
+        view = x[end : end + count].reshape([n for _, n in piece] + [free])
+        end += count
+        for b, (lo, n) in enumerate(piece):
+            axis = [1] * free
+            axis[b] = n
+            view[..., b] = np.arange(lo, lo + n).reshape(axis)
+    return x, np.array([s for s, _, _ in batch], dtype=float), np.array([c for _, _, c in batch])
 
 
 def minkowski_guaranteed(system: System, h, r) -> bool:

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from .errors import DomainError
 from .functions import FunctionSpec
-from .geometry import BestApproxTable, System, best_approx_table
+from .geometry import System, best_approx_table
 from .presets import PRESETS, random_system
 from .radicals import exact_div, exact_le, exact_mul
 
@@ -79,16 +79,18 @@ def _trend_slope(pts: Sequence[tuple[float, float]]) -> float:
 
 
 def _certify_record_exponent(psi: Fraction, t: int, start: float) -> Fraction:
-    """Largest gamma = p/q (q <= 64) <= start with psi <= t^-gamma, exact."""
-    gamma = Fraction(min(start, float(MAX_EXP))).limit_denominator(64)
-    step = Fraction(1, 64)
-    while gamma > 0:
-        # psi <= t^-gamma  <=>  psi_num^q * t^p <= psi_den^q
-        p, q = gamma.numerator, gamma.denominator
-        if psi.numerator**q * t**p <= psi.denominator**q:
-            return gamma
-        gamma -= step
-    return Fraction(0)
+    """Largest gamma = p/64 <= min(start, MAX_EXP) with psi <= t^-gamma, exact
+    (0 when there is none).  psi > 0 and t >= 2."""
+    # psi <= t^(-p/64)  <=>  psi_num^64 * t^p <= psi_den^64
+    lhs, rhs = psi.numerator**64, psi.denominator**64
+    top = math.floor(64 * min(start, float(MAX_EXP)))
+    # a float guess, corrected one step at a time where it is off
+    p = max(0, min(top, math.floor(-64 * _log_fraction(psi) / math.log(t))))
+    while p > 0 and lhs * t**p > rhs:
+        p -= 1
+    while p < top and lhs * t ** (p + 1) <= rhs:
+        p += 1
+    return Fraction(p, 64)
 
 
 def estimate_exponents(
@@ -96,7 +98,6 @@ def estimate_exponents(
     side: str,
     t_max: int,
     budget: int = 10**9,
-    table: Optional[BestApproxTable] = None,
 ) -> ExponentEstimate:
     """Fit alpha and beta from the jump table of the best-approximation
     function.
@@ -111,9 +112,7 @@ def estimate_exponents(
     fits.  psi = 0 records (exactly rational directions) cap the exponents
     at MAX_EXP.
     """
-    if table is None:
-        table = best_approx_table(system, side, t_max, budget=budget)
-    records = table.records
+    records = best_approx_table(system, side, t_max, budget=budget).records
     capped = any(rec.psi == 0 for rec in records)
 
     # Working points: (log t, -log psi).  The plain ratio -log psi / log t

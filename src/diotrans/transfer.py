@@ -640,35 +640,32 @@ def _t_times_monotonicity(psi: FunctionSpec) -> tuple[bool, bool]:
     return psi.log_exponent <= 0, psi.log_exponent >= 0
 
 
-def _dilation_ratio(system, z, h_star, r_star):
-    rv, hv = system.primal_values(z)
-    return exact_max(exact_div(hv, h_star), exact_div(rv, r_star))
+def _least_dilation(system, box_at, key, admissible, budget):
+    """The admissible nonzero point of least key, with that key.
 
-
-def _minimal_dilation(system, h_star, r_star, budget, start=2):
-    """Minimal mu > 0 with M_{mu h*, mu r*} containing a nonzero point, plus
-    the attaining point (lexicographic tie-break) and the full candidate list
-    with its inflation factor.
-
-    mu is attained at a coordinate ratio of an integer point; the candidate
-    set inside M_{M h*, M r*} is finite and complete once non-empty, since
-    any outside point has ratio > M.
+    ``key`` and ``admissible`` take the point's (r-value, h-value), and
+    ``box_at(mult)`` must hold every point of key <= mult.  mult doubles
+    from 2 until the box's least admissible key is <= mult; that minimum is
+    then global, since every point outside has key > mult.  The points
+    arrive lexicographically sorted and a candidate replaces the incumbent
+    only when its key is surely smaller, so ties keep the first point.  On
+    exact keys that is the exact minimum; on enclosed keys (z and -z always
+    tie) it never raises, and the key is minimal up to the enclosure width.
     """
-    mult = start
+    mult = 2
     while True:
-        box = Box(system, exact_mul(h_star, mult), exact_mul(r_star, mult), "primal")
-        pts = enumerate_nonzero(box, budget=budget)
-        if pts:
-            break
+        best, best_pt = None, None
+        for z in enumerate_nonzero(box_at(mult), budget=budget):
+            rv, hv = system.primal_values(z)
+            if admissible(rv, hv):
+                k = key(rv, hv)
+                if best is None or (exact_le(k, best) and not exact_eq(k, best)):
+                    best, best_pt = k, z
+        if best_pt is not None and exact_le(best, mult):
+            return best, best_pt
         mult *= 2
         if mult > 2**20:
             raise BudgetExceeded("dilation search exceeded 2^20")
-    best_mu, best_pt = None, None
-    for z in pts:
-        mu = _dilation_ratio(system, z, h_star, r_star)
-        if best_mu is None or exact_lt(mu, best_mu):
-            best_mu, best_pt = mu, z
-    return best_mu, best_pt, pts, mult
 
 
 def alphas_core(
@@ -685,7 +682,10 @@ def alphas_core(
     (h, r)-box.  Route 2 (dilation): find the minimal dilation mu of
     (h*, r*) containing a point, classify it, find the companion point at
     the secondary minimal dilation, check lambda_1 lambda_2 <=
-    r^{m-1} h^{n-1} / c, and finish through the section lemma.
+    r^{m-1} h^{n-1} / c, and finish through the section lemma.  With an
+    enclosed phi or psi, mu and mu' are minimal up to the enclosure width
+    (see ``_least_dilation``); the certificate stays sound, since the
+    lambda bound and the lemma hypothesis are checked with ``exact_le``.
     """
     n, m, d = system.n, system.m, system.d
     c = Radical(2 * d * (d - 1), 2)
@@ -725,20 +725,28 @@ def alphas_core(
         cert.check("mahler_route_V_eq_r", exact_eq(V, r))
         return cert
 
-    mu, v, candidates, cand_mult = _minimal_dilation(system, h_star, r_star, budget)
+    def box(h_mult, r_mult):
+        return Box(system, exact_mul(h_star, h_mult), exact_mul(r_star, r_mult), "primal")
+
+    # mu: the first successive minimum of the box M_{h*, r*}
+    mu, v = _least_dilation(
+        system, lambda mult: box(mult, mult),
+        lambda rv, hv: exact_max(exact_div(hv, h_star), exact_div(rv, r_star)),
+        lambda rv, hv: True, budget)
     rv, hv = system.primal_values(v)
-    # v is a "v1" when its r-side is small relative to its h-side.
-    is_v1 = exact_le(rv, exact_mul(exact_div(h, r), hv))
-    if is_v1:
-        v1 = v
-        v2, mu2 = _companion(
-            system, candidates, cand_mult, h_star, r_star, mu, budget, find="v2"
-        )
+    # v is a "v1" when its r-side is small relative to its h-side.  The
+    # companion is the least dilation of the other side over the points
+    # whose side of v stays surely below mu times its bound.
+    if exact_le(rv, exact_mul(exact_div(h, r), hv)):
+        v1, below = v, exact_mul(mu, h_star)
+        mu2, v2 = _least_dilation(
+            system, lambda mult: box(mu, mult), lambda rv, hv: exact_div(rv, r_star),
+            lambda rv, hv: exact_le(hv, below) and not exact_eq(hv, below), budget)
     else:
-        v2 = v
-        v1, mu2 = _companion(
-            system, candidates, cand_mult, h_star, r_star, mu, budget, find="v1"
-        )
+        v2, below = v, exact_mul(mu, r_star)
+        mu2, v1 = _least_dilation(
+            system, lambda mult: box(mult, mu), lambda rv, hv: exact_div(hv, h_star),
+            lambda rv, hv: exact_le(rv, below) and not exact_eq(rv, below), budget)
     _, lam1 = system.primal_values(v1)
     lam2, _ = system.primal_values(v2)
     lam_bound = exact_div(
@@ -753,37 +761,3 @@ def alphas_core(
         system, v1, v2, h, r, budget=budget, _kind="alphas_core", _extra_params=params
     )
     return cert
-
-
-def _companion(system, candidates, mult, h_star, r_star, mu, budget, find: str):
-    """Secondary minimal dilation: for find='v2', the smallest mu' over
-    points with h-value strictly below mu*h*; symmetric for find='v1'.
-
-    ``mult`` is the inflation factor of the box the candidates came from; a
-    minimum <= mult is global, since points outside exceed mult on the
-    relevant side.
-    """
-    while True:
-        best, best_pt = None, None
-        for z in candidates:
-            rv, hv = system.primal_values(z)
-            if find == "v2":
-                if not exact_lt(hv, exact_mul(mu, h_star)):
-                    continue
-                ratio = exact_div(rv, r_star)
-            else:
-                if not exact_lt(rv, exact_mul(mu, r_star)):
-                    continue
-                ratio = exact_div(hv, h_star)
-            if best is None or exact_lt(ratio, best):
-                best, best_pt = ratio, z
-        if best_pt is not None and exact_le(best, mult):
-            return best_pt, best
-        mult *= 2
-        if mult > 2**20:
-            raise BudgetExceeded("companion dilation search exceeded 2^20")
-        if find == "v2":
-            box = Box(system, exact_mul(h_star, mu), exact_mul(r_star, mult), "primal")
-        else:
-            box = Box(system, exact_mul(h_star, mult), exact_mul(r_star, mu), "primal")
-        candidates = enumerate_nonzero(box, budget=budget)

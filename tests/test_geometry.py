@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import diotrans
-
+import diotrans.geometry as geometry
 from diotrans.errors import BudgetExceeded
 from diotrans.exactlinalg import identity_matrix, mat_mul, transpose
 from diotrans.geometry import (
@@ -24,7 +25,7 @@ from diotrans.geometry import (
     enumerate_nonzero_general,
     minkowski_guaranteed,
 )
-from diotrans.presets import get_preset
+from diotrans.presets import get_preset, random_system
 from diotrans.radicals import Radical, exact_floor
 from diotrans.transfer import _in_coordinate_box
 
@@ -324,3 +325,35 @@ def test_import_leaves_numpy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.strip() == "False"
+
+
+def test_scan_slices_blocks_above_the_batch_cap(monkeypatch):
+    # a cap of 7 points slices most blocks, and from shell 4 on slices the
+    # three-variable ones twice (their rows hold 2s + 1 > 7 points); records
+    # and witnesses stay those of the unsliced scan
+    rng = random.Random(5)
+    cases = []
+    for free in (2, 3):
+        for side in ("primal", "dual"):
+            n, m = (1, free) if side == "primal" else (free, 1)
+            theta = [[Fraction(rng.getrandbits(400), 2**400) for _ in range(m)] for _ in range(n)]
+            system = System(n, m, theta)
+            cases.append((system, side, 12, best_approx_table(system, side, 12).records))
+    monkeypatch.setattr(geometry, "_BATCH_CAP", 7)
+    for system, side, t_max, records in cases:
+        assert best_approx_table(system, side, t_max).records == records
+        _assert_scan_is_exact(system, side, t_max)
+
+
+def test_scan_memory_is_bounded_by_the_batch_cap():
+    # a 1x3 primal scan to t = 200 has blocks of 401^2 points; whole, they
+    # peaked near 10 MB
+    system = random_system(random.Random(1), 1, 3)
+    best_approx_table(system, "primal", 2)  # numpy loaded outside the trace
+    tracemalloc.start()
+    try:
+        best_approx_table(system, "primal", 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -23,6 +24,7 @@ from diotrans.harness import (
     reports_to_csv,
     uniform_bound_comparison,
     _SCALE_GRID,
+    _certify_record_exponent,
     _cheapest_lemma_params,
     _witness_pair,
 )
@@ -79,6 +81,24 @@ def test_estimate_invariants():
         assert est.beta_lower >= est.alpha_lower >= 0
         # certified statements are sound, so they cannot wildly exceed the fit
         assert float(est.alpha_lower) <= est.alpha_fit + 0.5
+
+
+def test_certified_record_exponents_lie_on_the_64ths_grid():
+    # the largest p/64 <= min(start, MAX_EXP) with psi <= t^(-p/64); the
+    # walk from limit_denominator(64) returned 3/10 here
+    assert _certify_record_exponent(Fraction(1, 1000), 10**4, 0.3) == Fraction(19, 64)
+    assert _certify_record_exponent(Fraction(1, 1000), 10**4, 80.0) == Fraction(3, 4)
+    assert _certify_record_exponent(Fraction(1, 2**10**4), 2, 80.0) == MAX_EXP
+    assert _certify_record_exponent(Fraction(3, 2), 10, 1.0) == 0
+    rng = random.Random(7)
+    for _ in range(200):
+        psi = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**12))
+        t = rng.randint(2, 10**5)
+        start = rng.uniform(-1, 4)
+        p = math.floor(64 * start)
+        while p > 0 and psi.numerator**64 * t**p > psi.denominator**64:
+            p -= 1
+        assert _certify_record_exponent(psi, t, start) == Fraction(max(p, 0), 64)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -249,3 +251,36 @@ def test_core_hypothesis_with_power_log_phi():
     phi = FunctionSpec("power_log", 1, Fraction(-1, 2), -1)
     psi = power_spec(Fraction(1, 100), -2)
     assert core_hypothesis_ok(system, phi, psi, Fraction(40)) in (1, 2, None)
+
+
+@pytest.mark.parametrize("h", [20, 40, 100, 1000])
+def test_alphas_core_with_power_log_phi_orders_enclosed_ties(h):
+    # phi is enclosure-valued, so every dilation ratio is an enclosure and z,
+    # -z tie; the search keeps the first point instead of raising
+    # PrecisionExhausted, and the lambda product check then fails honestly
+    system = get_preset("plastic").build()
+    phi = FunctionSpec("power_log", 1, Fraction(-1, 2), -1)
+    with pytest.raises(HypothesisViolated, match="lambda_1 lambda_2"):
+        alphas_core(system, phi, power_spec(Fraction(1, 100), -2), h)
+
+
+CORE_SNAPSHOT = Path(__file__).with_name("alphas_core_snapshot.json")
+
+
+def test_alphas_core_matches_snapshot():
+    # seeded near-rational 1x2 and 2x1 systems with power phi and psi at
+    # h = 10^3, 10^4: 13 dilation-route certificates, 17 lambda-product
+    # violations, and Mahler-route, growth-condition and budget outcomes;
+    # recorded before the two dilation searches were merged into one
+    def spec(args):
+        return FunctionSpec(args[0], *map(Fraction, args[1:]))
+
+    for case in json.loads(CORE_SNAPSHOT.read_text()):
+        system = System(case["n"], case["m"], [[Fraction(v) for v in row] for row in case["theta"]])
+        try:
+            cert = alphas_core(system, spec(case["phi"]), spec(case["psi"]), case["h"],
+                               budget=case["budget"])
+            result = {"certificate": cert.to_dict()}
+        except DioTransError as exc:
+            result = {"error": f"{type(exc).__name__}: {exc}"}
+        assert json.loads(json.dumps(result)) == case["result"], case
