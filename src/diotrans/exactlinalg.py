@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import Sequence
 
 from .errors import DependentInput, NotSaturated
@@ -97,28 +98,30 @@ def integer_kernel(mat: Sequence[Sequence[int]]) -> list[Vec]:
     return basis
 
 
-def gram_det(vectors: Sequence[Sequence]) -> Fraction:
-    """det(<v_i, v_j>) computed exactly."""
-    k = len(vectors)
-    g = [
-        [Fraction(sum(Fraction(a) * Fraction(b) for a, b in zip(vi, vj))) for vj in vectors]
-        for vi in vectors
-    ]
+def _det(rows: Sequence[Sequence]) -> Fraction:
+    """Determinant of a square matrix, by exact Fraction elimination."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    k = len(m)
     det = Fraction(1)
-    for col in range(k):
-        piv = next((r for r in range(col, k) if g[r][col]), None)
+    for c in range(k):
+        piv = next((r for r in range(c, k) if m[r][c]), None)
         if piv is None:
             return Fraction(0)
-        if piv != col:
-            g[piv], g[col] = g[col], g[piv]
+        if piv != c:
+            m[piv], m[c] = m[c], m[piv]
             det = -det
-        det *= g[col][col]
-        inv = 1 / g[col][col]
-        for r in range(col + 1, k):
-            f = g[r][col] * inv
+        det *= m[c][c]
+        inv = 1 / m[c][c]
+        for r in range(c + 1, k):
+            f = m[r][c] * inv
             if f:
-                g[r] = [a - f * b for a, b in zip(g[r], g[col])]
+                m[r] = [a - f * b for a, b in zip(m[r], m[c])]
     return det
+
+
+def gram_det(vectors: Sequence[Sequence]) -> Fraction:
+    """det(<v_i, v_j>) computed exactly for integer or rational entries."""
+    return _det([[sum(map(mul, vi, vj)) for vj in vectors] for vi in vectors])
 
 
 def wedge_norm_squared(vectors: Sequence[Sequence]) -> Fraction:
@@ -139,26 +142,6 @@ class GrassmannCoords:
         return sum(Fraction(c) * Fraction(c) for c in self.coefficients)
 
 
-def _minor_det(rows, cols_idx):
-    k = len(rows)
-    m = [[Fraction(rows[i][j]) for j in cols_idx] for i in range(k)]
-    det = Fraction(1)
-    for c in range(k):
-        piv = next((r for r in range(c, k) if m[r][c]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[piv], m[c] = m[c], m[piv]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for r in range(c + 1, k):
-            f = m[r][c] * inv
-            if f:
-                m[r] = [a - f * b for a, b in zip(m[r], m[c])]
-    return det
-
-
 def grassmann(vectors: Sequence[Sequence]) -> GrassmannCoords:
     k = len(vectors)
     d = len(vectors[0])
@@ -166,7 +149,7 @@ def grassmann(vectors: Sequence[Sequence]) -> GrassmannCoords:
     coeffs = []
     all_int = all(isinstance(x, int) for v in vectors for x in v)
     for s in subsets:
-        c = _minor_det(vectors, s)
+        c = _det([[row[j] for j in s] for row in vectors])
         coeffs.append(int(c) if all_int else c)
     return GrassmannCoords(d, k, subsets, tuple(coeffs))
 

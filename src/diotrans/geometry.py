@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import accumulate, product
+from itertools import product, repeat
 from math import lcm, prod
 from typing import NamedTuple, Optional, Sequence
 
@@ -143,6 +143,11 @@ class Box:
         r = self.r.lo if isinstance(self.r, Enclosure) else self.r
         return Box(self.system, h, r, self.side)
 
+    def bounds(self) -> tuple[list, list]:
+        """Per-coordinate (hbounds, rbounds) of the conservative box."""
+        b = self.conservative()
+        return [b.h] * self.system.n, [b.r] * self.system.m
+
     def inflated(self) -> "Box":
         h = self.h.hi if isinstance(self.h, Enclosure) else self.h
         r = self.r.hi if isinstance(self.r, Enclosure) else self.r
@@ -189,6 +194,38 @@ def enumerate_nonzero_general(
     Primal: |x_j| <= rbounds[j], |(Theta x + y)_i| <= hbounds[i].
     Dual:   |y_i| <= hbounds[i], |(tTheta y - x)_j| <= rbounds[j].
     Lexicographically sorted, exact.
+    """
+    points = [z for zs in _walk(system, side, hbounds, rbounds, budget) for z in zs if any(z)]
+    points.sort()
+    return points
+
+
+def least_point(system: System, side: str, hbounds: Sequence, rbounds: Sequence, accept=None,
+                budget: int = DEFAULT_ENUM_BUDGET) -> Optional[tuple[int, ...]]:
+    """The first point of ``enumerate_nonzero_general`` that ``accept`` takes
+    (any point when None), or None, from a walk that lists nothing.
+
+    Each outer vector's points arrive lexicographically.  On the primal side
+    (z = outer + inner) so do the outer vectors, and the first hit is the
+    answer; on the dual side (z = inner + outer) it is the least hit over the
+    outer vectors, and each vector's walk stops at the incumbent.
+    """
+    best = None
+    for zs in _walk(system, side, hbounds, rbounds, budget):
+        for z in zs:
+            if best is not None and z >= best:
+                break
+            if any(z) and (accept is None or accept(z)):
+                if side == "primal":
+                    return z
+                best = z
+                break
+    return best
+
+
+def _walk(system, side, hbounds, rbounds, budget):
+    """For each outer vector in lexicographic order, an iterator over its
+    points z (zero included) in lexicographic order.
 
     With Theta = A / D, an inner coordinate v is bounded by |D v + N| <= D b
     for the integer center numerator N of the outer vector; the left side is
@@ -197,7 +234,8 @@ def enumerate_nonzero_general(
     """
     form = system.integer_form
     den = form.den
-    if side == "primal":
+    primal = side == "primal"
+    if primal:
         outer_bounds, inner_bounds, forms, sign = rbounds, hbounds, form.rows, 1
     else:
         outer_bounds, inner_bounds, forms, sign = hbounds, rbounds, form.cols, -1
@@ -210,7 +248,6 @@ def enumerate_nonzero_general(
             raise BudgetExceeded(f"outer box has more than {budget} candidates")
     thresholds = [floor_within(exact_mul(den, b), 0) for b in inner_bounds]
 
-    points = []
     for outer in product(*(range(-b, b + 1) for b in outer_bounds)):
         inner_ranges = []
         for row, B in zip(forms, thresholds):
@@ -221,21 +258,13 @@ def enumerate_nonzero_general(
                 break
             inner_ranges.append(range(lo, hi + 1))
         else:
-            for inner in product(*inner_ranges):
-                z = outer + inner if side == "primal" else inner + outer
-                if any(z):
-                    points.append(z)
-    points.sort()
-    return points
+            inner = product(*inner_ranges)
+            yield map(outer.__add__, inner) if primal else map(tuple.__add__, inner, repeat(outer))
 
 
 def enumerate_nonzero(box: Box, budget: int = DEFAULT_ENUM_BUDGET) -> list[tuple[int, ...]]:
     """All nonzero integer points of the closed box, lexicographically."""
-    b = box.conservative()
-    n, m = box.system.n, box.system.m
-    return enumerate_nonzero_general(
-        box.system, box.side, [b.h] * n, [b.r] * m, budget=budget
-    )
+    return enumerate_nonzero_general(box.system, box.side, *box.bounds(), budget=budget)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from .errors import DomainError
+from .exactlinalg import wedge_norm_squared
 from .functions import FunctionSpec
 from .geometry import System, best_approx_table
 from .presets import PRESETS, random_system
@@ -707,21 +708,13 @@ def campaign_jarnik_equality(
 _SCALE_GRID = [Fraction(2) ** k for k in range(-4, 14)]
 
 
-def _collinear(z1, z2) -> bool:
-    return all(
-        z1[i] * z2[j] == z1[j] * z2[i]
-        for i in range(len(z1))
-        for j in range(i + 1, len(z1))
-    )
-
-
 def _witness_pair(system, t_scan: int = 12):
     """Two non-collinear best-approximation witnesses, or None."""
     tab = best_approx_table(system, "primal", t_scan, budget=10**7)
     ws = [rec.witness for rec in tab.records]
     for i in range(len(ws)):
         for j in range(i + 1, len(ws)):
-            if not _collinear(ws[i], ws[j]):
+            if wedge_norm_squared((ws[i], ws[j])) != 0:
                 return ws[i], ws[j]
     return None
 

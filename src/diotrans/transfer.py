@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import (
@@ -26,13 +27,7 @@ from .errors import (
 )
 from .exactlinalg import wedge_norm_squared
 from .functions import FunctionSpec
-from .geometry import (
-    Box,
-    System,
-    box_contains,
-    enumerate_nonzero,
-    enumerate_nonzero_general,
-)
+from .geometry import Box, System, box_contains, enumerate_nonzero, least_point
 from .intervals import DEFAULT_PREC, Enclosure
 from .radicals import (
     Radical, exact_div, exact_eq, exact_le, exact_lt, exact_max, exact_mul, exact_pow,
@@ -233,11 +228,10 @@ def transference_parameters(system: System, X, U):
 
 
 def _find_primal_witness(system, X, U, budget):
-    box = Box(system, U, X, "primal")
-    pts = enumerate_nonzero(box, budget=budget)
-    if not pts:
+    z = least_point(system, "primal", *Box(system, U, X, "primal").bounds(), budget=budget)
+    if z is None:
         raise NoWitnesses("primal box contains no nonzero integer point")
-    return pts[0]
+    return z
 
 
 def mahler_transfer(
@@ -277,11 +271,9 @@ def mahler_transfer(
     if not cert.all_ok():
         raise HypothesisViolated("mahler_transfer inputs failed verification")
 
-    target_box = Box(system, Y, V, "dual")
-    pts = enumerate_nonzero(target_box, budget=budget)
-    if not pts:
+    out = least_point(system, "dual", *Box(system, Y, V, "dual").bounds(), budget=budget)
+    if out is None:
         raise PrecisionExhausted("guaranteed dual box came back empty")
-    out = pts[0]
     yv, rv = system.dual_values(out)
     h_lo = _rat_lower(Y, floor_at=Fraction(yv))
     r_lo = _rat_lower(V, floor_at=rv)
@@ -347,10 +339,9 @@ def mahler_transfer_asymmetric(
     if not cert.all_ok():
         raise HypothesisViolated("asymmetric transfer inputs failed verification")
 
-    pts = enumerate_nonzero_general(system, "dual", hbounds, rbounds, budget=budget)
-    if not pts:
+    out = least_point(system, "dual", hbounds, rbounds, budget=budget)
+    if out is None:
         raise PrecisionExhausted("guaranteed asymmetric dual box came back empty")
-    out = pts[0]
     yvals = [abs(v) for v in system.split(out)[1]]
     rvals = [Fraction(abs(v), system.integer_form.den) for v in system.dual_numerators(out)]
     h_lo = [_rat_lower(b, floor_at=Fraction(v)) for b, v in zip(hbounds, yvals)]
@@ -445,15 +436,11 @@ def main_lemma_transfer(
     cert.check("non_collinear", True)
     cert.check("product_bound", True)
 
+    def orthogonal(z):
+        return sum(map(mul, z, v1)) == 0 and sum(map(mul, z, v2)) == 0
+
     target_box = Box(system, h, r, "dual")
-    pts = enumerate_nonzero(target_box, budget=budget)
-    out = None
-    for z in pts:
-        if sum(a * b for a, b in zip(z, v1)) == 0 and sum(
-            a * b for a, b in zip(z, v2)
-        ) == 0:
-            out = z
-            break
+    out = least_point(system, "dual", *target_box.bounds(), accept=orthogonal, budget=budget)
     if out is None:
         raise PrecisionExhausted("guaranteed orthogonal point not found in dual box")
     yv, rv = system.dual_values(out)
@@ -522,21 +509,24 @@ def semicore_parameters(system: System, t, Phi, Psi, direction: int):
 
 
 def _semicore_witnesses(system, t, Phi, Psi, direction, budget):
+    """v2, the least point of the narrow box, and v1, the least point of the
+    wide box not collinear with v2.  Only the first narrow point matters:
+    ``semicore`` checks Psi <= Phi, so narrow is inside wide, and if every
+    wide point is collinear with v2, so is every narrow point."""
     if direction == 1:
         wide = Box(system, Phi, t, "primal")
         narrow = Box(system, Psi, t, "primal")
     else:
         wide = Box(system, t, Phi, "primal")
         narrow = Box(system, t, Psi, "primal")
-    narrow_pts = enumerate_nonzero(narrow, budget=budget)
-    if not narrow_pts:
+    v2 = least_point(system, "primal", *narrow.bounds(), budget=budget)
+    if v2 is None:
         raise NoWitnesses("no nonzero point in the narrow box")
-    wide_pts = enumerate_nonzero(wide, budget=budget)
-    for v2 in narrow_pts:
-        for v1 in wide_pts:
-            if wedge_norm_squared((v1, v2)) != 0:
-                return v1, v2
-    raise NoWitnesses("all points of the wide box are collinear with the narrow one")
+    v1 = least_point(system, "primal", *wide.bounds(),
+                     accept=lambda z: wedge_norm_squared((z, v2)) != 0, budget=budget)
+    if v1 is None:
+        raise NoWitnesses("all points of the wide box are collinear with the narrow one")
+    return v1, v2
 
 
 def semicore(
@@ -712,9 +702,9 @@ def alphas_core(
     }
 
     star_box = Box(system, h_star, r_star, "primal")
-    star_pts = enumerate_nonzero(star_box, budget=budget)
-    if star_pts:
-        inner = mahler_transfer(system, r_star, h_star, witness=star_pts[0], budget=budget)
+    star = least_point(system, "primal", *star_box.bounds(), budget=budget)
+    if star is not None:
+        inner = mahler_transfer(system, r_star, h_star, witness=star, budget=budget)
         cert = inner
         cert.kind = "alphas_core"
         cert.params.update(params)

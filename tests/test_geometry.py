@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import diotrans
 import diotrans.geometry as geometry
 from diotrans.errors import BudgetExceeded
-from diotrans.exactlinalg import identity_matrix, mat_mul, transpose
+from diotrans.exactlinalg import identity_matrix, mat_mul, transpose, wedge_norm_squared
 from diotrans.geometry import (
     Box,
     System,
@@ -23,6 +23,7 @@ from diotrans.geometry import (
     build_T,
     enumerate_nonzero,
     enumerate_nonzero_general,
+    least_point,
     minkowski_guaranteed,
 )
 from diotrans.presets import get_preset, random_system
@@ -213,15 +214,49 @@ def test_enumeration_zero_bounds():
     ]
 
 
+def test_least_point_is_the_first_accepted_enumerated_point():
+    rng = random.Random(11)
+    for trial in range(72):
+        d = 2 + trial % 3
+        m = rng.randint(1, d - 1)
+        n = d - m
+        theta = [
+            [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(m)] for _ in range(n)
+        ]
+        system = System(n, m, theta)
+        side = ("primal", "dual")[trial % 2]
+        hbounds = [_random_bound(rng) for _ in range(n)]
+        rbounds = [_random_bound(rng) for _ in range(m)]
+        if trial % 4 < 2:
+            # zero inner bounds: the zero outer vector's cell is the zero point alone
+            if side == "primal":
+                hbounds = [Fraction(0)] * n
+            else:
+                rbounds = [Fraction(0)] * m
+        pts = enumerate_nonzero_general(system, side, hbounds, rbounds)
+        w = [rng.randint(-2, 2) for _ in range(d)]
+        u = pts[0] if pts and rng.random() < 0.5 else [rng.randint(-2, 2) for _ in range(d)]
+        filters = [
+            None,
+            lambda z: sum(a * b for a, b in zip(z, w)) == 0,
+            lambda z: wedge_norm_squared((z, u)) != 0,
+        ]
+        for accept in filters:
+            want = next((z for z in pts if accept is None or accept(z)), None)
+            got = least_point(system, side, hbounds, rbounds, accept=accept)
+            assert got == want, (system, side, hbounds, rbounds, w, u)
+
+
+@pytest.mark.parametrize("search", [enumerate_nonzero_general, least_point])
 @pytest.mark.parametrize("side", ["primal", "dual"])
-def test_enumeration_budget_counts_outer_candidates(side):
+def test_enumeration_budget_counts_outer_candidates(side, search):
     system = System(2, 2, ((Fraction(1, 3), Fraction(1, 5)), (Fraction(2, 7), Fraction(1, 2))))
     outer = [Fraction(5, 2), Radical(2, 2)]  # floors 2 and 1: 5 * 3 = 15 candidates
     inner = [Fraction(1, 2), Fraction(1, 2)]
     hbounds, rbounds = (inner, outer) if side == "primal" else (outer, inner)
-    assert enumerate_nonzero_general(system, side, hbounds, rbounds, budget=15)
+    assert search(system, side, hbounds, rbounds, budget=15)
     with pytest.raises(BudgetExceeded, match="more than 14 candidates"):
-        enumerate_nonzero_general(system, side, hbounds, rbounds, budget=14)
+        search(system, side, hbounds, rbounds, budget=14)
 
 
 SCAN_SNAPSHOT = Path(__file__).with_name("best_approx_snapshot.json")

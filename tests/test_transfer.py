@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -61,6 +62,24 @@ def test_mahler_transfer_produces_verified_certificate():
     assert cert.all_ok()
     ok, results = verify_certificate(cert)
     assert ok, results
+
+
+def test_mahler_transfer_walks_its_boxes_without_listing_them():
+    # the primal box M_{3,60} holds about 10^5 points; listed and sorted to
+    # keep the first one, they peaked at 7 MB
+    system = get_preset("plastic").build()
+    tracemalloc.start()
+    try:
+        cert = mahler_transfer(system, 60, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert cert.inputs == {"witness": (-60, -60, 62)}
+    assert cert.output_point == (-14, -32, -40)
+    assert cert.params == {"X": "60", "U": "3", "Y": "40", "V": "2"}
+    assert cert.target == {"side": "dual", "h": "40", "r": "2"}
+    assert cert.all_ok() and verify_certificate(cert)[0]
 
 
 def test_mahler_requires_populated_primal_box():
