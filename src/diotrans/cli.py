@@ -101,12 +101,13 @@ def _system_from_args(args) -> System:
             return get_preset(args.preset).build()
         except KeyError as exc:
             raise UsageError(str(exc)) from exc
-    if args.theta is not None:
-        if args.n is None or args.m is None:
-            raise UsageError("--theta requires --n and --m")
-        return _parse_theta(args.theta, args.n, args.m)
+    source = "--theta" if args.theta is not None else "--random"
     if args.n is None or args.m is None:
-        raise UsageError("--random requires --n and --m")
+        raise UsageError(f"{source} requires --n and --m")
+    if args.n < 1 or args.m < 1:
+        raise UsageError("--n and --m must be positive")
+    if args.theta is not None:
+        return _parse_theta(args.theta, args.n, args.m)
     return random_system(random.Random(args.random), args.n, args.m)
 
 
@@ -195,6 +196,8 @@ def _cmd_transfer(args) -> int:
         else:
             if args.k is None:
                 raise UsageError("transfer asymmetric requires --k")
+            if not 0 <= args.k < system.d:
+                raise UsageError(f"--k must be in [0, {system.d})")
             cert = mahler_transfer_asymmetric(system, X, U, args.k, budget=args.budget)
     elif op in ("lemma", "lemma3d"):
         if not (args.v1 and args.v2 and args.h and args.r):
@@ -219,12 +222,11 @@ def _cmd_transfer(args) -> int:
     elif op == "alphas-core":
         if not (args.phi and args.psi and args.h):
             raise UsageError("transfer alphas-core requires --phi --psi --h")
+        h = _parse_fraction(args.h)
+        if h <= 0:
+            raise UsageError("--h must be positive")
         cert = alphas_core(
-            system,
-            _parse_function(args.phi),
-            _parse_function(args.psi),
-            _parse_fraction(args.h),
-            budget=args.budget,
+            system, _parse_function(args.phi), _parse_function(args.psi), h, budget=args.budget
         )
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError(f"unknown transfer operation {op!r}")

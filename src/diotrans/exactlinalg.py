@@ -1,7 +1,8 @@
 """Exact integer/rational linear algebra.
 
 Hermite normal form over the columns, integer kernels, lattice saturation,
-orthogonal integer lattices, wedge norms and Grassmann coordinates.
+orthogonal integer lattices, and one fraction-free determinant for Gram
+determinants, wedge norms and Grassmann coordinates.
 Matrices are plain lists of rows; lattice bases are tuples of vectors.
 """
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from operator import mul
 from typing import Sequence
 
@@ -98,30 +100,39 @@ def integer_kernel(mat: Sequence[Sequence[int]]) -> list[Vec]:
     return basis
 
 
-def _det(rows: Sequence[Sequence]) -> Fraction:
-    """Determinant of a square matrix, by exact Fraction elimination."""
-    m = [[Fraction(v) for v in row] for row in rows]
+def det(rows: Sequence[Sequence]) -> Fraction:
+    """Determinant of a square integer or rational matrix, exact.
+
+    Each row is scaled to integers by the lcm of its denominators, the
+    integer matrix is reduced by fraction-free (Bareiss) elimination, whose
+    divisions are exact, and the product of the scales is divided out.
+    """
+    m, scale = [], 1
+    for row in rows:
+        s = lcm(*(v.denominator for v in row))
+        m.append([int(v * s) for v in row])
+        scale *= s
     k = len(m)
-    det = Fraction(1)
-    for c in range(k):
+    sign, prev = 1, 1
+    for c in range(k - 1):
         piv = next((r for r in range(c, k) if m[r][c]), None)
         if piv is None:
             return Fraction(0)
         if piv != c:
             m[piv], m[c] = m[c], m[piv]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
+            sign = -sign
+        top, p = m[c], m[c][c]
         for r in range(c + 1, k):
-            f = m[r][c] * inv
-            if f:
-                m[r] = [a - f * b for a, b in zip(m[r], m[c])]
-    return det
+            row, a = m[r], m[r][c]
+            for j in range(c + 1, k):
+                row[j] = (p * row[j] - a * top[j]) // prev
+        prev = p
+    return Fraction(sign * m[-1][-1], scale) if k else Fraction(1)
 
 
 def gram_det(vectors: Sequence[Sequence]) -> Fraction:
     """det(<v_i, v_j>) computed exactly for integer or rational entries."""
-    return _det([[sum(map(mul, vi, vj)) for vj in vectors] for vi in vectors])
+    return det([[sum(map(mul, vi, vj)) for vj in vectors] for vi in vectors])
 
 
 def wedge_norm_squared(vectors: Sequence[Sequence]) -> Fraction:
@@ -149,7 +160,7 @@ def grassmann(vectors: Sequence[Sequence]) -> GrassmannCoords:
     coeffs = []
     all_int = all(isinstance(x, int) for v in vectors for x in v)
     for s in subsets:
-        c = _det([[row[j] for j in s] for row in vectors])
+        c = det([[row[j] for j in s] for row in vectors])
         coeffs.append(int(c) if all_int else c)
     return GrassmannCoords(d, k, subsets, tuple(coeffs))
 
@@ -178,33 +189,14 @@ class Lattice:
         return Lattice(vecs, ds)
 
     def contains(self, z: Sequence[int]) -> bool:
-        """Exact membership via rational solve of basis coords."""
-        if not self.basis:
-            return all(x == 0 for x in z)
-        cols = [list(v) for v in self.basis]
-        d, k = len(cols[0]), len(cols)
-        aug = [[Fraction(cols[j][i]) for j in range(k)] + [Fraction(z[i])] for i in range(d)]
-        row = 0
-        coords = [None] * k
-        for col in range(k):
-            piv = next((r for r in range(row, d) if aug[r][col]), None)
-            if piv is None:
-                return False
-            aug[row], aug[piv] = aug[piv], aug[row]
-            inv = 1 / aug[row][col]
-            aug[row] = [a * inv for a in aug[row]]
-            for r in range(d):
-                if r != row and aug[r][col]:
-                    f = aug[r][col]
-                    aug[r] = [a - f * b for a, b in zip(aug[r], aug[row])]
-            row += 1
-        for r in range(row, d):
-            if aug[r][k] != 0:
-                return False
-        for col in range(k):
-            r = next(r for r in range(d) if aug[r][col] == 1)
-            coords[col] = aug[r][k]
-        return all(c.denominator == 1 for c in coords)
+        """Exact membership: the row HNF is canonical, so z is in the lattice
+        exactly when appending it leaves the HNF's nonzero rows unchanged."""
+        def hnf_rows(vectors):
+            return [row for row in _row_hnf(vectors)[0] if any(row)]
+
+        if any(x != int(x) for x in z):  # _row_hnf would truncate it
+            return False
+        return hnf_rows(self.basis) == hnf_rows(self.basis + (tuple(z),))
 
 
 def saturate(span_basis: Sequence[Sequence[int]]) -> Lattice:

@@ -89,31 +89,29 @@ class FunctionSpec:
 
     # -- inversion ----------------------------------------------------------
 
-    def inverse_at(self, s, lo=None, hi=None, rel_tol: Fraction = Fraction(1, 10**12)):
+    def inverse_at(self, s):
         """The t with f(t) = s.
 
         Exact for the power family.  Otherwise bisects until the bracketing
-        enclosure has relative width below ``rel_tol``.
+        enclosure has relative width below 10**-12.
         """
         if self.family == "power":
             return exact_pow(exact_div(s, self.coeff), 1 / self.exponent)
-        return self._bisect_inverse(s, lo, hi, rel_tol)
+        return self._bisect_inverse(s)
 
-    def _bisect_inverse(self, s, lo, hi, rel_tol):
+    def _bisect_inverse(self, s):
         target = Enclosure.of(s)
-        lo = Fraction(lo) if lo is not None else self.t_min + Fraction(1, 10**6)
-        if hi is None:
-            hi = max(lo * 2, Fraction(2))
-            for _ in range(20000):
-                v = self.value(hi)
-                if (v.lo > target.hi) == self.increasing:
-                    break
-                hi *= 2
-            else:
-                raise PrecisionExhausted("could not bracket the inverse")
-        hi = Fraction(hi)
+        lo = self.t_min + Fraction(1, 10**6)
+        hi = max(lo * 2, Fraction(2))
         for _ in range(20000):
-            if hi - lo <= rel_tol * hi:
+            v = self.value(hi)
+            if (v.lo > target.hi) == self.increasing:
+                break
+            hi *= 2
+        else:
+            raise PrecisionExhausted("could not bracket the inverse")
+        for _ in range(20000):
+            if hi - lo <= Fraction(1, 10**12) * hi:
                 break
             mid = (lo + hi) / 2
             v = self.value(mid)

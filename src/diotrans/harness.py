@@ -505,11 +505,10 @@ def campaign_mahler(
     dims: Sequence[int] = (2, 3, 4, 5),
     trials_per_dim: int = 1000,
     seed: int = 0,
-    asymmetric_ks: bool = True,
 ) -> CampaignResult:
     """Random rational systems with Minkowski-guaranteed primal boxes; every
-    transfer (symmetric, and asymmetric for each coordinate when enabled)
-    must yield a verified certificate."""
+    transfer (symmetric, and asymmetric for each coordinate) must yield a
+    verified certificate."""
     from .presets import random_rational_system
     from .transfer import mahler_transfer, mahler_transfer_asymmetric, verify_certificate
 
@@ -526,12 +525,11 @@ def campaign_mahler(
             while X**m * U**n < 1:
                 U *= Fraction(101, 100)
             variants = [("sym", lambda: mahler_transfer(system, X, U))]
-            if asymmetric_ks:
-                for k in range(d):
-                    variants.append(
-                        ("asym%d" % k,
-                         lambda k=k: mahler_transfer_asymmetric(system, X, U, k))
-                    )
+            for k in range(d):
+                variants.append(
+                    ("asym%d" % k,
+                     lambda k=k: mahler_transfer_asymmetric(system, X, U, k))
+                )
             for label, run in variants:
                 result.trials += 1
                 try:
@@ -647,17 +645,12 @@ def campaign_inequalities(
     seed: int = 0,
     tier: str = "fast",
     tol: float = DEFAULT_TOL,
-    include_presets: bool = True,
     families: Optional[Sequence[str]] = CORE_FAMILIES,
 ) -> CampaignResult:
     """Random generic systems (plus matching presets): every applicable
     inequality must pass at the given tolerance."""
     result = CampaignResult(family=f"inequalities_{n}x{m}", trials=0, passed=0)
-    systems = []
-    if include_presets:
-        for p in PRESETS.values():
-            if (p.n, p.m) == (n, m):
-                systems.append((p.name, p.build()))
+    systems = [(p.name, p.build()) for p in PRESETS.values() if (p.n, p.m) == (n, m)]
     rng = random.Random(seed)
     for i in range(trials):
         systems.append((f"random{i}", random_system(rng, n, m)))
@@ -708,9 +701,10 @@ def campaign_jarnik_equality(
 _SCALE_GRID = [Fraction(2) ** k for k in range(-4, 14)]
 
 
-def _witness_pair(system, t_scan: int = 12):
-    """Two non-collinear best-approximation witnesses, or None."""
-    tab = best_approx_table(system, "primal", t_scan, budget=10**7)
+def _witness_pair(system):
+    """Two non-collinear best-approximation witnesses of a primal scan to
+    t = 12, or None."""
+    tab = best_approx_table(system, "primal", 12, budget=10**7)
     ws = [rec.witness for rec in tab.records]
     for i in range(len(ws)):
         for j in range(i + 1, len(ws)):
@@ -719,9 +713,10 @@ def _witness_pair(system, t_scan: int = 12):
     return None
 
 
-def _cheapest_lemma_params(system, v1, v2, constant_sq, cost_cap=3 * 10**5):
+def _cheapest_lemma_params(system, v1, v2, constant_sq):
     """Smallest-volume (h, r) on a power-of-two grid satisfying the product
-    bound, or None when every admissible pair is too large to enumerate."""
+    bound, or None when every admissible pair costs more than 3 * 10**5
+    enumerated points."""
     from .transfer import _product_bound_holds
 
     n, m = system.n, system.m
@@ -731,7 +726,7 @@ def _cheapest_lemma_params(system, v1, v2, constant_sq, cost_cap=3 * 10**5):
     for h in _SCALE_GRID:
         for r in _SCALE_GRID:
             cost = (2 * float(h) + 1) ** n * (2 * float(r) + 2) ** m
-            if cost > cost_cap or (best and cost >= best[0]):
+            if cost > 3 * 10**5 or (best and cost >= best[0]):
                 continue
             if _product_bound_holds(system, r1, h1, r2, h2, h, r, constant_sq):
                 best = (cost, h, r)

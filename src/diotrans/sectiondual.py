@@ -11,6 +11,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Sequence
 
+from .exactlinalg import det, identity_matrix
 from .geometry import Box, build_T
 from .intervals import Enclosure
 from .radicals import Radical
@@ -81,33 +82,6 @@ def cube_section_volume_squared(normal: Sequence) -> Fraction:
     return norm_sq * vol_over_norm**2 * Fraction(4) ** (d - dp)
 
 
-def _cofactor_matrix(a):
-    """det(A) * A^{-T} for a square rational matrix, exact."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] for row in a]
-    det = Fraction(1)
-    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        if piv != c:
-            m[piv], m[c] = m[c], m[piv]
-            inv[piv], inv[c] = inv[c], inv[piv]
-            det = -det
-        det *= m[c][c]
-        f = 1 / m[c][c]
-        m[c] = [x * f for x in m[c]]
-        inv[c] = [x * f for x in inv[c]]
-        for r in range(n):
-            if r != c and m[r][c]:
-                g = m[r][c]
-                m[r] = [x - g * y for x, y in zip(m[r], m[c])]
-                inv[r] = [x - g * y for x, y in zip(inv[r], inv[c])]
-    # inv is A^{-1}; cofactor = det * (A^{-1})^T
-    return [[det * inv[j][i] for j in range(n)] for i in range(n)], det
-
-
 def box_matrix(box: Box):
     """Rational A with box = A * B_inf^d (requires rational h, r)."""
     h, r = Fraction(box.h), Fraction(box.r)
@@ -128,8 +102,13 @@ UNCERTAIN = "boundary-uncertain"
 def section_dual_contains_matrix(a_matrix, v: Sequence) -> str:
     """Is v in (A B_inf^d)^wedge?  Exact for rational inputs.
 
-    Decides |v|_2 <= 2^(1-d) vol_{v/|v|}(A B_inf^d) on squares, using the
-    pullback w = A^T v and the cofactor-matrix volume scaling.
+    Decides |v|_2 <= 2^(1-d) vol_{v/|v|}(A B_inf^d) on squares.  With the
+    pullback w = A^T v, A maps the section of B_inf^d orthogonal to w onto
+    the section of A B_inf^d orthogonal to v, scaling its volume by
+    |cof(A) w| / |w|, where cof(A) = det(A) A^(-T).  Since
+    cof(A) w = det(A) A^(-T) A^T v = det(A) v, the test
+    |v|^2 |w|^2 <= 4^(1-d) vol^2(w) |cof(A) w|^2 divided by |v|^2 > 0 is
+    |w|^2 <= 4^(1-d) vol^2(w) det(A)^2.
     """
     v = [Fraction(x) for x in v]
     d = len(v)
@@ -137,11 +116,11 @@ def section_dual_contains_matrix(a_matrix, v: Sequence) -> str:
         return CONTAINED
     w = [sum(a_matrix[i][j] * v[i] for i in range(d)) for j in range(d)]
     vol_sq = cube_section_volume_squared(w)
-    cof, _ = _cofactor_matrix(a_matrix)
-    cw = [sum(cof[i][j] * w[j] for j in range(d)) for i in range(d)]
-    lhs = sum(x * x for x in v) * sum(x * x for x in w)
-    rhs = Fraction(4) ** (1 - d) * vol_sq * sum(x * x for x in cw)
-    return CONTAINED if lhs <= rhs else OUTSIDE
+    det_a = det(a_matrix)
+    if det_a == 0:
+        raise ValueError("singular matrix")
+    lhs = sum(x * x for x in w)
+    return CONTAINED if lhs <= Fraction(4) ** (1 - d) * vol_sq * det_a**2 else OUTSIDE
 
 
 def section_dual_contains(box: Box, v: Sequence) -> str:
@@ -161,10 +140,6 @@ def section_dual_contains(box: Box, v: Sequence) -> str:
     return section_dual_contains_matrix(box_matrix(box), v)
 
 
-def cube_matrix(d: int):
-    return [[Fraction(1 if i == j else 0) for j in range(d)] for i in range(d)]
-
-
 @dataclass
 class WedgeBodyReport:
     d: int
@@ -179,7 +154,7 @@ def verify_cube_wedge_bodies(d: int, rng=None, samples: int = 40) -> WedgeBodyRe
     import random
 
     rng = rng or random.Random(0)
-    cube = cube_matrix(d)
+    cube = identity_matrix(d)
     delta = delta_d(d)
     points = []
     # Vertices of the Delta_d cube (sampled signs for large d).

@@ -33,6 +33,23 @@ def test_usage_error_exit_1(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("best-approx", "--random", "1", "--n", "0", "--m", "2"),
+        ("transfer", "asymmetric", "--theta", "1/2", "--n", "1", "--m", "1",
+         "--X", "10", "--U", "1/10", "--k", "9"),
+        ("transfer", "alphas-core", "--preset", "plastic", "--phi", "power:1:-1/2",
+         "--psi", "power:1/100:-2", "--h", "0"),
+    ],
+)
+def test_input_the_library_rejects_is_a_usage_error(capsys, argv):
+    code, _, err = _run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("usage error:")
+    assert "Traceback" not in err
+
+
 def test_hypothesis_violation_exit_2(capsys):
     code, _, err = _run(
         capsys,

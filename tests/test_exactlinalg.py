@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from diotrans.errors import DependentInput, NotSaturated
 from diotrans.exactlinalg import (
     Lattice,
+    det,
     gram_det,
     grassmann,
     hnf,
@@ -50,6 +52,7 @@ def test_lattice_contains():
     lat = Lattice.from_basis([(2, 0), (1, 3)])
     assert lat.contains((3, 3))
     assert not lat.contains((1, 0))
+    assert not Lattice.from_basis([(1, 0), (0, 1)]).contains((Fraction(1, 2), 0))
 
 
 def test_from_basis_rejects_dependent():
@@ -104,3 +107,70 @@ def test_grassmann_norm_equals_gram_det_random():
         k = rng.randint(1, d)
         vecs = [[rng.randint(-4, 4) for _ in range(d)] for _ in range(k)]
         assert grassmann(vecs).norm_squared() == gram_det(vecs)
+
+
+def _leibniz(rows):
+    """Determinant as the signed sum over permutations: the test oracle."""
+    total = Fraction(0)
+    for perm in permutations(range(len(rows))):
+        term = Fraction(-1) ** sum(a > b for a, b in combinations(perm, 2))
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def _random_matrices(rng, k):
+    """Integer, rational, singular, zero-leading-pivot and 400-bit matrices."""
+    small = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(k)]
+    rational = [[Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(k)]
+                for _ in range(k)]
+    huge = [[rng.getrandbits(400) - 2**399 for _ in range(k)] for _ in range(k)]
+    yield small
+    yield rational
+    yield huge
+    yield [[Fraction(v, rng.getrandbits(400) | 1) for v in row] for row in huge]
+    if k >= 1:
+        yield [[0] + row[1:] for row in small]  # zero first column: singular
+        yield [[0] + rational[0][1:]] + rational[1:]  # zero leading pivot
+    if k >= 2:
+        c = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+        yield rational[:-1] + [[a + c * b for a, b in zip(rational[0], rational[1])]]
+        yield [[0, 0] + row[2:] for row in small[:2]] + small[2:]  # pivot needs a swap
+
+
+def test_det_matches_leibniz_oracle():
+    rng = random.Random(2024)
+    for k in range(6):
+        for _ in range(6):
+            for rows in _random_matrices(rng, k):
+                got = det(rows)
+                assert isinstance(got, Fraction)
+                assert got == _leibniz(rows), rows
+
+
+def _cramer_contains(basis, z):
+    """z = sum c_i b_i with c_i = det(basis, row i replaced by z) / det(basis)."""
+    d = _leibniz(basis)
+    return all(_leibniz(basis[:i] + [list(z)] + basis[i + 1:]) % d == 0
+               for i in range(len(basis)))
+
+
+def test_contains_matches_cramer_on_full_rank_bases():
+    rng = random.Random(99)
+    checked = members = 0
+    while checked < 400:
+        k = rng.randint(2, 5)
+        basis = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(k)]
+        if _leibniz(basis) ** 2 <= 1:
+            continue
+        lat = Lattice.from_basis(basis)
+        coeffs = [rng.randint(-3, 3) for _ in range(k)]
+        point = [sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(k)]
+        assert lat.contains(point)
+        shifted = list(point)
+        shifted[rng.randrange(k)] += 1
+        assert lat.contains(shifted) == _cramer_contains(basis, shifted)
+        members += lat.contains(shifted)
+        checked += 1
+    assert 0 < members < checked
