@@ -204,6 +204,8 @@ def _cmd_transfer(args) -> int:
             raise UsageError(f"transfer {op} requires --v1 --v2 --h --r")
         v1 = _parse_vector(args.v1)
         v2 = _parse_vector(args.v2)
+        if len(v1) != system.d or len(v2) != system.d:
+            raise UsageError(f"--v1 and --v2 must have {system.d} coordinates")
         h = _parse_fraction(args.h)
         r = _parse_fraction(args.r)
         fn = main_lemma_transfer_3d if op == "lemma3d" else main_lemma_transfer
@@ -211,9 +213,12 @@ def _cmd_transfer(args) -> int:
     elif op == "semicore":
         if not (args.t and args.Phi and args.Psi):
             raise UsageError("transfer semicore requires --t --Phi --Psi")
+        t = _parse_fraction(args.t)
+        if t <= 0:
+            raise UsageError("--t must be positive")
         cert = semicore(
             system,
-            _parse_fraction(args.t),
+            t,
             _parse_fraction(args.Phi),
             _parse_fraction(args.Psi),
             args.direction,

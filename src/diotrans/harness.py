@@ -698,7 +698,8 @@ def campaign_jarnik_equality(
 # two-point lemma suites
 # ---------------------------------------------------------------------------
 
-_SCALE_GRID = [Fraction(2) ** k for k in range(-4, 14)]
+_SCALE_EXPONENTS = range(-4, 14)
+_SCALE_GRID = [Fraction(2) ** k for k in _SCALE_EXPONENTS]
 
 
 def _witness_pair(system):
@@ -713,22 +714,48 @@ def _witness_pair(system):
     return None
 
 
+def _ceil_log2(q: Fraction) -> int:
+    """Least integer e with q <= 2**e, for q > 0."""
+    num, den = q.numerator, q.denominator
+    e = num.bit_length() - den.bit_length()  # 2**(e-1) < q < 2**(e+1)
+    return e if num << max(-e, 0) <= den << max(e, 0) else e + 1
+
+
+def _lemma_grid_conditions(system, v1, v2, constant_sq):
+    """The product bound of ``main_lemma_hypothesis`` at h = 2**a, r = 2**b
+    as integer conditions (u, v, e), each holding iff u*a + v*b >= e.
+
+    The bound max(T1, T2, T3)**2 <= c h^(2n) r^(2m), c = constant_sq,
+    holds iff every term does.  Each Ti is a power product of h and r times
+    a witness factor t, so dividing the powers out, Ti holds iff
+    t**2 / c <= 2**(u a + v b), and e is the least integer with
+    t**2 / c <= 2**e.  A term with t = 0 (a witness residual or |x| of 0)
+    always holds and gives no condition."""
+    n, m = system.n, system.m
+    r1, h1 = system.primal_values(v1)
+    r2, h2 = system.primal_values(v2)
+    terms = (
+        (r1 * r2, 2 * n, 2 * m - 4),  # T1 = r^2 r1 r2
+        (h1 * h2, 2 * n - 4, 2 * m),  # T2 = h^2 h1 h2
+        (max(r1, r2) * max(h1, h2), 2 * n - 2, 2 * m - 2),  # T3 = h r max max
+    )
+    c = Fraction(constant_sq)
+    return [(u, v, _ceil_log2(t * t / c)) for t, u, v in terms if t != 0]
+
+
 def _cheapest_lemma_params(system, v1, v2, constant_sq):
     """Smallest-volume (h, r) on a power-of-two grid satisfying the product
     bound, or None when every admissible pair costs more than 3 * 10**5
     enumerated points."""
-    from .transfer import _product_bound_holds
-
     n, m = system.n, system.m
-    r1, h1 = system.primal_values(v1)
-    r2, h2 = system.primal_values(v2)
+    conditions = _lemma_grid_conditions(system, v1, v2, constant_sq)
     best = None
-    for h in _SCALE_GRID:
-        for r in _SCALE_GRID:
+    for a, h in zip(_SCALE_EXPONENTS, _SCALE_GRID):
+        for b, r in zip(_SCALE_EXPONENTS, _SCALE_GRID):
             cost = (2 * float(h) + 1) ** n * (2 * float(r) + 2) ** m
             if cost > 3 * 10**5 or (best and cost >= best[0]):
                 continue
-            if _product_bound_holds(system, r1, h1, r2, h2, h, r, constant_sq):
+            if all(u * a + v * b >= e for u, v, e in conditions):
                 best = (cost, h, r)
     return None if best is None else (best[1], best[2])
 

@@ -13,7 +13,7 @@ and turn an Enclosure operand into an Enclosure result or an endpoint test.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 from numbers import Rational
 from typing import Union
 
@@ -29,15 +29,19 @@ def _int_nth_root(n: int, k: int) -> tuple[int, bool]:
         raise ValueError("negative radicand")
     if n in (0, 1) or k == 1:
         return n, True
-    hi = 1 << ((n.bit_length() + k - 1) // k + 1)
-    lo = 0
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if mid**k <= n:
-            lo = mid
-        else:
-            hi = mid
-    return lo, lo**k == n
+    if k == 2:
+        root = isqrt(n)
+    else:
+        # Integer Newton from the power of two just above the root: by AM-GM
+        # no iterate falls below the floor of the root, and every iterate
+        # above it is strictly smaller than the one before.
+        root = 1 << -(-n.bit_length() // k)
+        while True:
+            step = ((k - 1) * root + n // root ** (k - 1)) // k
+            if step >= root:
+                break
+            root = step
+    return root, root**k == n
 
 
 class Radical:

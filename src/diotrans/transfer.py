@@ -373,13 +373,6 @@ def main_lemma_hypothesis(system: System, v1, v2, h, r, constant_sq: Fraction):
     """
     r1, h1 = system.primal_values(v1)
     r2, h2 = system.primal_values(v2)
-    holds = _product_bound_holds(system, r1, h1, r2, h2, h, r, constant_sq)
-    return holds, {"h1": h1, "r1": r1, "h2": h2, "r2": r2}
-
-
-def _product_bound_holds(system: System, r1, h1, r2, h2, h, r, constant_sq) -> bool:
-    """The product bound of ``main_lemma_hypothesis`` for the witness values
-    (r1, h1) and (r2, h2) of ``System.primal_values``."""
     lhs = exact_max(
         exact_mul(exact_mul(exact_pow(r, 2), r1), r2),
         exact_max(
@@ -390,7 +383,8 @@ def _product_bound_holds(system: System, r1, h1, r2, h2, h, r, constant_sq) -> b
     rhs_sq = exact_mul(
         exact_mul(exact_pow(h, 2 * system.n), exact_pow(r, 2 * system.m)), constant_sq
     )
-    return exact_le(exact_mul(lhs, lhs), rhs_sq)
+    holds = exact_le(exact_mul(lhs, lhs), rhs_sq)
+    return holds, {"h1": h1, "r1": r1, "h2": h2, "r2": r2}
 
 
 def main_lemma_transfer(

@@ -41,6 +41,12 @@ def test_usage_error_exit_1(capsys):
          "--X", "10", "--U", "1/10", "--k", "9"),
         ("transfer", "alphas-core", "--preset", "plastic", "--phi", "power:1:-1/2",
          "--psi", "power:1/100:-2", "--h", "0"),
+        ("transfer", "semicore", "--preset", "plastic", "--t", "0", "--Phi", "1", "--Psi", "1"),
+        ("transfer", "semicore", "--preset", "plastic", "--t", "-2", "--Phi", "1", "--Psi", "1"),
+        ("transfer", "lemma", "--preset", "plastic", "--v1", "1,0", "--v2", "0,1,0",
+         "--h", "1", "--r", "1"),
+        ("transfer", "lemma3d", "--preset", "plastic", "--v1", "1,0,0", "--v2", "0,1,0,0",
+         "--h", "1", "--r", "1"),
     ],
 )
 def test_input_the_library_rejects_is_a_usage_error(capsys, argv):

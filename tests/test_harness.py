@@ -23,9 +23,11 @@ from diotrans.harness import (
     loranoyadenie_rhs,
     reports_to_csv,
     uniform_bound_comparison,
+    _SCALE_EXPONENTS,
     _SCALE_GRID,
     _certify_record_exponent,
     _cheapest_lemma_params,
+    _lemma_grid_conditions,
     _witness_pair,
 )
 from diotrans.errors import DomainError
@@ -318,3 +320,34 @@ def test_cheapest_lemma_params_reads_witness_residuals_once(monkeypatch):
         monkeypatch.undo()
         assert params == (None if best is None else best[1:])
         assert calls == list(pair)
+
+
+def test_lemma_grid_conditions_decide_the_product_bound():
+    rng = random.Random(11)
+    zero_residuals = 0
+    verdicts = set()
+    for trial in range(45):
+        d = 3 + trial % 3
+        n = rng.randint(1, d - 1)
+        system = random_rational_system(rng, n, d - n, max_den=8)
+        form = system.integer_form
+
+        def small():
+            return [rng.randint(-3, 3) for _ in range(d)]
+
+        # x = D e_j, y = -A e_j has residual Theta x + y = 0
+        j = rng.randrange(system.m)
+        exact = [form.den * (i == j) for i in range(system.m)] + [-row[j] for row in form.rows]
+        v1 = small()
+        v2 = exact if trial % 2 else small()
+        if trial % 5 == 0:
+            v1, v2 = exact, exact
+        zero_residuals += system.primal_values(v2)[1] == 0
+        for c2 in (Fraction(1, 2 * d * (d - 1)), Fraction(1, 12), Fraction(1, 4)):
+            conditions = _lemma_grid_conditions(system, v1, v2, c2)
+            for a, h in zip(_SCALE_EXPONENTS, _SCALE_GRID):
+                for b, r in zip(_SCALE_EXPONENTS, _SCALE_GRID):
+                    verdict = all(u * a + v * b >= e for u, v, e in conditions)
+                    assert verdict == main_lemma_hypothesis(system, v1, v2, h, r, c2)[0]
+                    verdicts.add(verdict)
+    assert zero_residuals >= 20 and verdicts == {True, False}

@@ -1,3 +1,4 @@
+import random
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
@@ -19,6 +20,7 @@ from diotrans.radicals import (
     exact_mul,
     exact_pow,
     floor_within,
+    _int_nth_root,
 )
 
 
@@ -241,3 +243,38 @@ def test_floor_within_brackets_the_bound(num, den, scale, index, shift):
     y = floor_within(bound, shift)
     assert exact_le(Fraction(y) + shift, bound)
     assert exact_lt(bound, Fraction(y + 1) + shift)
+
+
+def _root_cases(k):
+    """0 and 1, small n, exact k-th powers with their neighbours, and seeded
+    random n of up to 10**4 bits."""
+    rng = random.Random(k)
+    yield from range(0, 300)
+    for bits in (1, 2, 8, 53, 64, 200, 1000, 4000, 10**4):
+        root = rng.getrandbits(max(bits // k, 1)) | 1
+        yield from (root**k - 1, root**k, root**k + 1, 2**bits - 1, 2**bits, 2**bits + 1)
+        for _ in range(5):
+            yield rng.getrandbits(bits)
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_int_nth_root_brackets_the_root(k):
+    for n in _root_cases(k):
+        root, exact = _int_nth_root(n, k)
+        assert root**k <= n < (root + 1) ** k, (n, k)
+        assert exact == (root**k == n)
+
+
+def test_huge_radicand_normalises_in_one_root():
+    # a 60 000-bit radicand: a root found one bit at a time takes seconds
+    big = 3 * 2**60000 + 1
+    with _time_limit(1):
+        s = Radical(big, 2)
+        square = Radical(big**2, 2)
+        cube = Radical(Fraction(big, 7), 3)
+        floors = (s.floor(), cube.floor())
+    assert (s.radicand, s.index) == (big, 2)
+    assert square.is_rational() and square.as_fraction() == big
+    assert cube.index == 3
+    assert floors[0] ** 2 <= big < (floors[0] + 1) ** 2
+    assert 7 * floors[1] ** 3 <= big < 7 * (floors[1] + 1) ** 3
