@@ -11,11 +11,15 @@ transfer mahler|asymmetric|lemma|lemma3d|semicore|alphas-core
 verify-certificate FILE             independently re-check a certificate
 campaign --family NAME              randomized verification campaigns
 
+best-approx and estimate take --budget, the points one record scan may
+visit (default geometry.DEFAULT_SCAN_BUDGET); transfer takes --budget, the
+candidates one box search may visit (default geometry.DEFAULT_ENUM_BUDGET).
+delta, best-approx and campaign write JSON or, with --format csv, CSV; the
+other commands write JSON.
+
 Exit codes: 0 success, 1 usage error, 2 hypothesis violation, 3 budget
-exceeded.  A plain key=value config file (--config) supplies flag defaults;
-the DIOTRANS_PRECISION environment variable sets the working precision of
-interval arithmetic.  Identical arguments and seeds give byte-identical
-output.
+exceeded.  A plain key=value config file (--config) supplies flag defaults.
+Identical arguments and seeds give byte-identical output.
 """
 from __future__ import annotations
 
@@ -31,11 +35,10 @@ from typing import Optional, Sequence
 from . import harness
 from .errors import BudgetExceeded, DioTransError, HypothesisViolated, UsageError
 from .functions import FunctionSpec
-from .geometry import System, best_approx_table
+from .geometry import DEFAULT_ENUM_BUDGET, DEFAULT_SCAN_BUDGET, System, best_approx_table
 from .presets import PRESETS, get_preset, random_system
 from .sectiondual import delta_bounds_ok, delta_d
 from .transfer import (
-    DEFAULT_BUDGET,
     Certificate,
     alphas_core,
     mahler_transfer,
@@ -241,7 +244,12 @@ def _cmd_transfer(args) -> int:
 
 def _cmd_verify_certificate(args) -> int:
     with open(args.file) as fh:
-        cert = Certificate.from_json(fh.read())
+        text = fh.read()
+    try:
+        cert = Certificate.from_json(text)  # JSONDecodeError is a ValueError
+        System(cert.n, cert.m, cert.theta)  # the system it describes
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise DioTransError(f"malformed certificate: {exc}") from exc
     ok, results = verify_certificate(cert)
     _emit(
         args,
@@ -254,49 +262,38 @@ def _cmd_verify_certificate(args) -> int:
     return 0 if ok else 2
 
 
-CAMPAIGNS = (
-    "mahler",
-    "dominions",
-    "inequalities",
-    "jarnik-equality",
-    "main-lemma",
-    "main-lemma-gap",
-    "covolumes",
-    "cube-sections",
-    "uniform-bounds",
-)
+def _campaign_inequalities(args):
+    if args.n is None or args.m is None:
+        raise UsageError("campaign inequalities requires --n and --m")
+    return harness.campaign_inequalities(
+        args.n, args.m, trials=args.trials, seed=args.seed, tier=args.tier
+    )
+
+
+# --family name: the campaign it runs on the parsed flags
+CAMPAIGNS = {
+    "mahler": lambda args: harness.campaign_mahler(
+        dims=tuple(args.dims), trials_per_dim=args.trials, seed=args.seed
+    ),
+    "dominions": lambda args: harness.campaign_dominions(trials=args.trials, seed=args.seed),
+    "inequalities": _campaign_inequalities,
+    "jarnik-equality": lambda args: harness.campaign_jarnik_equality(count=args.trials),
+    "main-lemma": lambda args: harness.campaign_main_lemma(
+        trials=args.trials, dims=tuple(args.dims), seed=args.seed
+    ),
+    "main-lemma-gap": lambda args: harness.campaign_main_lemma_gap(
+        trials=args.trials, seed=args.seed
+    ),
+    "covolumes": lambda args: harness.campaign_covolumes(trials=args.trials, seed=args.seed),
+    "cube-sections": lambda args: harness.campaign_cube_sections(
+        trials=args.trials, seed=args.seed
+    ),
+    "uniform-bounds": lambda args: harness.campaign_uniform_bounds(),
+}
 
 
 def _cmd_campaign(args) -> int:
-    family = args.family
-    if family == "mahler":
-        result = harness.campaign_mahler(
-            dims=tuple(args.dims), trials_per_dim=args.trials, seed=args.seed
-        )
-    elif family == "dominions":
-        result = harness.campaign_dominions(trials=args.trials, seed=args.seed)
-    elif family == "inequalities":
-        if args.n is None or args.m is None:
-            raise UsageError("campaign inequalities requires --n and --m")
-        result = harness.campaign_inequalities(
-            args.n, args.m, trials=args.trials, seed=args.seed, tier=args.tier
-        )
-    elif family == "jarnik-equality":
-        result = harness.campaign_jarnik_equality(count=args.trials)
-    elif family == "main-lemma":
-        result = harness.campaign_main_lemma(
-            trials=args.trials, dims=tuple(args.dims), seed=args.seed
-        )
-    elif family == "main-lemma-gap":
-        result = harness.campaign_main_lemma_gap(trials=args.trials, seed=args.seed)
-    elif family == "covolumes":
-        result = harness.campaign_covolumes(trials=args.trials, seed=args.seed)
-    elif family == "cube-sections":
-        result = harness.campaign_cube_sections(trials=args.trials, seed=args.seed)
-    elif family == "uniform-bounds":
-        result = harness.campaign_uniform_bounds()
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown campaign family {family!r}")
+    result = CAMPAIGNS[args.family](args)
     if args.format == "csv":
         buf = io.StringIO()
         fieldnames = sorted({key for row in result.details for key in row}) or ["empty"]
@@ -328,9 +325,13 @@ def _add_system_args(p):
     p.add_argument("--m", type=int)
 
 
-def _add_common(p):
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+def _add_common(p, *, budget: Optional[int], formats: bool):
+    """--output, with --budget (default ``budget``) on the commands that
+    search and --format on the commands that also write CSV."""
+    if budget is not None:
+        p.add_argument("--budget", type=int, default=budget)
+    if formats:
+        p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--output", help="write the report here instead of stdout")
 
 
@@ -341,21 +342,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("delta", help="central-section constants table")
     p.add_argument("--dmax", type=int, default=8)
-    _add_common(p)
+    _add_common(p, budget=None, formats=True)
     p.set_defaults(fn=_cmd_delta)
 
     p = sub.add_parser("best-approx", help="best-approximation record scan")
     _add_system_args(p)
     p.add_argument("--side", choices=("primal", "dual"), default="primal")
     p.add_argument("--t-max", type=int, default=1000)
-    _add_common(p)
+    _add_common(p, budget=DEFAULT_SCAN_BUDGET, formats=True)
     p.set_defaults(fn=_cmd_best_approx)
 
     p = sub.add_parser("estimate", help="fit approximation exponents")
     _add_system_args(p)
     p.add_argument("--side", choices=("primal", "dual", "both"), default="both")
     p.add_argument("--t-max", type=int, default=1000)
-    _add_common(p)
+    _add_common(p, budget=DEFAULT_SCAN_BUDGET, formats=False)
     p.set_defaults(fn=_cmd_estimate)
 
     p = sub.add_parser("transfer", help="one constructive transference step")
@@ -377,12 +378,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", type=int, choices=(1, -1), default=1)
     p.add_argument("--phi", help="function spec family:coeff:exponent[:log_exponent]")
     p.add_argument("--psi", help="function spec family:coeff:exponent[:log_exponent]")
-    _add_common(p)
+    _add_common(p, budget=DEFAULT_ENUM_BUDGET, formats=False)
     p.set_defaults(fn=_cmd_transfer)
 
     p = sub.add_parser("verify-certificate", help="re-check a serialized certificate")
     p.add_argument("file")
-    _add_common(p)
+    _add_common(p, budget=None, formats=False)
     p.set_defaults(fn=_cmd_verify_certificate)
 
     p = sub.add_parser("campaign", help="randomized verification campaign")
@@ -393,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tier", choices=("fast", "standard", "deep"), default="fast")
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
-    _add_common(p)
+    _add_common(p, budget=None, formats=True)
     p.set_defaults(fn=_cmd_campaign)
 
     return parser

@@ -20,7 +20,8 @@ from .errors import BudgetExceeded
 from .intervals import Enclosure
 from .radicals import exact_floor, exact_le, exact_mul, floor_within
 
-DEFAULT_ENUM_BUDGET = 10**7
+DEFAULT_ENUM_BUDGET = 10**7  # outer candidates of one box search
+DEFAULT_SCAN_BUDGET = 10**9  # points of one record scan
 
 
 def _frac_matrix(theta, n, m):
@@ -68,7 +69,10 @@ class System:
         return System(self.m, self.n, tt)
 
     def split(self, z: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(x, y) for z = (x, y); ValueError unless z has d coordinates."""
         z = tuple(int(v) for v in z)
+        if len(z) != self.d:
+            raise ValueError(f"expected d = {self.d} coordinates, got {len(z)}")
         return z[: self.m], z[self.m :]
 
     def primal_numerators(self, z: Sequence[int]) -> list[int]:
@@ -85,14 +89,14 @@ class System:
 
     def primal_values(self, z: Sequence[int]) -> tuple[int, Fraction]:
         """(|x|_inf, |Theta x + y|_inf) for z = (x, y)."""
+        resid = max(abs(v) for v in self.primal_numerators(z))  # split checks len(z)
         xinf = max(abs(int(v)) for v in z[: self.m])
-        resid = max(abs(v) for v in self.primal_numerators(z))
         return xinf, Fraction(resid, self.integer_form.den)
 
     def dual_values(self, z: Sequence[int]) -> tuple[int, Fraction]:
         """(|y|_inf, |tTheta y - x|_inf) for z = (x, y)."""
+        resid = max(abs(v) for v in self.dual_numerators(z))  # split checks len(z)
         yinf = max(abs(int(v)) for v in z[self.m :])
-        resid = max(abs(v) for v in self.dual_numerators(z))
         return yinf, Fraction(resid, self.integer_form.den)
 
 
@@ -326,7 +330,7 @@ def best_approx_table(
     system: System,
     side: str,
     t_max: int,
-    budget: int = 10**9,
+    budget: int = DEFAULT_SCAN_BUDGET,
 ) -> BestApproxTable:
     """Jump table of psi(t) = min over 0 < |x|_inf <= t of |Theta x - y|_inf.
 

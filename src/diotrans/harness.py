@@ -18,12 +18,21 @@ from fractions import Fraction
 from types import SimpleNamespace
 from typing import Optional, Sequence
 
-from .errors import DomainError
-from .exactlinalg import wedge_norm_squared
+from .errors import DomainError, HypothesisViolated
+from .exactlinalg import orthogonal_lattice, saturate, wedge_norm_squared
 from .functions import FunctionSpec
-from .geometry import System, best_approx_table
-from .presets import PRESETS, random_system
+from .geometry import DEFAULT_SCAN_BUDGET, System, best_approx_table
+from .presets import PRESETS, cubic_pair_family, random_rational_system, random_system
 from .radicals import exact_div, exact_le, exact_mul
+from .sectiondual import cube_section_volume_squared
+from .transfer import (
+    mahler_transfer,
+    mahler_transfer_asymmetric,
+    main_lemma_hypothesis,
+    main_lemma_transfer,
+    main_lemma_transfer_3d,
+    verify_certificate,
+)
 
 MAX_EXP = Fraction(50)
 DEFAULT_TOL = 0.1
@@ -98,7 +107,7 @@ def estimate_exponents(
     system: System,
     side: str,
     t_max: int,
-    budget: int = 10**9,
+    budget: int = DEFAULT_SCAN_BUDGET,
 ) -> ExponentEstimate:
     """Fit alpha and beta from the jump table of the best-approximation
     function.
@@ -184,10 +193,10 @@ def estimate_exponents(
     )
 
 
-def estimate_both_sides(system: System, t_max_primal: int, t_max_dual: int, budget=10**9):
+def estimate_both_sides(system: System, t_max_primal: int, t_max_dual: int):
     return (
-        estimate_exponents(system, "primal", t_max_primal, budget=budget),
-        estimate_exponents(system, "dual", t_max_dual, budget=budget),
+        estimate_exponents(system, "primal", t_max_primal),
+        estimate_exponents(system, "dual", t_max_dual),
     )
 
 
@@ -332,12 +341,23 @@ def _one_form(n, m, a, at) -> bool:
 
 
 # family: (domain predicate on n, m, alpha, alpha_t; its DomainError message;
-# bound on the exponent data of check_inequality, giving lhs, rhs, slack, note)
+# bound on the exponent data of check_inequality, giving lhs, rhs, slack, note),
+# in the order of reports, which campaign details and benchmark verdicts keep
 _TABLE = {
-    "jarnik_equality": (lambda n, m, a, at: (n, m) == (1, 2), "equality form needs n=1, m=2",
-                        _jarnik_equality),
+    "apfelbeck_i": (_always, "", lambda e: _below(e.at_eff, _dyson_bound(e.n, e.m, e.A))),
+    "dyson": (_always, "", lambda e: _below(e.bt_eff, _dyson_bound(e.n, e.m, e.B))),
+    "my_inequalities": (_always, "", _my_inequalities),
+    "loranoyadenie_1": (_always, "", lambda e: _below(e.bt_eff, _dyson_bound(e.n, e.m, e.B))),
+    "loranoyadenie_2": (_always, "", _loranoyadenie(lambda y: 1 + y, lambda x: 1 - x)),
+    "loranoyadenie_3": (_always, "", _loranoyadenie(lambda y: 1 + _capped_div(1.0, y),
+                                                    lambda x: _capped_div(1.0, x) - 1)),
     "jarnik_ineq_i": (_one_form, "needs n=1",
                       lambda e: _two_directions(e.m, e.A, e.AT, e.a_eff, e.at_eff)),
+    "khintchine": (_one_form, "needs n=1",
+                   lambda e: _two_directions(e.m, e.B, e.BT, e.b_eff, e.bt_eff)),
+    "bugeaud_laurent": (_one_form, "needs n=1", _bugeaud_laurent),
+    "jarnik_equality": (lambda n, m, a, at: (n, m) == (1, 2), "equality form needs n=1, m=2",
+                        _jarnik_equality),
     "jarnik_ineq_ii": (
         lambda n, m, a, at: n == 1 and m > 1 and a > m * (2 * m - 3),
         "needs n=1, m>1 and alpha > m(2m-3)",
@@ -346,25 +366,13 @@ _TABLE = {
     ),
     "jarnik_ineq_iii": (lambda n, m, a, at: n == 1 and at > (m - 1) / m,
                         "needs n=1 and alpha_t > (m-1)/m", _jarnik_iii),
-    "apfelbeck_i": (_always, "", lambda e: _below(e.at_eff, _dyson_bound(e.n, e.m, e.A))),
     "apfelbeck_ii": (lambda n, m, a, at: m > 1 and a > (2 * (m + n - 1) * (m + n - 3) + m) / n,
                      "needs m > 1 and the side condition on alpha", _apfelbeck_ii),
-    "khintchine": (_one_form, "needs n=1",
-                   lambda e: _two_directions(e.m, e.B, e.BT, e.b_eff, e.bt_eff)),
-    "dyson": (_always, "", lambda e: _below(e.bt_eff, _dyson_bound(e.n, e.m, e.B))),
-    "bugeaud_laurent": (_one_form, "needs n=1", _bugeaud_laurent),
-    "my_inequalities": (_always, "", _my_inequalities),
-    "loranoyadenie_1": (_always, "", lambda e: _below(e.bt_eff, _dyson_bound(e.n, e.m, e.B))),
-    "loranoyadenie_2": (_always, "", _loranoyadenie(lambda y: 1 + y, lambda x: 1 - x)),
-    "loranoyadenie_3": (_always, "", _loranoyadenie(lambda y: 1 + _capped_div(1.0, y),
-                                                    lambda x: _capped_div(1.0, x) - 1)),
 }
 FAMILIES = tuple(_TABLE)
 
 
-def check_inequality(
-    family: str, n: int, m: int, exps: dict, tol: float = DEFAULT_TOL
-) -> InequalityReport:
+def check_inequality(family: str, n: int, m: int, exps: dict) -> InequalityReport:
     """Evaluate one named transference inequality on exponent values.
 
     ``exps`` holds alpha, beta for the system and alpha_t, beta_t for the
@@ -390,13 +398,13 @@ def check_inequality(
     e.bt_eff = max(e.bt, float(exps.get("beta_t_lower", 0.0)))
 
     # Candidate sets for exponents feeding the bounding side: the decimal fit
-    # (within the stated exponent tolerance), and the certified record
+    # (within the exponent tolerance DEFAULT_TOL), and the certified record
     # exponent, are both data-consistent values of the same quantity, so a
     # bound is only refuted when it fails for every combination of them.
     def _cands(fit: float, key: str) -> tuple[float, ...]:
         vals = [fit]
-        if fit - tol > 0:
-            vals.append(fit - tol)
+        if fit - DEFAULT_TOL > 0:
+            vals.append(fit - DEFAULT_TOL)
         lo = float(exps.get(key, 0.0))
         if lo > 0 and abs(lo - fit) > 1e-12:
             vals.append(lo)
@@ -409,7 +417,8 @@ def check_inequality(
 
     lhs, rhs, slack, note = bound(e)
     inputs = {"alpha": e.a, "alpha_t": e.at, "beta": e.b, "beta_t": e.bt}
-    return InequalityReport(family, n, m, inputs, lhs, rhs, slack, slack >= -tol, tol, note)
+    passed = slack >= -DEFAULT_TOL
+    return InequalityReport(family, n, m, inputs, lhs, rhs, slack, passed, DEFAULT_TOL, note)
 
 
 # ---------------------------------------------------------------------------
@@ -475,10 +484,21 @@ def dominions_brute(n: int, m: int, alpha, beta) -> set[int]:
 @dataclass
 class CampaignResult:
     family: str
-    trials: int
-    passed: int
+    trials: int = 0
+    passed: int = 0
     failures: list = field(default_factory=list)
     details: list = field(default_factory=list)
+
+    def record(self, ok: bool, failure: dict, detail: Optional[dict] = None) -> None:
+        """Count one trial: a pass, or a failure described by ``failure``;
+        ``detail``, when given, is kept as the trial's detail row."""
+        self.trials += 1
+        if ok:
+            self.passed += 1
+        else:
+            self.failures.append(failure)
+        if detail is not None:
+            self.details.append(detail)
 
     @property
     def all_passed(self) -> bool:
@@ -509,10 +529,7 @@ def campaign_mahler(
     """Random rational systems with Minkowski-guaranteed primal boxes; every
     transfer (symmetric, and asymmetric for each coordinate) must yield a
     verified certificate."""
-    from .presets import random_rational_system
-    from .transfer import mahler_transfer, mahler_transfer_asymmetric, verify_certificate
-
-    result = CampaignResult(family="mahler", trials=0, passed=0)
+    result = CampaignResult("mahler")
     for d in dims:
         for trial in range(trials_per_dim):
             rng = random.Random(f"{seed}:{d}:{trial}")
@@ -531,25 +548,20 @@ def campaign_mahler(
                      lambda k=k: mahler_transfer_asymmetric(system, X, U, k))
                 )
             for label, run in variants:
-                result.trials += 1
                 try:
                     ok, _ = verify_certificate(run())
                     error = None if ok else "verify failed"
                 except Exception as exc:  # noqa: BLE001 - campaign collects failures
                     error = repr(exc)
-                if error is None:
-                    result.passed += 1
-                else:
-                    result.failures.append(
-                        {"d": d, "trial": trial, "variant": label, "error": error}
-                    )
+                result.record(error is None,
+                              {"d": d, "trial": trial, "variant": label, "error": error})
     return result
 
 
 def campaign_dominions(trials: int = 1000, seed: int = 0) -> CampaignResult:
     """Classifier vs. brute-force pointwise maximum on admissible tuples."""
     rng = random.Random(seed)
-    result = CampaignResult(family="dominions", trials=trials, passed=0)
+    result = CampaignResult("dominions")
     for trial in range(trials):
         n = rng.randint(1, 4)
         m = rng.randint(1, 4)
@@ -561,13 +573,8 @@ def campaign_dominions(trials: int = 1000, seed: int = 0) -> CampaignResult:
         beta = alpha + Fraction(rng.randint(0, 5000), 1000)
         case, winner = dominions(n, m, alpha, beta)
         top = dominions_brute(n, m, alpha, beta)
-        if winner in top:
-            result.passed += 1
-        else:
-            result.failures.append(
-                {"n": n, "m": m, "alpha": str(alpha), "beta": str(beta),
-                 "case": case, "winner": winner, "brute": sorted(top)}
-            )
+        result.record(winner in top, {"n": n, "m": m, "alpha": str(alpha), "beta": str(beta),
+                                      "case": case, "winner": winner, "brute": sorted(top)})
     return result
 
 
@@ -581,26 +588,17 @@ def t_max_for(m_eff: int, tier: str = "standard") -> int:
     return table[tier].get(m_eff, 30)
 
 
-def exponents_for_system(system: System, tier: str = "standard", budget: int = 10**9):
+def exponents_for_system(system: System, tier: str = "standard"):
     """(primal estimate, dual estimate) with per-side scan depths."""
-    ep = estimate_exponents(system, "primal", t_max_for(system.m, tier), budget=budget)
-    ed = estimate_exponents(system, "dual", t_max_for(system.n, tier), budget=budget)
+    ep = estimate_exponents(system, "primal", t_max_for(system.m, tier))
+    ed = estimate_exponents(system, "dual", t_max_for(system.n, tier))
     return ep, ed
-
-
-# The order of reports, which campaign details and benchmark verdicts keep.
-_REPORT_ORDER = (
-    "apfelbeck_i", "dyson", "my_inequalities",
-    "loranoyadenie_1", "loranoyadenie_2", "loranoyadenie_3",
-    "jarnik_ineq_i", "khintchine", "bugeaud_laurent",
-    "jarnik_equality", "jarnik_ineq_ii", "jarnik_ineq_iii", "apfelbeck_ii",
-)
 
 
 def applicable_families(n: int, m: int, exps: dict) -> list[str]:
     """Families whose domain conditions hold for these dimensions/values."""
     a, at = float(exps.get("alpha", 0.0)), float(exps.get("alpha_t", 0.0))
-    return [f for f in _REPORT_ORDER if _TABLE[f][0](n, m, a, at)]
+    return [f for f, (applies, _, _) in _TABLE.items() if applies(n, m, a, at)]
 
 
 # families whose checks are robust to estimation noise on short scans: the
@@ -618,7 +616,6 @@ CORE_FAMILIES = (
 def check_all_inequalities(
     system: System,
     tier: str = "standard",
-    tol: float = DEFAULT_TOL,
     families: Optional[Sequence[str]] = None,
 ) -> list[InequalityReport]:
     ep, ed = exponents_for_system(system, tier)
@@ -635,7 +632,7 @@ def check_all_inequalities(
     wanted = applicable_families(system.n, system.m, exps)
     if families is not None:
         wanted = [f for f in wanted if f in families]
-    return [check_inequality(f, system.n, system.m, exps, tol=tol) for f in wanted]
+    return [check_inequality(f, system.n, system.m, exps) for f in wanted]
 
 
 def campaign_inequalities(
@@ -644,37 +641,28 @@ def campaign_inequalities(
     trials: int = 50,
     seed: int = 0,
     tier: str = "fast",
-    tol: float = DEFAULT_TOL,
     families: Optional[Sequence[str]] = CORE_FAMILIES,
 ) -> CampaignResult:
     """Random generic systems (plus matching presets): every applicable
-    inequality must pass at the given tolerance."""
-    result = CampaignResult(family=f"inequalities_{n}x{m}", trials=0, passed=0)
+    inequality must pass at the tolerance DEFAULT_TOL."""
+    result = CampaignResult(f"inequalities_{n}x{m}")
     systems = [(p.name, p.build()) for p in PRESETS.values() if (p.n, p.m) == (n, m)]
     rng = random.Random(seed)
     for i in range(trials):
         systems.append((f"random{i}", random_system(rng, n, m)))
     for name, system in systems:
-        reports = check_all_inequalities(system, tier=tier, tol=tol, families=families)
-        for rep in reports:
-            result.trials += 1
-            if rep.passed:
-                result.passed += 1
-            else:
-                result.failures.append({"system": name, **rep.as_dict()})
-            result.details.append({"system": name, **rep.as_dict()})
+        for rep in check_all_inequalities(system, tier=tier, families=families):
+            row = {"system": name, **rep.as_dict()}
+            result.record(rep.passed, row, row)
     return result
 
 
 def campaign_jarnik_equality(
-    count: int = 50, t_max_primal: int = 10**4, t_max_dual: int = 10**5,
-    tol: float = DEFAULT_TOL,
+    count: int = 50, t_max_primal: int = 10**4, t_max_dual: int = 10**5
 ) -> CampaignResult:
     """Cubic-field pairs (1x2): the uniform exponents of a system and its
-    transpose must satisfy 1/alpha + alpha_t = 1 within tolerance."""
-    from .presets import cubic_pair_family
-
-    result = CampaignResult(family="jarnik_equality", trials=0, passed=0)
+    transpose must satisfy 1/alpha + alpha_t = 1 within DEFAULT_TOL."""
+    result = CampaignResult("jarnik_equality")
     systems = cubic_pair_family(count)
     for p in PRESETS.values():
         if (p.n, p.m) == (1, 2):
@@ -683,14 +671,9 @@ def campaign_jarnik_equality(
         ep = estimate_exponents(system, "primal", t_max_primal)
         ed = estimate_exponents(system, "dual", t_max_dual)
         resid = abs(1.0 / ep.alpha_fit + ed.alpha_fit - 1.0)
-        result.trials += 1
         entry = {"system": name, "alpha": ep.alpha_fit, "alpha_t": ed.alpha_fit,
                  "residual": resid}
-        result.details.append(entry)
-        if resid <= tol:
-            result.passed += 1
-        else:
-            result.failures.append(entry)
+        result.record(resid <= DEFAULT_TOL, entry, entry)
     return result
 
 
@@ -705,7 +688,7 @@ _SCALE_GRID = [Fraction(2) ** k for k in _SCALE_EXPONENTS]
 def _witness_pair(system):
     """Two non-collinear best-approximation witnesses of a primal scan to
     t = 12, or None."""
-    tab = best_approx_table(system, "primal", 12, budget=10**7)
+    tab = best_approx_table(system, "primal", 12)
     ws = [rec.witness for rec in tab.records]
     for i in range(len(ws)):
         for j in range(i + 1, len(ws)):
@@ -765,10 +748,7 @@ def campaign_main_lemma(
 ) -> CampaignResult:
     """Random admissible (v1, v2, h, r) instances: the two-point lemma must
     deliver a verified orthogonal dual point every time."""
-    from .presets import random_rational_system
-    from .transfer import main_lemma_transfer, verify_certificate
-
-    result = CampaignResult(family="main_lemma", trials=0, passed=0)
+    result = CampaignResult("main_lemma")
     rng = random.Random(seed)
     attempts = 0
     while result.trials < trials and attempts < 50 * trials:
@@ -785,35 +765,20 @@ def campaign_main_lemma(
         if params is None:
             continue
         h, r = params
-        result.trials += 1
         try:
             cert = main_lemma_transfer(system, v1, v2, h, r)
             ok, checks = verify_certificate(cert)
         except Exception as exc:  # noqa: BLE001
             ok, checks = False, repr(exc)
-        if ok:
-            result.passed += 1
-        else:
-            result.failures.append(
-                {"d": d, "n": n, "m": m, "v1": v1, "v2": v2,
-                 "h": str(h), "r": str(r), "detail": str(checks)}
-            )
+        result.record(ok, {"d": d, "n": n, "m": m, "v1": v1, "v2": v2,
+                           "h": str(h), "r": str(r), "detail": str(checks)})
     return result
 
 
 def campaign_main_lemma_gap(trials: int = 100, seed: int = 1) -> CampaignResult:
     """d=3 instances strictly between the general and the sharpened product
     constants: the general form must reject, the sharpened one succeed."""
-    from .presets import random_rational_system
-    from .transfer import (
-        main_lemma_hypothesis,
-        main_lemma_transfer,
-        main_lemma_transfer_3d,
-        verify_certificate,
-    )
-    from .errors import HypothesisViolated
-
-    result = CampaignResult(family="main_lemma_gap", trials=0, passed=0)
+    result = CampaignResult("main_lemma_gap")
     rng = random.Random(seed)
     attempts = 0
     c2_general = Fraction(1, 12)
@@ -846,7 +811,6 @@ def campaign_main_lemma_gap(trials: int = 100, seed: int = 1) -> CampaignResult:
         if found is None:
             continue
         h, r = found
-        result.trials += 1
         rejected = False
         try:
             main_lemma_transfer(system, v1, v2, h, r)
@@ -861,13 +825,8 @@ def campaign_main_lemma_gap(trials: int = 100, seed: int = 1) -> CampaignResult:
                 ok, _ = verify_certificate(cert)
             except Exception:  # noqa: BLE001
                 ok = False
-        if ok:
-            result.passed += 1
-        else:
-            result.failures.append(
-                {"n": n, "m": m, "v1": v1, "v2": v2, "h": str(h), "r": str(r),
-                 "general_rejected": rejected}
-            )
+        result.record(ok, {"n": n, "m": m, "v1": v1, "v2": v2, "h": str(h), "r": str(r),
+                           "general_rejected": rejected})
     return result
 
 
@@ -879,9 +838,7 @@ def campaign_main_lemma_gap(trials: int = 100, seed: int = 1) -> CampaignResult:
 def campaign_covolumes(trials: int = 500, max_dim: int = 8, seed: int = 0) -> CampaignResult:
     """Saturated sublattice vs. its integer orthogonal complement: squared
     covolumes must agree exactly."""
-    from .exactlinalg import orthogonal_lattice, saturate
-
-    result = CampaignResult(family="covolumes", trials=0, passed=0)
+    result = CampaignResult("covolumes")
     rng = random.Random(seed)
     while result.trials < trials:
         d = rng.randint(2, max_dim)
@@ -894,36 +851,25 @@ def campaign_covolumes(trials: int = 500, max_dim: int = 8, seed: int = 0) -> Ca
             perp = orthogonal_lattice(lat)
         except Exception:  # noqa: BLE001 - degenerate sample, resample
             continue
-        result.trials += 1
-        if lat.det_squared == perp.det_squared:
-            result.passed += 1
-        else:
-            result.failures.append(
-                {"d": d, "basis": lat.basis, "det2": str(lat.det_squared),
-                 "perp_det2": str(perp.det_squared)}
-            )
+        result.record(lat.det_squared == perp.det_squared,
+                      {"d": d, "basis": lat.basis, "det2": str(lat.det_squared),
+                       "perp_det2": str(perp.det_squared)})
     return result
 
 
 def campaign_cube_sections(trials: int = 1000, max_dim: int = 8, seed: int = 0) -> CampaignResult:
     """Central hyperplane sections of the cube [-1,1]^d: squared volume must
     lie in [4^(d-1), 2*4^(d-1)] exactly (unit-ball and diagonal extremes)."""
-    from .sectiondual import cube_section_volume_squared
-
-    result = CampaignResult(family="cube_sections", trials=0, passed=0)
+    result = CampaignResult("cube_sections")
     rng = random.Random(seed)
     for _ in range(trials):
         d = rng.randint(2, max_dim)
         normal = [Fraction(rng.randint(-20, 20), rng.randint(1, 20)) for _ in range(d)]
         if all(v == 0 for v in normal):
             normal[0] = Fraction(1)
-        result.trials += 1
         vol2 = cube_section_volume_squared(normal)
-        if Fraction(4) ** (d - 1) <= vol2 <= 2 * Fraction(4) ** (d - 1):
-            result.passed += 1
-        else:
-            result.failures.append({"d": d, "normal": [str(v) for v in normal],
-                                    "vol2": str(vol2)})
+        result.record(Fraction(4) ** (d - 1) <= vol2 <= 2 * Fraction(4) ** (d - 1),
+                      {"d": d, "normal": [str(v) for v in normal], "vol2": str(vol2)})
     return result
 
 
@@ -937,7 +883,11 @@ def _f_spec(psi: FunctionSpec) -> FunctionSpec:
     return FunctionSpec(psi.family, psi.coeff, psi.exponent + 1, psi.log_exponent)
 
 
-def uniform_bound_comparison(psi: FunctionSpec, t, eps=Fraction(1, 1000), delta=Fraction(1, 1000)):
+# 1 + eps + delta of the classical bound, with eps = delta = 1/1000
+_CLASSICAL_SLACK = 1 + Fraction(1, 1000) + Fraction(1, 1000)
+
+
+def uniform_bound_comparison(psi: FunctionSpec, t):
     """Classical vs. sharpened uniform-transfer bound at truncation t.
 
     Branch 'i' (t*psi decreasing): classical 12(1+eps+delta)/t * psi^-(1/t)
@@ -946,20 +896,19 @@ def uniform_bound_comparison(psi: FunctionSpec, t, eps=Fraction(1, 1000), delta=
     """
     t = Fraction(t)
     f = _f_spec(psi)
-    one_pe = 1 + Fraction(eps) + Fraction(delta)
     if not f.increasing:
         branch = "i"
-        classical = exact_mul(Fraction(12) * one_pe / t, psi.inverse_at(Fraction(1) / t))
+        classical = exact_mul(Fraction(12) * _CLASSICAL_SLACK / t, psi.inverse_at(Fraction(1) / t))
         sharpened = exact_mul(Fraction(3, 4) / t, psi.inverse_at(Fraction(2, 3) / t))
     else:
         branch = "ii"
         finv = f.inverse_at(t / 2)
-        classical = exact_div(Fraction(4) * one_pe, finv)
+        classical = exact_div(Fraction(4) * _CLASSICAL_SLACK, finv)
         sharpened = exact_div(Fraction(2, 3), finv)
     return branch, classical, sharpened
 
 
-DEFAULT_UNIFORM_BOUND_PSIS = (
+UNIFORM_BOUND_PSIS = (
     FunctionSpec("power", Fraction(1), Fraction(-2)),
     FunctionSpec("power", Fraction(1, 2), Fraction(-3)),
     FunctionSpec("power", Fraction(1), Fraction(-3, 2)),
@@ -967,31 +916,23 @@ DEFAULT_UNIFORM_BOUND_PSIS = (
     FunctionSpec("power", Fraction(1), Fraction(-1, 2)),
     FunctionSpec("power", Fraction(1, 3), Fraction(-2, 3)),
 )
+UNIFORM_BOUND_GRID = (10**2, 10**3, 10**4, 10**5, 10**6)
 
 
-def campaign_uniform_bounds(
-    psis: Sequence[FunctionSpec] = DEFAULT_UNIFORM_BOUND_PSIS,
-    grid: Sequence[int] = (10**2, 10**3, 10**4, 10**5, 10**6),
-    eps=Fraction(1, 1000),
-    delta=Fraction(1, 1000),
-) -> CampaignResult:
-    """Grid check: the sharpened bound never exceeds the classical one, and
-    on the decreasing branch beats it by at least a factor of 4."""
-    result = CampaignResult(family="uniform-bounds", trials=0, passed=0)
-    for psi in psis:
-        for t in grid:
-            branch, classical, sharpened = uniform_bound_comparison(psi, t, eps, delta)
+def campaign_uniform_bounds() -> CampaignResult:
+    """Grid check over UNIFORM_BOUND_PSIS and UNIFORM_BOUND_GRID: the
+    sharpened bound never exceeds the classical one, and on the decreasing
+    branch beats it by at least a factor of 4."""
+    result = CampaignResult("uniform-bounds")
+    for psi in UNIFORM_BOUND_PSIS:
+        for t in UNIFORM_BOUND_GRID:
+            branch, classical, sharpened = uniform_bound_comparison(psi, t)
             ok = exact_le(sharpened, classical)
             if ok and branch == "i":
                 ok = exact_le(exact_mul(Fraction(4), sharpened), classical)
-            result.trials += 1
             entry = {"psi": psi.describe(), "t": t, "branch": branch,
                      "classical": str(classical), "sharpened": str(sharpened)}
-            result.details.append(entry)
-            if ok:
-                result.passed += 1
-            else:
-                result.failures.append(entry)
+            result.record(ok, entry, entry)
     return result
 
 

@@ -1,12 +1,12 @@
 """Directed-rounding enclosures backed by mpmath's interval arithmetic.
 
 Rational operands stay exact; transcendental steps (exp, ln, real powers)
-go through ``mpmath.iv`` at a configurable working precision and come back
-as pairs of Fractions with outward rounding preserved.
+go through ``mpmath.iv`` at the working precision DEFAULT_PREC and come back
+as pairs of Fractions with outward rounding preserved.  ``Enclosure.of``
+takes a higher precision for the callers that refine a radical's bounds.
 """
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -22,7 +22,7 @@ def _iv_prec(prec: int):
     finally:
         mpmath.iv.prec = old
 
-DEFAULT_PREC = int(os.environ.get("DIOTRANS_PRECISION", "160"))
+DEFAULT_PREC = 160  # bits
 
 
 def _mpf_to_fraction(t) -> Fraction:
@@ -99,24 +99,24 @@ class Enclosure:
 
     # -- transcendental steps -------------------------------------------
 
-    def _via_iv(self, fn, prec: int) -> "Enclosure":
+    def _via_iv(self, fn) -> "Enclosure":
         # exp and log are monotone, so the hull of the two endpoint images
         # encloses the image of the whole interval.
-        with _iv_prec(prec):
+        with _iv_prec(DEFAULT_PREC):
             lo = fn(mpmath.iv.mpf(self.lo.numerator) / mpmath.iv.mpf(self.lo.denominator))
             hi = fn(mpmath.iv.mpf(self.hi.numerator) / mpmath.iv.mpf(self.hi.denominator))
         ends = [_mpf_to_fraction(t) for y in (lo, hi) for t in y._mpi_]
         return Enclosure(min(ends), max(ends))
 
-    def exp(self, prec: int = DEFAULT_PREC) -> "Enclosure":
-        return self._via_iv(mpmath.iv.exp, prec)
+    def exp(self) -> "Enclosure":
+        return self._via_iv(mpmath.iv.exp)
 
-    def ln(self, prec: int = DEFAULT_PREC) -> "Enclosure":
+    def ln(self) -> "Enclosure":
         if self.lo <= 0:
             raise ValueError("log of non-positive enclosure")
-        return self._via_iv(mpmath.iv.log, prec)
+        return self._via_iv(mpmath.iv.log)
 
-    def pow(self, exponent: Fraction, prec: int = DEFAULT_PREC) -> "Enclosure":
+    def pow(self, exponent: Fraction) -> "Enclosure":
         e = Fraction(exponent)
         if e.denominator == 1:
             n = e.numerator
@@ -126,7 +126,7 @@ class Enclosure:
                     out = out * self
                 return out
             return 1 / self.pow(-e)
-        return (self.ln(prec) * Enclosure(e)).exp(prec)
+        return (self.ln() * Enclosure(e)).exp()
 
     # -- queries ----------------------------------------------------------
 

@@ -27,14 +27,14 @@ from .errors import (
 )
 from .exactlinalg import wedge_norm_squared
 from .functions import FunctionSpec
-from .geometry import Box, System, box_contains, enumerate_nonzero, least_point
+from .geometry import (
+    DEFAULT_ENUM_BUDGET, Box, System, box_contains, enumerate_nonzero, least_point,
+)
 from .intervals import DEFAULT_PREC, Enclosure
 from .radicals import (
     Radical, exact_div, exact_eq, exact_le, exact_lt, exact_max, exact_mul, exact_pow,
 )
 from .sectiondual import delta_d, improved_mahler_factor
-
-DEFAULT_BUDGET = 10**7
 
 
 # ---------------------------------------------------------------------------
@@ -42,25 +42,24 @@ DEFAULT_BUDGET = 10**7
 # ---------------------------------------------------------------------------
 
 
-def _rat_lower(value, floor_at=None, prec: int = DEFAULT_PREC) -> Fraction:
-    """A rational lower bound of an exact/enclosed positive value.
+def _rat_lower(value, floor_at) -> Fraction:
+    """A rational lower bound of an exact/enclosed positive value, at least
+    ``floor_at`` (a rational known to be <= value).
 
-    If ``floor_at`` (a rational known to be < value) is given, precision is
-    raised until the bound is >= floor_at, so conservative target boxes
-    never exclude an already-found witness.
+    Precision is raised until the bound reaches floor_at, so conservative
+    target boxes never exclude an already-found witness.
     """
     if not isinstance(value, (Radical, Enclosure)):
         return Fraction(value)
+    prec = DEFAULT_PREC
     lo = Enclosure.of(value, prec).lo
-    if floor_at is not None:
-        while lo < floor_at and prec < 20000:
-            prec *= 2
-            if isinstance(value, (Radical,)):
-                lo = Enclosure.of(value, prec).lo
-            else:
-                raise PrecisionExhausted("enclosure too wide for found witness")
-        if lo < floor_at:
-            raise PrecisionExhausted("could not certify witness under radical bound")
+    while lo < floor_at and prec < 20000:
+        if isinstance(value, Enclosure):
+            raise PrecisionExhausted("enclosure too wide for found witness")
+        prec *= 2
+        lo = Enclosure.of(value, prec).lo
+    if lo < floor_at:
+        raise PrecisionExhausted("could not certify witness under radical bound")
     return lo
 
 
@@ -144,26 +143,27 @@ def verify_certificate(cert: Certificate) -> tuple[bool, list]:
     results = []
     system = _system_of(cert)
     z = cert.output_point
+    fits = len(z) == system.d  # a vector of another length fails every check on it
     results.append(("output_nonzero", any(v != 0 for v in z)))
-    results.append(("output_dimension", len(z) == system.d))
+    results.append(("output_dimension", fits))
     side = cert.target["side"]
     if "h" in cert.target:
         box = Box(system, Fraction(cert.target["h"]), Fraction(cert.target["r"]), side)
-        results.append(("output_in_target_box", box_contains(box, z) is True))
+        results.append(("output_in_target_box", fits and box_contains(box, z) is True))
     else:
         hbounds = [Fraction(v) for v in cert.target["hbounds"]]
         rbounds = [Fraction(v) for v in cert.target["rbounds"]]
-        results.append(
-            ("output_in_target_box", _in_coordinate_box(system, side, z, hbounds, rbounds))
-        )
+        results.append(("output_in_target_box",
+                        fits and _in_coordinate_box(system, side, z, hbounds, rbounds)))
     for key in ("v1", "v2"):
         if key in cert.inputs:
             v = cert.inputs[key]
             dot = sum(int(a) * int(b) for a, b in zip(v, z))
-            results.append((f"orthogonal_to_{key}", dot == 0))
+            results.append((f"orthogonal_to_{key}", fits and len(v) == system.d and dot == 0))
     if "v1" in cert.inputs and "v2" in cert.inputs:
-        ws = wedge_norm_squared((cert.inputs["v1"], cert.inputs["v2"]))
-        results.append(("inputs_non_collinear", ws != 0))
+        v1, v2 = cert.inputs["v1"], cert.inputs["v2"]
+        results.append(("inputs_non_collinear", len(v1) == len(v2) == system.d
+                        and wedge_norm_squared((v1, v2)) != 0))
     recorded = dict(cert.checks)
     results.append(("recorded_checks_all_true", all(recorded.values())))
     return all(ok for _, ok in results), results
@@ -239,7 +239,7 @@ def mahler_transfer(
     X,
     U,
     witness: Optional[Sequence[int]] = None,
-    budget: int = DEFAULT_BUDGET,
+    budget: int = DEFAULT_ENUM_BUDGET,
 ) -> Certificate:
     """From a point in M_{U,X} to a point in the sharpened dual box.
 
@@ -293,7 +293,7 @@ def mahler_transfer_asymmetric(
     U,
     k: int,
     witness: Optional[Sequence[int]] = None,
-    budget: int = DEFAULT_BUDGET,
+    budget: int = DEFAULT_ENUM_BUDGET,
 ) -> Certificate:
     """Classical bilinear-form variant: the dual box carries the factor d-1
     on exactly one coordinate k (0-based over the d dual constraints) and 1
@@ -393,7 +393,7 @@ def main_lemma_transfer(
     v2: Sequence[int],
     h,
     r,
-    budget: int = DEFAULT_BUDGET,
+    budget: int = DEFAULT_ENUM_BUDGET,
     _kind: str = "main_lemma",
     _constant_sq: Optional[Fraction] = None,
     _extra_params: Optional[dict] = None,
@@ -402,8 +402,7 @@ def main_lemma_transfer(
     to a nonzero integer point of the dual box orthogonal to both.
     """
     d = system.d
-    v1 = tuple(int(v) for v in v1)
-    v2 = tuple(int(v) for v in v2)
+    v1, v2 = (x + y for x, y in map(system.split, (v1, v2)))  # ValueError unless d long
     if wedge_norm_squared((v1, v2)) == 0:
         raise NonCollinearRequired("v1 and v2 are collinear")
     constant_sq = _constant_sq if _constant_sq is not None else Fraction(1, 2 * d * (d - 1))
@@ -453,7 +452,7 @@ def main_lemma_transfer_3d(
     v2: Sequence[int],
     h,
     r,
-    budget: int = DEFAULT_BUDGET,
+    budget: int = DEFAULT_ENUM_BUDGET,
 ) -> Certificate:
     """d=3 sharpening: the product bound constant improves from 1/(2*sqrt(3))
     to 1/2, admitting strictly more inputs."""
@@ -531,7 +530,7 @@ def semicore(
     direction: int,
     v1: Optional[Sequence[int]] = None,
     v2: Optional[Sequence[int]] = None,
-    budget: int = DEFAULT_BUDGET,
+    budget: int = DEFAULT_ENUM_BUDGET,
 ) -> Certificate:
     """Two-witness transference: v1 in the Phi-box and v2 in the Psi-box of
     common sidelength t yield a point of the dual (h, r)-box, with h, r
@@ -657,7 +656,7 @@ def alphas_core(
     phi: FunctionSpec,
     psi: FunctionSpec,
     h,
-    budget: int = DEFAULT_BUDGET,
+    budget: int = DEFAULT_ENUM_BUDGET,
 ) -> Certificate:
     """The uniform-exponent core procedure.
 

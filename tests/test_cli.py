@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from diotrans.cli import run
+from diotrans.cli import build_parser, run
+from diotrans.geometry import DEFAULT_ENUM_BUDGET, DEFAULT_SCAN_BUDGET
 
 
 def _run(capsys, *argv):
@@ -150,3 +151,105 @@ def test_config_file_supplies_defaults(tmp_path, capsys):
 def test_unreadable_config_is_usage_error(capsys):
     code, _, err = _run(capsys, "delta", "--config", "/nonexistent/path.cfg")
     assert code == 1
+
+
+def _subcommands() -> dict:
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if a.dest == "command"]
+    return {"diotrans": parser, **sub.choices}
+
+
+SYSTEM_FLAGS = ["--preset", "--theta", "--random", "--n", "--m"]
+CLI_SURFACE = {
+    "diotrans": ["--config"],
+    "delta": ["--dmax", "--format", "--output"],
+    "best-approx": SYSTEM_FLAGS + ["--side", "--t-max", "--budget", "--format", "--output"],
+    "estimate": SYSTEM_FLAGS + ["--side", "--t-max", "--budget", "--output"],
+    "transfer": SYSTEM_FLAGS + ["--X", "--U", "--k", "--v1", "--v2", "--h", "--r", "--t",
+                                "--Phi", "--Psi", "--direction", "--phi", "--psi",
+                                "--budget", "--output"],
+    "verify-certificate": ["--output"],
+    "campaign": ["--family", "--trials", "--seed", "--dims", "--tier", "--n", "--m",
+                 "--format", "--output"],
+}
+
+
+def test_cli_surface_is_pinned():
+    surface = {
+        name: sorted(flag for action in p._actions for flag in action.option_strings
+                     if flag not in ("-h", "--help"))
+        for name, p in _subcommands().items()
+    }
+    assert surface == {name: sorted(flags) for name, flags in CLI_SURFACE.items()}
+
+
+def test_budget_defaults_are_the_library_constants():
+    subs = _subcommands()
+    assert subs["best-approx"].get_default("budget") == DEFAULT_SCAN_BUDGET
+    assert subs["estimate"].get_default("budget") == DEFAULT_SCAN_BUDGET
+    assert subs["transfer"].get_default("budget") == DEFAULT_ENUM_BUDGET
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("delta", "--budget", "5"),
+        ("estimate", "--preset", "golden", "--t-max", "50", "--format", "csv"),
+        ("transfer", "mahler", "--theta", "1/2", "--n", "1", "--m", "1",
+         "--X", "10", "--U", "1/10", "--format", "json"),
+        ("verify-certificate", "cert.json", "--budget", "5"),
+        ("verify-certificate", "cert.json", "--format", "json"),
+        ("campaign", "--family", "uniform-bounds", "--budget", "5"),
+    ],
+)
+def test_removed_flags_are_usage_errors(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("usage error:")
+    assert "Traceback" not in err
+
+
+def test_config_setting_a_removed_flag_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "diotrans.cfg"
+    cfg.write_text("budget = 5\n")
+    code, _, err = _run(capsys, "delta", "--config", str(cfg))
+    assert code == 1 and err.startswith("usage error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # two free variables beyond the box budget's t = 1580
+        ("best-approx", "--preset", "plastic", "--t-max", "1600"),
+        ("estimate", "--preset", "plastic", "--t-max", "3000"),
+    ],
+)
+def test_scans_default_to_the_scan_budget(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 0, err
+    assert json.loads(out)
+
+
+MAHLER_FIELDS = {"kind": "mahler", "n": 1, "m": 1, "theta": [["1/2"]], "params": {},
+                 "inputs": {}, "output_point": [1, 0],
+                 "target": {"side": "dual", "h": "1", "r": "1"}, "checks": []}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        '{"kind": "x"}',
+        json.dumps({**MAHLER_FIELDS, "theta": [["1/2", "1/3"]]}),
+        json.dumps({**MAHLER_FIELDS, "theta": [["1/0"]]}),
+        json.dumps({**MAHLER_FIELDS, "inputs": []}),
+    ],
+    ids=["empty", "no-fields", "theta-shape", "theta-zero-denominator", "inputs-not-object"],
+)
+def test_malformed_certificate_is_an_error(tmp_path, capsys, text):
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(text)
+    code, out, err = _run(capsys, "verify-certificate", str(cert_file))
+    assert code == 1 and out == ""
+    assert err.startswith("error: malformed certificate: ")
+    assert "Traceback" not in err

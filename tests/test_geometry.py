@@ -117,6 +117,16 @@ def test_table_serialization_roundtrip():
     assert '"records"' in table.to_json()
 
 
+@pytest.mark.parametrize("z", [(1, 2), (1, 2, 3, 4), ()])
+def test_vectors_of_the_wrong_length_are_rejected(z):
+    system = get_preset("plastic").build()  # d = 3
+    message = f"expected d = 3 coordinates, got {len(z)}"
+    for method in (system.split, system.primal_values, system.dual_values,
+                   system.primal_numerators, system.dual_numerators):
+        with pytest.raises(ValueError, match=message):
+            method(z)
+
+
 def test_transposed_involution():
     system = System(1, 2, ((Fraction(1, 3), Fraction(2, 5)),))
     assert system.transposed().transposed() == system

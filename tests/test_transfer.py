@@ -134,6 +134,37 @@ def test_main_lemma_rejects_collinear():
         main_lemma_transfer(system, (1, 0, 0), (2, 0, 0), 4, 1)
 
 
+@pytest.mark.parametrize("v1, v2", [((1, 0, 0), (0, 1, 0, 0)), ((1, 0), (0, 1, 0))])
+def test_main_lemma_rejects_vectors_of_the_wrong_length(v1, v2):
+    system = get_preset("plastic").build()
+    with pytest.raises(ValueError, match="expected d = 3 coordinates"):
+        main_lemma_transfer(system, v1, v2, 1, 1)
+
+
+def _failed_checks(cert) -> list:
+    ok, results = verify_certificate(cert)
+    assert not ok
+    return [name for name, passed in results if not passed]
+
+
+def test_verify_rejects_an_output_point_of_the_wrong_length():
+    system = get_preset("plastic").build()
+    cert = mahler_transfer(system, Fraction(10), Fraction(1, 3))
+    assert verify_certificate(cert)[0]
+    for point in (cert.output_point[:1], cert.output_point + (0,)):
+        cert.output_point = point
+        assert _failed_checks(cert) == ["output_dimension", "output_in_target_box"]
+
+
+def test_verify_rejects_lemma_inputs_of_the_wrong_length():
+    system = System(1, 2, ((Fraction(0), Fraction(0)),))
+    cert = main_lemma_transfer(system, (1, 0, 0), (0, 1, 0), 4, 1)
+    cert.inputs["v1"] = (1, 0)
+    assert _failed_checks(cert) == ["orthogonal_to_v1", "inputs_non_collinear"]
+    cert.inputs["v1"], cert.inputs["v2"] = (1, 0, 0), (0, 1, 0, 0)
+    assert _failed_checks(cert) == ["orthogonal_to_v2", "inputs_non_collinear"]
+
+
 def test_main_lemma_rejects_small_products():
     system = System(1, 2, ((Fraction(1, 3), Fraction(1, 5)),))
     with pytest.raises(HypothesisViolated):
