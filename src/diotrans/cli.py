@@ -11,9 +11,10 @@ transfer mahler|asymmetric|lemma|lemma3d|semicore|alphas-core
 verify-certificate FILE             independently re-check a certificate
 campaign --family NAME              randomized verification campaigns
 
-best-approx and estimate take --budget, the points one record scan may
-visit (default geometry.DEFAULT_SCAN_BUDGET); transfer takes --budget, the
-candidates one box search may visit (default geometry.DEFAULT_ENUM_BUDGET).
+best-approx and estimate take --budget, a cap on the (2t+1)^k points of the
+box one record table covers (default geometry.DEFAULT_SCAN_BUDGET); transfer
+takes --budget, the candidates one box search may visit (default
+geometry.DEFAULT_ENUM_BUDGET).
 delta, best-approx and campaign write JSON or, with --format csv, CSV; the
 other commands write JSON.
 

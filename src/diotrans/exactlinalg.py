@@ -1,8 +1,9 @@
 """Exact integer/rational linear algebra.
 
 Hermite normal form over the columns, integer kernels, lattice saturation,
-orthogonal integer lattices, and one fraction-free determinant for Gram
-determinants, wedge norms and Grassmann coordinates.
+orthogonal integer lattices, one fraction-free determinant for Gram
+determinants, wedge norms and Grassmann coordinates, and integral LLL
+reduction.
 Matrices are plain lists of rows; lattice bases are tuples of vectors.
 """
 from __future__ import annotations
@@ -225,3 +226,67 @@ def orthogonal_lattice(lat: Lattice) -> Lattice:
         return Lattice((), Fraction(1))
     perp = integer_kernel([list(v) for v in lat.basis])
     return Lattice.from_basis(perp)
+
+
+def lll_reduce(basis: list[list[int]], weights: Sequence[int], dual: list[list[int]]) -> None:
+    """LLL-reduce the rows of ``basis`` in place, with delta = 3/4, for the
+    inner product sum_l weights[l] * u_l * v_l (positive integer weights).
+
+    Integral LLL (Cohen, A Course in Computational Algebraic Number Theory,
+    Algorithm 2.6.7): ``dd[i]`` is the Gram determinant of the first i rows
+    and ``lam[i][j] = dd[j + 1] * mu_ij``, so every step is an exact integer
+    operation.  ``dual`` follows the opposite operations (``basis[k] -= q *
+    basis[l]`` adds ``q * dual[k]`` to ``dual[l]``, a swap swaps), so the
+    pairings <basis[a], dual[b]> keep their values: a dual basis stays one.
+    """
+    def dot(u, v):
+        return sum(map(mul, weights, map(mul, u, v)))
+
+    n = len(basis)
+    dd = [1, dot(basis[0], basis[0])] + [0] * (n - 1)
+    lam = [[0] * n for _ in range(n)]
+
+    def reduce_against(k, l):
+        two_lam, den = 2 * lam[k][l], dd[l + 1]
+        if abs(two_lam) > den:
+            q = (two_lam + den) // (2 * den)  # nearest integer to lam / den
+            basis[k] = [a - q * b for a, b in zip(basis[k], basis[l])]
+            dual[l] = [a + q * b for a, b in zip(dual[l], dual[k])]
+            row, pivot = lam[k], lam[l]
+            row[l] -= q * den
+            for i in range(l):
+                row[i] -= q * pivot[i]
+
+    k, kmax = 1, 0
+    while k < n:
+        if k > kmax:
+            kmax = k
+            row = lam[k]
+            for j in range(k + 1):
+                u = dot(basis[k], basis[j])
+                for i in range(j):
+                    u = (dd[i + 1] * u - row[i] * lam[j][i]) // dd[i]
+                if j < k:
+                    row[j] = u
+                elif u == 0:
+                    raise DependentInput("basis vectors are linearly dependent")
+                else:
+                    dd[k + 1] = u
+        reduce_against(k, k - 1)
+        mu = lam[k][k - 1]
+        if 4 * dd[k + 1] * dd[k - 1] < 3 * dd[k] ** 2 - 4 * mu * mu:
+            basis[k - 1], basis[k] = basis[k], basis[k - 1]
+            dual[k - 1], dual[k] = dual[k], dual[k - 1]
+            for j in range(k - 1):
+                lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+            new = (dd[k - 1] * dd[k + 1] + mu * mu) // dd[k]
+            for i in range(k + 1, kmax + 1):
+                t = lam[i][k]
+                lam[i][k] = (dd[k + 1] * lam[i][k - 1] - mu * t) // dd[k]
+                lam[i][k - 1] = (new * t + mu * lam[i][k]) // dd[k + 1]
+            dd[k] = new
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                reduce_against(k, l)
+            k += 1

@@ -11,17 +11,19 @@ import io
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import product, repeat
-from math import lcm, prod
+from math import lcm
+from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import BudgetExceeded
+from .exactlinalg import lll_reduce
 from .intervals import Enclosure
-from .radicals import exact_floor, exact_le, exact_mul, floor_within
+from .radicals import _int_nth_root, exact_floor, exact_le, exact_mul, floor_within
 
 DEFAULT_ENUM_BUDGET = 10**7  # outer candidates of one box search
-DEFAULT_SCAN_BUDGET = 10**9  # points of one record scan
+DEFAULT_SCAN_BUDGET = 10**9  # (2t+1)^k points of one record table's box
 
 
 def _frac_matrix(theta, n, m):
@@ -101,7 +103,7 @@ class System:
 
 
 def _dot(row: Sequence[int], v: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(row, v))
+    return sum(map(mul, row, v))
 
 
 def build_T(system: System):
@@ -334,11 +336,18 @@ def best_approx_table(
 ) -> BestApproxTable:
     """Jump table of psi(t) = min over 0 < |x|_inf <= t of |Theta x - y|_inf.
 
-    side='dual' computes the transposed analog.  Exact for every shape: a
-    float residual on the shell |x|_inf = s is within eps(s) = (k+2) s L
-    2^-52 + 2^-50 of the exact one (k free variables, L the largest row sum
-    of |Theta|), and every point within eps(s) of beating the record is
-    decided in integers on ``System.integer_form`` (see ``_scan``).
+    side='dual' computes the transposed analog.  Exact for every shape, in
+    integers on ``System.integer_form`` Theta = A / D (see ``_records``).
+    After a record psi = e / D, the next record is the least |x|_inf among
+    the points (x, A x + D y) of a lattice with |A x + D y|_inf <= e - 1.
+    By Minkowski's theorem one of them has |x|_inf <= S = ceil((D / (e -
+    1))^(n/k)), for n forms in k free variables (S = D when e = 1), so the
+    search stays in |x|_inf <= min(t_max, S).
+
+    A record's witness is the first exact minimiser of its half-shell (the
+    x with |x|_inf = t whose first coordinate of size t is +t): the one with
+    the least index a with |x_a| = t, then the lexicographically least x.
+    The rule depends on the point alone.
     """
     form = system.integer_form
     rows = form.rows if side == "primal" else form.cols
@@ -346,70 +355,121 @@ def best_approx_table(
     if (2 * t_max + 1) ** free > budget:
         raise BudgetExceeded(f"(2*{t_max}+1)^{free} exceeds budget {budget}")
     table = BestApproxTable(side=side, t_max=t_max)
-    for e, _, x, y in _scan(rows, form.den, t_max):
+    for s, e, x, y in _records(rows, form.den, t_max):
         # box convention: psi = |Theta x + y|_inf resp. |tTheta y - x|_inf;
         # on the dual side the free variable is y and -x its nearest vector
         z = x + y if side == "primal" else tuple(-v for v in y) + x
-        table.records.append(ApproxRecord(max(map(abs, x)), Fraction(e, form.den), z))
+        table.records.append(ApproxRecord(s, Fraction(e, form.den), z))
     return table
 
 
-_BATCH_CAP = 2**14  # points per float batch, bounding the scan's memory
+def _records(rows, den, t_max):
+    """Yield (s, e, x, y) for each record psi(s) = e / den, 1 <= s <= t_max.
 
-
-def _scan(rows, den, t_max):
-    """Yield (e, err_f, x, y) for each record of psi over the half-shells 1..t_max.
-
-    Theta = rows / den, with k = len(rows[0]) free variables.  Half-shell s
-    holds the x with |x|_inf = s whose first coordinate of size s is +s; its
-    block (s, a) has x_a = s, |x_b| < s for b < a, |x_b| <= s for b > a, and
-    runs lexicographically.  y_i is nearest to -(Theta x)_i (-floor on a half
-    tie) and psi(x) = e / den.  A record is a shell whose least e beats every
-    earlier one; its witness is the exact minimiser of least err_f, then the
-    first one.
-
-    err_f(x) = max_i |v_i - rint(v_i)| for v = fl(x Theta_f^t) is computed
-    without rounding (Sterbenz), and distance to Z is 1-Lipschitz, so
-    |err_f - psi| <= max_i |v_i - (Theta x)_i| <= gamma_{k+1} s L <= (k+2) u s L
-    with u = 2^-53 and L = max_i sum_j |theta_ij|: Theta rounded, k products
-    and k - 1 sums in any order (Higham, Accuracy and Stability of Numerical
-    Algorithms, 3.1).  eps(s) = (k+2) s L 2^-52 + 2^-50 doubles that, which
-    absorbs the rounding of L, of eps and of the float thresholds, and adds
-    an absolute term for underflow and thresholds near 0.  Residuals are
-    integers over den, so only a point with err_f <= (best - 1) / den +
-    eps(s) can beat the record best / den, and a shell minimiser has err_f <=
-    its block's float minimum + 2 eps(s).  Only such points are decided
-    exactly; ties with the record are never re-checked.
+    Theta = rows / den = A / D, with n = len(rows) forms in k = len(rows[0])
+    free variables; y_i is nearest to -(A x)_i / D (-floor on a half tie).
+    Shell 1 is decided point by point.  Each later record is the least
+    point of ``_least_point`` on the lattice spanned by the rows (e_j, A e_j)
+    and (0, D e_i), in the box |x|_inf <= min(t_max, S), |r|_inf <= e - 1
+    (S from ``best_approx_table``); there |r_i| < D / 2, so r = A x + D y
+    holds the nearest y.  The basis is LLL-reduced for each box's shape and
+    carried from record to record, so each reduction starts from the last.
     """
-    import numpy as np  # kept out of processes that never scan (~13 MB)
+    if t_max < 1:
+        return
+    k, n = len(rows[0]), len(rows)
+    half_shell = [(0,) * a + (1,) + tail for a in range(k)
+                  for tail in product((-1, 0, 1), repeat=k - 1 - a)]
+    x, e, y = min(((x, *_nearest(rows, den, x)) for x in half_shell), key=lambda p: p[1])
+    yield 1, e, x, y
+    # A reduced to residues of least size mod D spans the same lattice
+    centered = [[(a + den // 2) % den - den // 2 for a in row] for row in rows]
+    basis = [[int(i == j) for i in range(k)] + [row[j] for row in centered] for j in range(k)]
+    basis += [[0] * k + [den * (i == l) for l in range(n)] for i in range(n)]
+    dual = [[den * (i == j) for i in range(k)] + [0] * n for j in range(k)]
+    dual += [[-a for a in centered[i]] + [int(i == l) for l in range(n)] for i in range(n)]
+    s = 1
+    while e and s < t_max:
+        bound = e - 1
+        if bound:
+            root, exact = _int_nth_root(-(-(den**n) // bound**n), k)
+            reach = min(t_max, root + (not exact))
+        else:
+            reach = min(t_max, den)
+        # weights that make the box a cube: x scaled by bound, r by reach
+        wx, wr = max(bound // reach, 1) ** 2, max(reach // max(bound, 1), 1) ** 2
+        lll_reduce(basis, [wx] * k + [wr] * n, dual)
+        point = _least_point(basis, dual, den, k, reach, bound)
+        if point is None:
+            return
+        s, e, x, r = point
+        yield s, e, x, tuple((ri - _dot(row, x)) // den for row, ri in zip(rows, r))
 
-    free = len(rows[0])
-    theta = np.array([[a / den for a in row] for row in rows])
-    slope = (free + 2) * 2.0**-52 * (max(sum(map(abs, row)) for row in rows) / den)
-    best = None  # numerator of the current record
-    pending = None  # (e, err_f, x, y): the best candidate of the open shell
-    for x, shells, counts in _batches(np, free, t_max):
-        v = x @ theta.T
-        # column by column: .max(axis=1) along the short axis is ~60x slower
-        err = reduce(np.maximum, np.abs(v - np.rint(v)).T)
-        eps = slope * shells + 2.0**-50
-        limit = np.minimum.reduceat(err, np.cumsum(counts) - counts) + 2 * eps
-        if best is not None:
-            limit = np.minimum(limit, (best - 1) / den + eps)
-        for i in np.flatnonzero(err <= np.repeat(limit, counts)):
-            point = tuple(int(c) for c in x[i])
-            if pending is not None and max(map(abs, point)) > max(map(abs, pending[2])):
-                best = pending[0]
-                yield pending
-                if best == 0:
-                    return
-                pending = None
-            e, y = _nearest(rows, den, point)
-            f = float(err[i])
-            if (best is None or e < best) and (pending is None or (e, f) < pending[:2]):
-                pending = (e, f, point, y)
-    if pending is not None:
-        yield pending
+
+def _least_point(basis, dual, den, k, reach, bound):
+    """(s, e, x, r) for the least nonzero lattice point v = (x, r) with
+    |x|_inf <= reach and |r|_inf <= bound, or None.
+
+    Points are ordered by (s, e, a, x) with s = |x|_inf, e = |r|_inf and a the
+    least index with |x_a| = s, each taken with the sign that makes x_a = +s.
+    ``dual`` pairs with ``basis`` as den times the identity, so v's
+    coefficient c_j = <v, dual_j> / den is at most (reach |dual_j x-part|_1 +
+    bound |dual_j r-part|_1) / den in size.  The outer coefficients run over
+    these ranges, the first nonzero one positive (-v is in the box with v);
+    the innermost, on the vector of the widest range, is the exact integer
+    interval that keeps every coordinate in the box.  Once a point is found
+    the x-bound shrinks to its shell.
+    """
+    d = len(basis)
+    norms = [(sum(map(abs, m[:k])), sum(map(abs, m[k:]))) for m in dual]
+    order = sorted(range(d), key=lambda j: reach * norms[j][0] + bound * norms[j][1])
+    levels = [(basis[j], *norms[j]) for j in order[:-1]]
+    inner = basis[order[-1]]
+    box = [reach] * k + [bound] * (d - k)
+    best = None
+
+    def walk(level, p, signed):
+        nonlocal best
+        if level < d - 1:
+            b, nx, nr = levels[level]
+            walk(level + 1, p, signed)
+            c = 1
+            while c * den <= box[0] * nx + bound * nr:
+                walk(level + 1, [a + c * u for a, u in zip(p, b)], True)
+                if signed:
+                    walk(level + 1, [a - c * u for a, u in zip(p, b)], True)
+                c += 1
+            return
+        # |p_l + c b_l| <= w_l for every coordinate l
+        lo, hi = [], []
+        for pl, bl, w in zip(p, inner, box):
+            if bl > 0:
+                lo.append(-((w + pl) // bl))
+                hi.append((w - pl) // bl)
+            elif bl < 0:
+                lo.append(-((w - pl) // -bl))
+                hi.append((w + pl) // -bl)
+            elif abs(pl) > w:
+                return
+        for c in range(max(lo) if signed else max(*lo, 1), min(hi) + 1):
+            v = [a + c * u for a, u in zip(p, inner)]
+            x, r = v[:k], v[k:]
+            s = max(map(abs, x))
+            e = max(map(abs, r))
+            if best is not None and (s, e) > best[:2]:
+                continue
+            a = next(a for a, xa in enumerate(x) if abs(xa) == s)
+            if x[a] < 0:
+                x, r = [-v for v in x], [-v for v in r]
+            if best is None or (s, e, a, x) < best[:4]:
+                best = (s, e, a, x, r)
+                box[:k] = [s] * k
+
+    walk(0, [0] * d, False)
+    if best is None:
+        return None
+    s, e, _, x, r = best
+    return s, e, tuple(x), tuple(r)
 
 
 def _nearest(rows, den, x):
@@ -421,67 +481,6 @@ def _nearest(rows, den, x):
         y.append(-q - up)
         e = max(e, den - r if up else r)
     return e, tuple(y)
-
-
-def _batches(np, free, t_max):
-    """The half-shells 1..t_max in scan order, a run of whole pieces at a time.
-
-    Yields (points as floats, shell of each piece, size of each piece).  A
-    piece is a block, or for a block of more than _BATCH_CAP points a slice
-    of it along its leading free coordinate (``_pieces``); a slice's float
-    minimum is >= its block's, so the scan's filter stays exact.  Batches
-    start at 32 points and double up to _BATCH_CAP, so a scan that stops
-    early stays cheap and no batch exceeds the cap.
-    """
-    size = 32
-    if free == 1:
-        s = 1
-        while s <= t_max:
-            shells = np.arange(s, min(s + size, t_max + 1), dtype=float)
-            s += len(shells)
-            yield shells.reshape(-1, 1), shells, np.ones(len(shells), dtype=int)
-            size = min(2 * size, _BATCH_CAP)
-        return
-    batch, total = [], 0
-    for s in range(1, t_max + 1):
-        for a in range(free):
-            block = [(1 - s, 2 * s - 1)] * a + [(s, 1)] + [(-s, 2 * s + 1)] * (free - 1 - a)
-            for piece, count in _pieces(block):
-                if batch and total + count > size:
-                    yield _filled(np, free, batch, total)
-                    batch, total, size = [], 0, min(2 * size, _BATCH_CAP)
-                batch.append((s, piece, count))
-                total += count
-    if batch:
-        yield _filled(np, free, batch, total)
-
-
-def _pieces(ranges):
-    """Lexicographic slices of at most _BATCH_CAP points, with their sizes, of
-    the block with coordinate b in range(lo_b, lo_b + n_b), given as [(lo_b, n_b)]."""
-    lengths = [n for _, n in ranges]
-    count = prod(lengths)
-    if count <= _BATCH_CAP:
-        return [(ranges, count)]
-    b = next(b for b, n in enumerate(lengths) if n > 1)
-    lo, n = ranges[b]
-    step = max(1, _BATCH_CAP // prod(lengths[b + 1 :]))
-    return [piece for start in range(lo, lo + n, step) for piece in
-            _pieces(ranges[:b] + [(start, min(step, lo + n - start))] + ranges[b + 1 :])]
-
-
-def _filled(np, free, batch, total):
-    """A batch as _batches yields it, from its (shell, piece, size) list."""
-    x = np.empty((total, free))
-    end = 0
-    for _, piece, count in batch:
-        view = x[end : end + count].reshape([n for _, n in piece] + [free])
-        end += count
-        for b, (lo, n) in enumerate(piece):
-            axis = [1] * free
-            axis[b] = n
-            view[..., b] = np.arange(lo, lo + n).reshape(axis)
-    return x, np.array([s for s, _, _ in batch], dtype=float), np.array([c for _, _, c in batch])
 
 
 def minkowski_guaranteed(system: System, h, r) -> bool:

@@ -117,21 +117,46 @@ class Certificate:
 
     @staticmethod
     def from_dict(data: dict) -> "Certificate":
+        """The certificate ``to_dict`` wrote.  A missing field raises KeyError;
+        a field of the wrong type or value TypeError or ValueError."""
+        n, m = int(data["n"]), int(data["m"])
         return Certificate(
             kind=data["kind"],
-            n=int(data["n"]),
-            m=int(data["m"]),
+            n=n,
+            m=m,
             theta=tuple(tuple(Fraction(v) for v in row) for row in data["theta"]),
             params=dict(data["params"]),
-            inputs={k: tuple(v) for k, v in data["inputs"].items()},
+            inputs={k: _integer_vector(v) for k, v in data["inputs"].items()},
             output_point=tuple(int(v) for v in data["output_point"]),
-            target=dict(data["target"]),
+            target=_checked_target(dict(data["target"]), n, m),
             checks=[(name, bool(ok)) for name, ok in data["checks"]],
         )
 
     @staticmethod
     def from_json(text: str) -> "Certificate":
         return Certificate.from_dict(json.loads(text))
+
+
+def _integer_vector(v) -> tuple:
+    if not isinstance(v, list) or not all(type(a) is int for a in v):
+        raise ValueError(f"input vectors must be lists of integers, not {v!r}")
+    return tuple(v)
+
+
+def _checked_target(target: dict, n: int, m: int) -> dict:
+    """``target`` itself, once it names a side and rational bounds: scalars
+    h and r, or n per-coordinate hbounds and m rbounds."""
+    if target.get("side") not in ("primal", "dual"):
+        raise ValueError(f"target side must be 'primal' or 'dual', not {target.get('side')!r}")
+    if "h" in target:
+        bounds = [target["h"]], [target["r"]]
+    else:
+        bounds = target["hbounds"], target["rbounds"]
+        if not all(isinstance(b, list) for b in bounds) or list(map(len, bounds)) != [n, m]:
+            raise ValueError(f"target hbounds and rbounds must be lists of {n} and {m} bounds")
+    for value in bounds[0] + bounds[1]:
+        Fraction(value)
+    return target
 
 
 def _system_of(cert: Certificate) -> System:

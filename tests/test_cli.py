@@ -243,8 +243,16 @@ MAHLER_FIELDS = {"kind": "mahler", "n": 1, "m": 1, "theta": [["1/2"]], "params":
         json.dumps({**MAHLER_FIELDS, "theta": [["1/2", "1/3"]]}),
         json.dumps({**MAHLER_FIELDS, "theta": [["1/0"]]}),
         json.dumps({**MAHLER_FIELDS, "inputs": []}),
+        json.dumps({**MAHLER_FIELDS, "inputs": {"v1": ["x", 0]}}),
+        json.dumps({**MAHLER_FIELDS, "target": {"h": "1", "r": "1"}}),
+        json.dumps({**MAHLER_FIELDS, "target": {"side": "dual", "h": "1", "r": "x"}}),
+        json.dumps({**MAHLER_FIELDS, "target": {"side": "up", "h": "1", "r": "1"}}),
+        json.dumps({**MAHLER_FIELDS, "target": {"side": "dual", "hbounds": ["1", "1"],
+                                                 "rbounds": ["1"]}}),
     ],
-    ids=["empty", "no-fields", "theta-shape", "theta-zero-denominator", "inputs-not-object"],
+    ids=["empty", "no-fields", "theta-shape", "theta-zero-denominator", "inputs-not-object",
+         "input-entry-not-integer", "target-without-side", "target-bound-not-rational", "target-side-unknown",
+         "target-bounds-wrong-length"],
 )
 def test_malformed_certificate_is_an_error(tmp_path, capsys, text):
     cert_file = tmp_path / "cert.json"

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from diotrans.exactlinalg import (
     grassmann,
     hnf,
     integer_kernel,
+    lll_reduce,
     mat_mul,
     orthogonal_lattice,
     saturate,
@@ -174,3 +176,37 @@ def test_contains_matches_cramer_on_full_rank_bases():
         members += lat.contains(shifted)
         checked += 1
     assert 0 < members < checked
+
+
+def test_lll_reduce_is_reduced_for_its_weights_and_keeps_the_lattice():
+    rng = random.Random(17)
+    for trial in range(120):
+        k = 1 + trial % 5
+        basis = [[rng.randint(-10**6, 10**6) for _ in range(k)] for _ in range(k)]
+        if _leibniz(basis) == 0:
+            continue
+        weights = [rng.choice((1, 3, 10**rng.randint(1, 12))) for _ in range(k)]
+        # rows of the cofactor matrix: <basis[a], dual[b]> = det * (a == b)
+        dual = [[(-1) ** (b + j) * _leibniz([row[:j] + row[j + 1:] for i, row in enumerate(basis)
+                                             if i != b]) for j in range(k)] for b in range(k)]
+        original = Lattice.from_basis(basis)
+        reduced = [list(row) for row in basis]
+        lll_reduce(reduced, weights, dual)
+        assert all(original.contains(v) for v in reduced)
+        assert all(Lattice.from_basis(reduced).contains(v) for v in basis)
+        det_ = _leibniz(basis)
+        assert [[sum(map(mul, u, v)) for v in dual] for u in reduced] == [
+            [det_ * (a == b) for b in range(k)] for a in range(k)]
+        # size reduction and the Lovasz condition (delta = 3/4), in rationals
+        def dot(u, v):
+            return sum(w * a * b for w, a, b in zip(weights, u, v))
+        ortho = []
+        for i, v in enumerate(reduced):
+            star = [Fraction(a) for a in v]
+            for j, bj in enumerate(ortho):
+                mu = dot(v, bj) / dot(bj, bj)
+                assert abs(mu) <= Fraction(1, 2)
+                star = [a - mu * b for a, b in zip(star, bj)]
+                if j == i - 1:
+                    assert dot(star, star) >= (Fraction(3, 4) - mu**2) * dot(bj, bj)
+            ortho.append(star)

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import diotrans
-import diotrans.geometry as geometry
 from diotrans.errors import BudgetExceeded
 from diotrans.exactlinalg import identity_matrix, mat_mul, transpose, wedge_norm_squared
 from diotrans.geometry import (
@@ -351,9 +350,10 @@ def test_scan_matches_exact_walk_on_every_shape():
 
 
 def test_scan_matches_snapshot():
-    # presets at t = 2000 (one free variable) or 150 (two), and rational
-    # t = 12 scans whose records tie inside a shell; recorded before the
-    # float shell argmin was replaced, witnesses included
+    # presets at t = 2000 (one free variable) or 150 (two), rational t = 12
+    # scans whose records tie inside a shell, and the cubic_1_1 Jarnik pair
+    # (primal t = 10^4, dual t = 10^5); recorded by the float scan, witnesses
+    # included, but for five shell ties now decided by half-shell order
     for case in json.loads(SCAN_SNAPSHOT.read_text()):
         if "preset" in case:
             system = get_preset(case["preset"]).build()
@@ -364,37 +364,26 @@ def test_scan_matches_snapshot():
         assert [[r.t, str(r.psi), list(r.witness)] for r in records] == case["records"], case
 
 
-def test_import_leaves_numpy_unloaded():
+def test_scans_leave_numpy_unloaded():
     src = str(Path(diotrans.__file__).resolve().parents[1])
-    code = "import sys, diotrans; print('numpy' in sys.modules)"
+    code = (
+        "import random, sys, diotrans\n"
+        "from diotrans.presets import random_system\n"
+        "rng = random.Random(3)\n"
+        "for n, m in ((1, 1), (2, 1), (1, 2), (2, 2), (1, 3), (3, 1)):\n"
+        "    for side in ('primal', 'dual'):\n"
+        "        diotrans.best_approx_table(random_system(rng, n, m), side, 12)\n"
+        "print('numpy' in sys.modules)"
+    )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.strip() == "False"
 
 
-def test_scan_slices_blocks_above_the_batch_cap(monkeypatch):
-    # a cap of 7 points slices most blocks, and from shell 4 on slices the
-    # three-variable ones twice (their rows hold 2s + 1 > 7 points); records
-    # and witnesses stay those of the unsliced scan
-    rng = random.Random(5)
-    cases = []
-    for free in (2, 3):
-        for side in ("primal", "dual"):
-            n, m = (1, free) if side == "primal" else (free, 1)
-            theta = [[Fraction(rng.getrandbits(400), 2**400) for _ in range(m)] for _ in range(n)]
-            system = System(n, m, theta)
-            cases.append((system, side, 12, best_approx_table(system, side, 12).records))
-    monkeypatch.setattr(geometry, "_BATCH_CAP", 7)
-    for system, side, t_max, records in cases:
-        assert best_approx_table(system, side, t_max).records == records
-        _assert_scan_is_exact(system, side, t_max)
-
-
-def test_scan_memory_is_bounded_by_the_batch_cap():
-    # a 1x3 primal scan to t = 200 has blocks of 401^2 points; whole, they
-    # peaked near 10 MB
+def test_scan_memory_stays_under_4_mb():
+    # a 1x3 primal table to t = 200 covers 401^3 points; float blocks of
+    # 401^2 of them peaked near 10 MB
     system = random_system(random.Random(1), 1, 3)
-    best_approx_table(system, "primal", 2)  # numpy loaded outside the trace
     tracemalloc.start()
     try:
         best_approx_table(system, "primal", 200)
@@ -402,3 +391,26 @@ def test_scan_memory_is_bounded_by_the_batch_cap():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("side", ["primal", "dual"])
+@pytest.mark.parametrize("theta, first, other", [
+    # one block (a = 0): (2, -1) is lexicographically before (2, 2)
+    ((Fraction(-1, 7), Fraction(-7, 3)), (2, -1), (2, 2)),
+    # blocks a = 0 and a = 1: (2, 2) comes first, although (-1, 2) < (2, 2)
+    ((Fraction(-2, 3), Fraction(-6, 7)), (2, 2), (-1, 2)),
+])
+def test_exact_shell_tie_keeps_the_first_minimiser_in_half_shell_order(theta, first, other, side):
+    # both points reach the record psi(2) of the 1x2 system exactly; the dual
+    # table of the transposed system has the same free vectors and residuals
+    def psi(v):
+        f = theta[0] * v[0] + theta[1] * v[1]
+        return abs(f - round(f))
+
+    system = System(1, 2, (theta,))
+    if side == "dual":
+        system = system.transposed()
+    record = best_approx_table(system, side, 12).records[1]
+    witness = record.witness[:2] if side == "primal" else record.witness[1:]
+    assert record.t == 2 and psi(first) == psi(other) == record.psi
+    assert witness == first
