@@ -11,9 +11,7 @@ transfer mahler|asymmetric|lemma|lemma3d|semicore|alphas-core
 verify-certificate FILE             independently re-check a certificate
 campaign --family NAME              randomized verification campaigns
 
-best-approx and estimate take --budget, a cap on the (2t+1)^k points of the
-box one record table covers (default geometry.DEFAULT_SCAN_BUDGET); transfer
-takes --budget, the candidates one box search may visit (default
+transfer takes --budget, the candidates one box search may visit (default
 geometry.DEFAULT_ENUM_BUDGET).
 delta, best-approx and campaign write JSON or, with --format csv, CSV; the
 other commands write JSON.
@@ -36,7 +34,7 @@ from typing import Optional, Sequence
 from . import harness
 from .errors import BudgetExceeded, DioTransError, HypothesisViolated, UsageError
 from .functions import FunctionSpec
-from .geometry import DEFAULT_ENUM_BUDGET, DEFAULT_SCAN_BUDGET, System, best_approx_table
+from .geometry import DEFAULT_ENUM_BUDGET, System, best_approx_table
 from .presets import PRESETS, get_preset, random_system
 from .sectiondual import delta_bounds_ok, delta_d
 from .transfer import (
@@ -171,7 +169,7 @@ def _cmd_delta(args) -> int:
 
 def _cmd_best_approx(args) -> int:
     system = _system_from_args(args)
-    table = best_approx_table(system, args.side, args.t_max, budget=args.budget)
+    table = best_approx_table(system, args.side, args.t_max)
     _emit(args, table.to_csv() if args.format == "csv" else table.to_json())
     return 0
 
@@ -181,7 +179,7 @@ def _cmd_estimate(args) -> int:
     out = {}
     sides = ("primal", "dual") if args.side == "both" else (args.side,)
     for side in sides:
-        est = harness.estimate_exponents(system, side, args.t_max, budget=args.budget)
+        est = harness.estimate_exponents(system, side, args.t_max)
         out[side] = est.as_dict()
     _emit(args, json.dumps(out, indent=2, sort_keys=True))
     return 0
@@ -326,11 +324,8 @@ def _add_system_args(p):
     p.add_argument("--m", type=int)
 
 
-def _add_common(p, *, budget: Optional[int], formats: bool):
-    """--output, with --budget (default ``budget``) on the commands that
-    search and --format on the commands that also write CSV."""
-    if budget is not None:
-        p.add_argument("--budget", type=int, default=budget)
+def _add_common(p, *, formats: bool):
+    """--output, with --format on the commands that also write CSV."""
     if formats:
         p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--output", help="write the report here instead of stdout")
@@ -343,21 +338,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("delta", help="central-section constants table")
     p.add_argument("--dmax", type=int, default=8)
-    _add_common(p, budget=None, formats=True)
+    _add_common(p, formats=True)
     p.set_defaults(fn=_cmd_delta)
 
     p = sub.add_parser("best-approx", help="best-approximation record scan")
     _add_system_args(p)
     p.add_argument("--side", choices=("primal", "dual"), default="primal")
     p.add_argument("--t-max", type=int, default=1000)
-    _add_common(p, budget=DEFAULT_SCAN_BUDGET, formats=True)
+    _add_common(p, formats=True)
     p.set_defaults(fn=_cmd_best_approx)
 
     p = sub.add_parser("estimate", help="fit approximation exponents")
     _add_system_args(p)
     p.add_argument("--side", choices=("primal", "dual", "both"), default="both")
     p.add_argument("--t-max", type=int, default=1000)
-    _add_common(p, budget=DEFAULT_SCAN_BUDGET, formats=False)
+    _add_common(p, formats=False)
     p.set_defaults(fn=_cmd_estimate)
 
     p = sub.add_parser("transfer", help="one constructive transference step")
@@ -379,12 +374,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", type=int, choices=(1, -1), default=1)
     p.add_argument("--phi", help="function spec family:coeff:exponent[:log_exponent]")
     p.add_argument("--psi", help="function spec family:coeff:exponent[:log_exponent]")
-    _add_common(p, budget=DEFAULT_ENUM_BUDGET, formats=False)
+    p.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
+    _add_common(p, formats=False)
     p.set_defaults(fn=_cmd_transfer)
 
     p = sub.add_parser("verify-certificate", help="re-check a serialized certificate")
     p.add_argument("file")
-    _add_common(p, budget=None, formats=False)
+    _add_common(p, formats=False)
     p.set_defaults(fn=_cmd_verify_certificate)
 
     p = sub.add_parser("campaign", help="randomized verification campaign")
@@ -395,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tier", choices=("fast", "standard", "deep"), default="fast")
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
-    _add_common(p, budget=None, formats=True)
+    _add_common(p, formats=True)
     p.set_defaults(fn=_cmd_campaign)
 
     return parser

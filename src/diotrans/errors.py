@@ -14,7 +14,7 @@ class NotSaturated(DioTransError):
 
 
 class BudgetExceeded(DioTransError):
-    """An enumeration or table scan exceeded the configured budget."""
+    """A box search has more outer candidates than its budget allows."""
 
 
 class HypothesisViolated(DioTransError):

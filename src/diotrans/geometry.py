@@ -1,8 +1,8 @@
 """The d-dimensional embedding of a linear system.
 
-Builds the dual pair of matrices T, T', the primal/dual parallelepipeds,
-exact membership and enumeration of their nonzero integer points, and
-best-approximation tables for exponent estimation.
+Builds the primal/dual parallelepipeds, exact membership and enumeration
+of their nonzero integer points, and best-approximation tables for
+exponent estimation.
 """
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ from .intervals import Enclosure
 from .radicals import _int_nth_root, exact_floor, exact_le, exact_mul, floor_within
 
 DEFAULT_ENUM_BUDGET = 10**7  # outer candidates of one box search
-DEFAULT_SCAN_BUDGET = 10**9  # (2t+1)^k points of one record table's box
 
 
 def _frac_matrix(theta, n, m):
@@ -106,26 +105,6 @@ def _dot(row: Sequence[int], v: Sequence[int]) -> int:
     return sum(map(mul, row, v))
 
 
-def build_T(system: System):
-    """Columns of T are l_1..l_m, e_{m+1}..e_d; of T' are e_1..e_m, l_{m+1}..l_d.
-
-    Satisfies T @ T'^t = identity exactly.
-    """
-    n, m, d = system.n, system.m, system.d
-    T = [[Fraction(0)] * d for _ in range(d)]
-    Tp = [[Fraction(0)] * d for _ in range(d)]
-    for j in range(m):
-        T[j][j] = Fraction(1)
-        Tp[j][j] = Fraction(1)
-    for i in range(n):
-        T[m + i][m + i] = Fraction(1)
-        Tp[m + i][m + i] = Fraction(1)
-        for j in range(m):
-            T[m + i][j] = -system.theta[i][j]
-            Tp[j][m + i] = system.theta[i][j]
-    return T, Tp
-
-
 @dataclass(frozen=True)
 class Box:
     """Parallelepiped M_{h,r} (side='primal') or M-hat_{h,r} (side='dual').
@@ -153,11 +132,6 @@ class Box:
         """Per-coordinate (hbounds, rbounds) of the conservative box."""
         b = self.conservative()
         return [b.h] * self.system.n, [b.r] * self.system.m
-
-    def inflated(self) -> "Box":
-        h = self.h.hi if isinstance(self.h, Enclosure) else self.h
-        r = self.r.hi if isinstance(self.r, Enclosure) else self.r
-        return Box(self.system, h, r, self.side)
 
 
 def _bound_check(value, bound) -> Optional[bool]:
@@ -328,12 +302,7 @@ class BestApproxTable:
         return buf.getvalue()
 
 
-def best_approx_table(
-    system: System,
-    side: str,
-    t_max: int,
-    budget: int = DEFAULT_SCAN_BUDGET,
-) -> BestApproxTable:
+def best_approx_table(system: System, side: str, t_max: int) -> BestApproxTable:
     """Jump table of psi(t) = min over 0 < |x|_inf <= t of |Theta x - y|_inf.
 
     side='dual' computes the transposed analog.  Exact for every shape, in
@@ -351,9 +320,6 @@ def best_approx_table(
     """
     form = system.integer_form
     rows = form.rows if side == "primal" else form.cols
-    free = len(rows[0])
-    if (2 * t_max + 1) ** free > budget:
-        raise BudgetExceeded(f"(2*{t_max}+1)^{free} exceeds budget {budget}")
     table = BestApproxTable(side=side, t_max=t_max)
     for s, e, x, y in _records(rows, form.den, t_max):
         # box convention: psi = |Theta x + y|_inf resp. |tTheta y - x|_inf;
@@ -481,10 +447,3 @@ def _nearest(rows, den, x):
         y.append(-q - up)
         e = max(e, den - r if up else r)
     return e, tuple(y)
-
-
-def minkowski_guaranteed(system: System, h, r) -> bool:
-    """Volume test (2r)^m (2h)^n >= 2^d ensuring a nonzero point (det T = 1)."""
-    n, m, d = system.n, system.m, system.d
-    vol = (2 * Fraction(r)) ** m * (2 * Fraction(h)) ** n
-    return vol >= 2**d

@@ -8,8 +8,6 @@ which of the three individual-exponent lower bounds is strongest.
 """
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import random
@@ -21,10 +19,10 @@ from typing import Optional, Sequence
 from .errors import DomainError, HypothesisViolated
 from .exactlinalg import orthogonal_lattice, saturate, wedge_norm_squared
 from .functions import FunctionSpec
-from .geometry import DEFAULT_SCAN_BUDGET, System, best_approx_table
+from .geometry import System, best_approx_table
 from .presets import PRESETS, cubic_pair_family, random_rational_system, random_system
 from .radicals import exact_div, exact_le, exact_mul
-from .sectiondual import cube_section_volume_squared
+from .sectiondual import cube_section_volume_squared, delta_d
 from .transfer import (
     mahler_transfer,
     mahler_transfer_asymmetric,
@@ -103,12 +101,7 @@ def _certify_record_exponent(psi: Fraction, t: int, start: float) -> Fraction:
     return Fraction(p, 64)
 
 
-def estimate_exponents(
-    system: System,
-    side: str,
-    t_max: int,
-    budget: int = DEFAULT_SCAN_BUDGET,
-) -> ExponentEstimate:
+def estimate_exponents(system: System, side: str, t_max: int) -> ExponentEstimate:
     """Fit alpha and beta from the jump table of the best-approximation
     function.
 
@@ -122,7 +115,7 @@ def estimate_exponents(
     fits.  psi = 0 records (exactly rational directions) cap the exponents
     at MAX_EXP.
     """
-    records = best_approx_table(system, side, t_max, budget=budget).records
+    records = best_approx_table(system, side, t_max).records
     capped = any(rec.psi == 0 for rec in records)
 
     # Working points: (log t, -log psi).  The plain ratio -log psi / log t
@@ -190,13 +183,6 @@ def estimate_exponents(
         beta_lower=beta_lower,
         capped=capped,
         n_records=len(records),
-    )
-
-
-def estimate_both_sides(system: System, t_max_primal: int, t_max_dual: int):
-    return (
-        estimate_exponents(system, "primal", t_max_primal),
-        estimate_exponents(system, "dual", t_max_dual),
     )
 
 
@@ -858,8 +844,15 @@ def campaign_covolumes(trials: int = 500, max_dim: int = 8, seed: int = 0) -> Ca
 
 
 def campaign_cube_sections(trials: int = 1000, max_dim: int = 8, seed: int = 0) -> CampaignResult:
-    """Central hyperplane sections of the cube [-1,1]^d: squared volume must
-    lie in [4^(d-1), 2*4^(d-1)] exactly (unit-ball and diagonal extremes)."""
+    """Central hyperplane sections of the cube [-1,1]^d, exact on squares.
+
+    The squared volume vol2(a) of the section orthogonal to a normal a lies
+    in [4^(d-1), 2*4^(d-1)] (unit-ball and diagonal extremes).  The cube's
+    section-dual body, |v|^2 <= 4^(1-d) vol2(v), contains in the direction
+    of a the Delta_d-cube, the inclusion behind the improved Mahler constant
+    Delta_d^(-1/(d-1)): 4^(d-1) Delta_d^2 |a|_2^2 <= vol2(a) |a|_inf^2; and
+    the capped octahedron sum |x_i| <= 2, |x_j| <= 1:
+    4^(d-1) |a|_2^2 <= vol2(a) max(|a|_1 / 2, |a|_inf)^2."""
     result = CampaignResult("cube_sections")
     rng = random.Random(seed)
     for _ in range(trials):
@@ -868,8 +861,14 @@ def campaign_cube_sections(trials: int = 1000, max_dim: int = 8, seed: int = 0) 
         if all(v == 0 for v in normal):
             normal[0] = Fraction(1)
         vol2 = cube_section_volume_squared(normal)
-        result.record(Fraction(4) ** (d - 1) <= vol2 <= 2 * Fraction(4) ** (d - 1),
-                      {"d": d, "normal": [str(v) for v in normal], "vol2": str(vol2)})
+        face = Fraction(4) ** (d - 1)
+        norm2 = sum(v * v for v in normal)
+        sup = max(map(abs, normal))
+        octahedron = max(sum(map(abs, normal)) / 2, sup)
+        ok = (face <= vol2 <= 2 * face
+              and face * delta_d(d) ** 2 * norm2 <= vol2 * sup**2
+              and face * norm2 <= vol2 * octahedron**2)
+        result.record(ok, {"d": d, "normal": [str(v) for v in normal], "vol2": str(vol2)})
     return result
 
 
@@ -934,13 +933,3 @@ def campaign_uniform_bounds() -> CampaignResult:
                      "classical": str(classical), "sharpened": str(sharpened)}
             result.record(ok, entry, entry)
     return result
-
-
-def reports_to_csv(reports: Sequence[InequalityReport]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["family", "n", "m", "lhs", "rhs", "slack", "passed"])
-    for r in reports:
-        w.writerow([r.family, r.n, r.m, f"{r.lhs:.6g}", f"{r.rhs:.6g}",
-                    f"{r.slack:.6g}", r.passed])
-    return buf.getvalue()

@@ -2,10 +2,10 @@
 
 Each operation takes exact inputs, checks its hypothesis pessimistically,
 derives the guaranteed target parallelepiped, finds a nonzero integer point
-in it by exhaustive enumeration, and returns a ``Certificate`` recording
-inputs, parameters, the witness, and every verification performed.  A
-certificate can be serialized to JSON and re-verified independently with
-plain rational arithmetic.
+in it by an exact least-point search (``geometry.least_point``), and returns
+a ``Certificate`` recording inputs, parameters, the witness, and every
+verification performed.  A certificate can be serialized to JSON and
+re-verified independently with plain rational arithmetic.
 """
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from typing import Optional, Sequence
 
 from .errors import (
     BudgetExceeded,
-    DioTransError,
     HypothesisViolated,
     NonCollinearRequired,
     NoWitnesses,
@@ -206,33 +205,6 @@ def _in_coordinate_box(system, side, z, hbounds, rbounds) -> bool:
     return all(abs(v) <= b for v, b in zip(coords, coord_bounds)) and all(
         Fraction(abs(v), den) <= b for v, b in zip(nums, num_bounds)
     )
-
-
-# ---------------------------------------------------------------------------
-# cube-section bound (the wedge-product estimate)
-# ---------------------------------------------------------------------------
-
-
-def cube_section_bound_squared(system: System, z1: Sequence, z2: Sequence) -> Fraction:
-    """Squared upper bound 2d(d-1) max(...)^2 for |z1 ^ z2|.
-
-    The max runs over |x1||x2|, |y1||y2| and max(|x1|,|x2|) max(|y1|,|y2|)
-    with x the first m and y the last n coordinates.  Raises DioTransError
-    if the actual squared wedge norm exceeds the bound.
-    """
-    d = system.d
-    x1, y1 = system.split(z1)
-    x2, y2 = system.split(z2)
-    ax1 = max(abs(Fraction(v)) for v in x1)
-    ax2 = max(abs(Fraction(v)) for v in x2)
-    ay1 = max(abs(Fraction(v)) for v in y1)
-    ay2 = max(abs(Fraction(v)) for v in y2)
-    mx = max(ax1 * ax2, ay1 * ay2, max(ax1, ax2) * max(ay1, ay2))
-    bound_sq = 2 * d * (d - 1) * mx**2
-    actual = wedge_norm_squared((tuple(z1), tuple(z2)))
-    if actual > bound_sq:
-        raise DioTransError("wedge bound violated - arithmetic bug")
-    return bound_sq
 
 
 # ---------------------------------------------------------------------------
@@ -493,13 +465,6 @@ def main_lemma_transfer_3d(
         _kind="lemma3d",
         _constant_sq=Fraction(1, 4),
     )
-
-
-def products_inequality(h1, r1, h2, r2) -> bool:
-    """r1 r2 h1 h2 <= (max(r1,r2) max(h1,h2))^2 — the elementary fact behind
-    the sufficiency shortcut for the product bound."""
-    cross = exact_mul(exact_max(r1, r2), exact_max(h1, h2))
-    return exact_le(exact_mul(exact_mul(r1, r2), exact_mul(h1, h2)), exact_mul(cross, cross))
 
 
 # ---------------------------------------------------------------------------

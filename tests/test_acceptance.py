@@ -18,7 +18,7 @@ from diotrans.harness import (
     campaign_main_lemma,
     campaign_main_lemma_gap,
     campaign_uniform_bounds,
-    estimate_both_sides,
+    estimate_exponents,
 )
 from diotrans.intervals import Enclosure
 from diotrans.presets import get_preset
@@ -108,7 +108,8 @@ def test_exponent_reproduction(capsys):
     details = []
     for name in ("golden", "sqrt2"):
         system = get_preset(name).build()
-        ep, ed = estimate_both_sides(system, 10**5, 10**5)
+        ep = estimate_exponents(system, "primal", 10**5)
+        ed = estimate_exponents(system, "dual", 10**5)
         for est in (ep, ed):
             ok = ok and 0.95 <= est.alpha_fit <= 1.05 and 0.95 <= est.beta_fit <= 1.05
         details.append(f"{name} alpha={ep.alpha_fit:.4f}")
@@ -152,7 +153,8 @@ def test_cube_section_volume_campaign(capsys):
     _summary(capsys, "central cube-section volume bounds", result.all_passed,
              elapsed, 30.0,
              f"{result.passed}/{result.trials} normals with "
-             "4^(d-1) <= vol^2 <= 2*4^(d-1) exactly")
+             "4^(d-1) <= vol^2 <= 2*4^(d-1) exactly and a section-dual body "
+             "holding the Delta_d-cube and the capped octahedron")
 
 
 def test_uniform_bound_comparison(capsys):

@@ -1,9 +1,12 @@
 import json
+import random
 
 import pytest
 
+from diotrans import harness
 from diotrans.cli import build_parser, run
-from diotrans.geometry import DEFAULT_ENUM_BUDGET, DEFAULT_SCAN_BUDGET
+from diotrans.geometry import DEFAULT_ENUM_BUDGET
+from diotrans.presets import random_system
 
 
 def _run(capsys, *argv):
@@ -69,8 +72,8 @@ def test_hypothesis_violation_exit_2(capsys):
 def test_budget_exceeded_exit_3(capsys):
     code, _, err = _run(
         capsys,
-        "best-approx", "--preset", "golden", "--side", "dual",
-        "--t-max", "10000", "--budget", "100",
+        "transfer", "mahler", "--theta", "1/2", "--n", "1", "--m", "1",
+        "--X", "10", "--U", "1/10", "--budget", "1",
     )
     assert code == 3 and "budget" in err.lower()
 
@@ -163,8 +166,8 @@ SYSTEM_FLAGS = ["--preset", "--theta", "--random", "--n", "--m"]
 CLI_SURFACE = {
     "diotrans": ["--config"],
     "delta": ["--dmax", "--format", "--output"],
-    "best-approx": SYSTEM_FLAGS + ["--side", "--t-max", "--budget", "--format", "--output"],
-    "estimate": SYSTEM_FLAGS + ["--side", "--t-max", "--budget", "--output"],
+    "best-approx": SYSTEM_FLAGS + ["--side", "--t-max", "--format", "--output"],
+    "estimate": SYSTEM_FLAGS + ["--side", "--t-max", "--output"],
     "transfer": SYSTEM_FLAGS + ["--X", "--U", "--k", "--v1", "--v2", "--h", "--r", "--t",
                                 "--Phi", "--Psi", "--direction", "--phi", "--psi",
                                 "--budget", "--output"],
@@ -185,15 +188,17 @@ def test_cli_surface_is_pinned():
 
 def test_budget_defaults_are_the_library_constants():
     subs = _subcommands()
-    assert subs["best-approx"].get_default("budget") == DEFAULT_SCAN_BUDGET
-    assert subs["estimate"].get_default("budget") == DEFAULT_SCAN_BUDGET
     assert subs["transfer"].get_default("budget") == DEFAULT_ENUM_BUDGET
+    assert subs["best-approx"].get_default("budget") is None
+    assert subs["estimate"].get_default("budget") is None
 
 
 @pytest.mark.parametrize(
     "argv",
     [
         ("delta", "--budget", "5"),
+        ("best-approx", "--preset", "golden", "--t-max", "50", "--budget", "5"),
+        ("estimate", "--preset", "golden", "--t-max", "50", "--budget", "5"),
         ("estimate", "--preset", "golden", "--t-max", "50", "--format", "csv"),
         ("transfer", "mahler", "--theta", "1/2", "--n", "1", "--m", "1",
          "--X", "10", "--U", "1/10", "--format", "json"),
@@ -219,7 +224,7 @@ def test_config_setting_a_removed_flag_is_a_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        # two free variables beyond the box budget's t = 1580
+        # two free variables beyond the enumeration budget's t = 1580
         ("best-approx", "--preset", "plastic", "--t-max", "1600"),
         ("estimate", "--preset", "plastic", "--t-max", "3000"),
     ],
@@ -228,6 +233,16 @@ def test_scans_default_to_the_scan_budget(capsys, argv):
     code, out, err = _run(capsys, *argv)
     assert code == 0, err
     assert json.loads(out)
+
+
+def test_scans_of_three_free_variables_run_at_the_deep_tier(capsys):
+    # (2 * 500 + 1)^3 > 10^9: the lattice search visits no such box
+    ep, ed = harness.exponents_for_system(random_system(random.Random(1), 1, 3), "deep")
+    assert (ep.t_max, ed.t_max) == (500, 10**6) and ep.n_records and ed.n_records
+    code, out, err = _run(capsys, "best-approx", "--random", "3", "--n", "1", "--m", "3",
+                          "--t-max", "500")
+    assert code == 0, err
+    assert json.loads(out)["records"]
 
 
 MAHLER_FIELDS = {"kind": "mahler", "n": 1, "m": 1, "theta": [["1/2"]], "params": {},

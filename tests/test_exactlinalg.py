@@ -15,7 +15,6 @@ from diotrans.exactlinalg import (
     hnf,
     integer_kernel,
     lll_reduce,
-    mat_mul,
     orthogonal_lattice,
     saturate,
     wedge_norm_squared,
@@ -33,10 +32,15 @@ def test_wedge_of_dependent_vectors_is_zero():
     assert wedge_norm_squared(((1, 2), (2, 4))) == 0
 
 
+def _mat_mul(a, b):
+    """Reference matrix product of lists of rows."""
+    return [[sum(map(mul, row, col)) for col in zip(*b)] for row in a]
+
+
 def test_hnf_is_unimodular_transform():
     mat = [[4, 6, 2], [2, 2, 0]]
     h, u = hnf(mat)  # column-style: H = mat @ U with U unimodular
-    assert mat_mul(mat, u) == h
+    assert _mat_mul(mat, u) == h
     # u is square integer with det +-1: recover via gram determinant
     assert gram_det(u) == 1
 

@@ -13,17 +13,15 @@ from hypothesis import given, settings, strategies as st
 
 import diotrans
 from diotrans.errors import BudgetExceeded
-from diotrans.exactlinalg import identity_matrix, mat_mul, transpose, wedge_norm_squared
+from diotrans.exactlinalg import wedge_norm_squared
 from diotrans.geometry import (
     Box,
     System,
     best_approx_table,
     box_contains,
-    build_T,
     enumerate_nonzero,
     enumerate_nonzero_general,
     least_point,
-    minkowski_guaranteed,
 )
 from diotrans.presets import get_preset, random_system
 from diotrans.radicals import Radical, exact_floor
@@ -35,13 +33,6 @@ def _fib(k):
     for _ in range(k):
         a, b = b, a + b
     return a
-
-
-def test_T_matrices_are_mutually_inverse():
-    system = System(2, 2, ((Fraction(1, 3), Fraction(2, 7)), (Fraction(5, 11), Fraction(1, 2))))
-    T, Tp = build_T(system)
-    prod = mat_mul(T, transpose(Tp))
-    assert prod == [[Fraction(v) for v in row] for row in identity_matrix(4)]
 
 
 def test_zero_theta_box_has_eight_points():
@@ -92,18 +83,6 @@ def test_dual_table_matches_transposed_primal():
     t1 = best_approx_table(system, "dual", 300)
     t2 = best_approx_table(system.transposed(), "primal", 300)
     assert [(r.t, r.psi) for r in t1.records] == [(r.t, r.psi) for r in t2.records]
-
-
-def test_minkowski_guarantee_threshold():
-    system = System(1, 1, ((Fraction(1, 3),),))
-    assert minkowski_guaranteed(system, 1, 1)
-    assert not minkowski_guaranteed(system, Fraction(1, 2), 1)
-
-
-def test_budget_exceeded_raised():
-    system = get_preset("golden").build()
-    with pytest.raises(BudgetExceeded):
-        best_approx_table(system, "dual", 10**4, budget=10)
 
 
 def test_table_serialization_roundtrip():

@@ -21,7 +21,6 @@ from diotrans.harness import (
     dominions_brute,
     estimate_exponents,
     loranoyadenie_rhs,
-    reports_to_csv,
     uniform_bound_comparison,
     _SCALE_EXPONENTS,
     _SCALE_GRID,
@@ -252,15 +251,6 @@ def test_presets_pass_core_inequalities():
 def test_campaign_inequalities_smoke():
     result = campaign_inequalities(1, 1, trials=5, seed=2, tier="fast")
     assert result.all_passed, result.failures[:3]
-
-
-def test_reports_to_csv_shape():
-    system = get_preset("golden").build()
-    reports = check_all_inequalities(system, tier="fast")
-    text = reports_to_csv(reports)
-    lines = text.strip().splitlines()
-    assert lines[0] == "family,n,m,lhs,rhs,slack,passed"
-    assert len(lines) == len(reports) + 1
 
 
 # ---------------------------------------------------------------------------

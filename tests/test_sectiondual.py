@@ -4,18 +4,13 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from diotrans.geometry import Box, System
+import diotrans.harness as harness
 from diotrans.intervals import Enclosure
-from diotrans.presets import random_rational_system
 from diotrans.sectiondual import (
-    box_matrix,
     cube_section_volume_squared,
     delta_bounds_ok,
     delta_d,
     improved_mahler_factor,
-    section_dual_contains,
-    section_dual_contains_matrix,
-    verify_cube_wedge_bodies,
 )
 
 
@@ -81,77 +76,32 @@ def test_section_volume_scale_invariant():
     assert cube_section_volume_squared(a) == cube_section_volume_squared(b)
 
 
-def test_section_dual_membership():
-    system = System(1, 1, ((Fraction(1, 2),),))
-    box = Box(system, 1, 1, "primal")
-    assert section_dual_contains(box, (Fraction(0), Fraction(0))) == "in"
-    assert section_dual_contains(box, (Fraction(100), Fraction(100))) == "out"
+def test_diagonal_section_meets_the_delta_cube_check_with_equality():
+    # the campaign's Delta_d-cube check 4^(d-1) Delta_d^2 |a|_2^2 <= vol2(a) |a|_inf^2
+    # is an equality at a = (1, ..., 1), so no larger cube constant passes
+    for d in range(2, 9):
+        assert cube_section_volume_squared([1] * d) == 4 ** (d - 1) * d * delta_d(d) ** 2
 
 
-def test_cube_wedge_bodies_report():
-    report = verify_cube_wedge_bodies(3, samples=15)
-    assert report.passed and report.counterexample is None
-
-
-def _cofactor_matrix(a):
-    """det(A) * A^(-T) by Gauss-Jordan elimination: the reference formula."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] for row in a]
-    det = Fraction(1)
-    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        piv = next(r for r in range(c, n) if m[r][c])
-        if piv != c:
-            m[piv], m[c] = m[c], m[piv]
-            inv[piv], inv[c] = inv[c], inv[piv]
-            det = -det
-        det *= m[c][c]
-        f = 1 / m[c][c]
-        m[c] = [x * f for x in m[c]]
-        inv[c] = [x * f for x in inv[c]]
-        for r in range(n):
-            if r != c and m[r][c]:
-                g = m[r][c]
-                m[r] = [x - g * y for x, y in zip(m[r], m[c])]
-                inv[r] = [x - g * y for x, y in zip(inv[r], inv[c])]
-    return [[det * inv[j][i] for j in range(n)] for i in range(n)]
-
-
-def _contains_by_cofactors(a, v):
-    """|v|^2 |w|^2 <= 4^(1-d) vol^2(w) |cof(A) w|^2 with w = A^T v."""
-    d = len(v)
-    w = [sum(a[i][j] * v[i] for i in range(d)) for j in range(d)]
-    cof = _cofactor_matrix(a)
-    cw = [sum(cof[i][j] * w[j] for j in range(d)) for i in range(d)]
-    lhs = sum(x * x for x in v) * sum(x * x for x in w)
-    rhs = Fraction(4) ** (1 - d) * cube_section_volume_squared(w) * sum(x * x for x in cw)
-    return "in" if lhs <= rhs else "out"
-
-
-def test_section_dual_matrix_test_matches_cofactor_formula():
-    rng = random.Random(8)
-    outcomes = []
-    for trial in range(240):
-        d = 2 + trial % 4
-        n = rng.randint(1, d - 1)
-        system = random_rational_system(rng, n, d - n, max_den=9)
-        h = Fraction(rng.randint(1, 40), rng.randint(1, 12))
-        r = Fraction(rng.randint(1, 40), rng.randint(1, 12))
-        a = box_matrix(Box(system, h, r, ("primal", "dual")[trial % 2]))
-        scale = Fraction(2) ** rng.randint(-6, 6)
-        v = [scale * Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(d)]
-        if not any(v):
+def test_every_planar_normal_meets_the_delta_cube_check_with_equality():
+    rng = random.Random(2)
+    for _ in range(200):
+        a = [Fraction(rng.randint(-20, 20), rng.randint(1, 20)) for _ in range(2)]
+        if not any(a):
             continue
-        got = section_dual_contains_matrix(a, v)
-        assert got == _contains_by_cofactors(a, v), (a, v)
-        outcomes.append(got)
-    assert len(outcomes) >= 200
-    assert outcomes.count("in") >= 20 and outcomes.count("out") >= 20
+        norm2 = sum(v * v for v in a)
+        sup = max(map(abs, a))
+        assert 4 * delta_d(2) ** 2 * norm2 == cube_section_volume_squared(a) * sup**2
 
 
-def test_section_dual_errors():
-    system = System(1, 1, ((Fraction(1, 2),),))
-    with pytest.raises(ValueError, match="singular"):
-        section_dual_contains(Box(system, 0, 1, "primal"), (Fraction(1), Fraction(0)))
-    with pytest.raises(ValueError, match="nonzero"):
-        section_dual_contains_matrix([[1, 2], [2, 4]], (2, -1))
+def test_two_coordinate_normal_meets_the_octahedron_check_with_equality():
+    # 4^(d-1) |a|_2^2 <= vol2(a) max(|a|_1 / 2, |a|_inf)^2 at a = (1, 1, 0, ..., 0)
+    for d in range(2, 9):
+        assert 4 ** (d - 1) * 2 == cube_section_volume_squared([1, 1] + [0] * (d - 2))
+
+
+def test_cube_sections_campaign_fails_a_larger_cube_constant(monkeypatch):
+    assert harness.campaign_cube_sections(trials=200, seed=3).all_passed
+    monkeypatch.setattr(harness, "delta_d", lambda d: delta_d(d) * Fraction(1001, 1000))
+    result = harness.campaign_cube_sections(trials=200, seed=3)
+    assert 0 < result.passed < result.trials

@@ -4,9 +4,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
 
-import diotrans.transfer as transfer_module
 from diotrans.errors import (
     DioTransError,
     HypothesisViolated,
@@ -24,13 +22,11 @@ from diotrans.transfer import (
     Certificate,
     alphas_core,
     core_hypothesis_ok,
-    cube_section_bound_squared,
     mahler_transfer,
     mahler_transfer_asymmetric,
     main_lemma_hypothesis,
     main_lemma_transfer,
     main_lemma_transfer_3d,
-    products_inequality,
     semicore,
     transference_parameters,
     verify_certificate,
@@ -189,30 +185,6 @@ def test_3d_gap_instance_separates_constants():
         main_lemma_transfer(system, v1, v2, h, 1)
     cert = main_lemma_transfer_3d(system, v1, v2, h, 1)
     assert cert.all_ok() and verify_certificate(cert)[0]
-
-
-def test_cube_section_bound_dominates_wedge():
-    system = System(1, 2, ((Fraction(1, 3), Fraction(1, 7)),))
-    b = cube_section_bound_squared(system, (1, 2, 3), (0, 1, -1))
-    assert b > 0  # the internal check already confirmed wedge <= bound
-
-
-def test_cube_section_bound_violation_raises_library_error(monkeypatch):
-    # a plain assert would vanish under python -O
-    system = System(1, 2, ((Fraction(1, 3), Fraction(1, 7)),))
-    monkeypatch.setattr(transfer_module, "wedge_norm_squared", lambda pair: Fraction(10**9))
-    with pytest.raises(DioTransError, match="wedge bound violated"):
-        cube_section_bound_squared(system, (1, 2, 3), (0, 1, -1))
-
-
-@given(
-    st.fractions(min_value=Fraction(1, 20), max_value=20),
-    st.fractions(min_value=Fraction(1, 20), max_value=20),
-    st.fractions(min_value=Fraction(1, 20), max_value=20),
-    st.fractions(min_value=Fraction(1, 20), max_value=20),
-)
-def test_products_inequality_always_holds(h1, r1, h2, r2):
-    assert products_inequality(h1, r1, h2, r2)
 
 
 def test_semicore_two_witness_step():
