@@ -142,9 +142,6 @@ class GrassmannCoords:
     subsets: tuple[tuple[int, ...], ...]
     coefficients: tuple
 
-    def norm_squared(self):
-        return sum(Fraction(c) * Fraction(c) for c in self.coefficients)
-
 
 def grassmann(vectors: Sequence[Sequence]) -> GrassmannCoords:
     k = len(vectors)

@@ -265,15 +265,6 @@ class BestApproxTable:
     t_max: int
     records: list[ApproxRecord] = field(default_factory=list)
 
-    def psi_at(self, t: int) -> Optional[Fraction]:
-        best = None
-        for rec in self.records:
-            if rec.t <= t:
-                best = rec.psi
-            else:
-                break
-        return best
-
     def to_rows(self):
         return [
             {

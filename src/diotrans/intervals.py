@@ -1,26 +1,14 @@
-"""Directed-rounding enclosures backed by mpmath's interval arithmetic.
+"""Closed intervals with exact rational endpoints.
 
-Rational operands stay exact; transcendental steps (exp, ln, real powers)
-go through ``mpmath.iv`` at the working precision DEFAULT_PREC and come back
-as pairs of Fractions with outward rounding preserved.  ``Enclosure.of``
-takes a higher precision for the callers that refine a radical's bounds.
+Rational operands stay exact.  A radical rho**(1/k) becomes its 160-bit
+floor and ceiling, computed with one integer k-th root.  Only the truly
+transcendental steps (exp and ln, hence real powers) use ``mpmath.iv``, at
+the working precision DEFAULT_PREC, and come back as pairs of Fractions with
+outward rounding preserved; mpmath is imported on the first such step.
 """
 from __future__ import annotations
 
-from contextlib import contextmanager
 from fractions import Fraction
-
-import mpmath
-
-
-@contextmanager
-def _iv_prec(prec: int):
-    old = mpmath.iv.prec
-    mpmath.iv.prec = prec
-    try:
-        yield
-    finally:
-        mpmath.iv.prec = old
 
 DEFAULT_PREC = 160  # bits
 
@@ -45,23 +33,23 @@ class Enclosure:
             raise ValueError("empty enclosure")
 
     @staticmethod
-    def of(value, prec: int = DEFAULT_PREC) -> "Enclosure":
-        from .radicals import Radical  # deferred: radicals imports this module
+    def of(value) -> "Enclosure":
+        from .radicals import Radical, _int_nth_root  # deferred: radicals imports this module
         if isinstance(value, Enclosure):
             return value
-        if isinstance(value, Radical):
-            return Enclosure._root(value.radicand, value.index, prec)
-        return Enclosure(Fraction(value))
-
-    @staticmethod
-    def _root(rho: Fraction, k: int, prec: int) -> "Enclosure":
+        if not isinstance(value, Radical):
+            return Enclosure(Fraction(value))
+        p, q, k = value.radicand.numerator, value.radicand.denominator, value.index
         if k == 1:
-            return Enclosure(rho)
-        with _iv_prec(prec):
-            x = mpmath.iv.mpf(rho.numerator) / mpmath.iv.mpf(rho.denominator)
-            y = mpmath.iv.exp(mpmath.iv.log(x) / k)
-        lo, hi = (_mpf_to_fraction(t) for t in y._mpi_)
-        return Enclosure(max(lo, Fraction(0)), hi)
+            return Enclosure(value.radicand)
+        # n = floor(v * 2^s) keeps about DEFAULT_PREC bits of v = (p/q)^(1/k);
+        # v is irrational once Radical has reduced it, so lo < v < hi.
+        s = DEFAULT_PREC - (p.bit_length() - q.bit_length()) // k
+        if s >= 0:
+            n = _int_nth_root((p << s * k) // q, k)[0]
+            return Enclosure(Fraction(n, 1 << s), Fraction(n + 1, 1 << s))
+        n = _int_nth_root(p // (q << -s * k), k)[0]
+        return Enclosure(n << -s, (n + 1) << -s)
 
     # -- exact arithmetic ----------------------------------------------
 
@@ -99,22 +87,28 @@ class Enclosure:
 
     # -- transcendental steps -------------------------------------------
 
-    def _via_iv(self, fn) -> "Enclosure":
-        # exp and log are monotone, so the hull of the two endpoint images
-        # encloses the image of the whole interval.
-        with _iv_prec(DEFAULT_PREC):
-            lo = fn(mpmath.iv.mpf(self.lo.numerator) / mpmath.iv.mpf(self.lo.denominator))
-            hi = fn(mpmath.iv.mpf(self.hi.numerator) / mpmath.iv.mpf(self.hi.denominator))
-        ends = [_mpf_to_fraction(t) for y in (lo, hi) for t in y._mpi_]
+    def _via_iv(self, name: str) -> "Enclosure":
+        import mpmath  # deferred: exp and ln are its only use
+
+        iv = mpmath.iv
+        fn = getattr(iv, name)
+        old, iv.prec = iv.prec, DEFAULT_PREC
+        try:
+            # exp and log are monotone, so the hull of the two endpoint images
+            # encloses the image of the whole interval.
+            ys = [fn(iv.mpf(x.numerator) / iv.mpf(x.denominator)) for x in (self.lo, self.hi)]
+        finally:
+            iv.prec = old
+        ends = [_mpf_to_fraction(t) for y in ys for t in y._mpi_]
         return Enclosure(min(ends), max(ends))
 
     def exp(self) -> "Enclosure":
-        return self._via_iv(mpmath.iv.exp)
+        return self._via_iv("exp")
 
     def ln(self) -> "Enclosure":
         if self.lo <= 0:
             raise ValueError("log of non-positive enclosure")
-        return self._via_iv(mpmath.iv.log)
+        return self._via_iv("log")
 
     def pow(self, exponent: Fraction) -> "Enclosure":
         e = Fraction(exponent)
@@ -137,13 +131,6 @@ class Enclosure:
     def surely_lt(self, other) -> bool:
         other = Enclosure.of(other)
         return self.hi < other.lo
-
-    def possibly_le(self, other) -> bool:
-        other = Enclosure.of(other)
-        return self.lo <= other.hi
-
-    def width(self) -> Fraction:
-        return self.hi - self.lo
 
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2

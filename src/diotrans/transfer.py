@@ -29,7 +29,7 @@ from .functions import FunctionSpec
 from .geometry import (
     DEFAULT_ENUM_BUDGET, Box, System, box_contains, enumerate_nonzero, least_point,
 )
-from .intervals import DEFAULT_PREC, Enclosure
+from .intervals import Enclosure
 from .radicals import (
     Radical, exact_div, exact_eq, exact_le, exact_lt, exact_max, exact_mul, exact_pow,
 )
@@ -43,23 +43,12 @@ from .sectiondual import delta_d, improved_mahler_factor
 
 def _rat_lower(value, floor_at) -> Fraction:
     """A rational lower bound of an exact/enclosed positive value, at least
-    ``floor_at`` (a rational known to be <= value).
+    ``floor_at`` (a rational known to be <= value, or <= its enclosure's lo).
 
-    Precision is raised until the bound reaches floor_at, so conservative
-    target boxes never exclude an already-found witness.
+    The found witness gives floor_at, so conservative target boxes never
+    exclude it.
     """
-    if not isinstance(value, (Radical, Enclosure)):
-        return Fraction(value)
-    prec = DEFAULT_PREC
-    lo = Enclosure.of(value, prec).lo
-    while lo < floor_at and prec < 20000:
-        if isinstance(value, Enclosure):
-            raise PrecisionExhausted("enclosure too wide for found witness")
-        prec *= 2
-        lo = Enclosure.of(value, prec).lo
-    if lo < floor_at:
-        raise PrecisionExhausted("could not certify witness under radical bound")
-    return lo
+    return max(floor_at, Enclosure.of(value).lo)
 
 
 def _fmt(value) -> str:

@@ -22,7 +22,6 @@ from diotrans.harness import (
 )
 from diotrans.intervals import Enclosure
 from diotrans.presets import get_preset
-from diotrans.radicals import Radical
 from diotrans.sectiondual import delta_bounds_ok, delta_d, improved_mahler_factor
 
 

@@ -229,7 +229,7 @@ def test_config_setting_a_removed_flag_is_a_usage_error(tmp_path, capsys):
         ("estimate", "--preset", "plastic", "--t-max", "3000"),
     ],
 )
-def test_scans_default_to_the_scan_budget(capsys, argv):
+def test_scans_run_past_the_enumeration_budget_limit(capsys, argv):
     code, out, err = _run(capsys, *argv)
     assert code == 0, err
     assert json.loads(out)

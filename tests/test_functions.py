@@ -6,7 +6,6 @@ import pytest
 
 from diotrans.errors import DomainError
 from diotrans.functions import FunctionSpec, power_spec
-from diotrans.intervals import Enclosure
 from diotrans.radicals import Radical
 
 

@@ -65,7 +65,7 @@ def test_golden_convergent_quality():
     # |F_11 * theta - F_10| at t = 89 is about theta^11 / ... < 1/144
     system = get_preset("golden").build()
     table = best_approx_table(system, "primal", 10**4)
-    psi89 = table.psi_at(89)
+    psi89 = [rec.psi for rec in table.records if rec.t <= 89][-1]
     assert psi89 < Fraction(1, 144)
 
 

@@ -1,4 +1,5 @@
 import json
+import random
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -15,8 +16,8 @@ from diotrans.errors import (
 from diotrans.functions import FunctionSpec, power_spec
 from diotrans.geometry import Box, System, best_approx_table, box_contains
 from diotrans.intervals import Enclosure
-from diotrans.presets import get_preset
-from diotrans.radicals import Radical
+from diotrans.presets import get_preset, random_system
+from diotrans.radicals import exact_le
 from diotrans.sectiondual import improved_mahler_factor
 from diotrans.transfer import (
     Certificate,
@@ -75,6 +76,22 @@ def test_mahler_transfer_walks_its_boxes_without_listing_them():
     assert cert.output_point == (-14, -32, -40)
     assert cert.params == {"X": "60", "U": "3", "Y": "40", "V": "2"}
     assert cert.target == {"side": "dual", "h": "40", "r": "2"}
+    assert cert.all_ok() and verify_certificate(cert)[0]
+
+
+@pytest.mark.parametrize("n, m", [(1, 2), (2, 1), (1, 3), (2, 2), (3, 1), (1, 4), (2, 3), (4, 1)])
+def test_mahler_radical_targets_lie_between_the_output_and_the_radius(n, m):
+    # d = 3, 4, 5: Y and V are radicals, and each stated target bound is a
+    # rational between the output point's own value and that radius
+    system = random_system(random.Random(5), n, m)
+    X, U = Fraction(20), Fraction(1, 5)
+    cert = mahler_transfer(system, X, U)
+    Y, V = transference_parameters(system, X, U)
+    assert Y.index == V.index == system.d - 1
+    yv, rv = system.dual_values(cert.output_point)
+    h, r = Fraction(cert.target["h"]), Fraction(cert.target["r"])
+    assert exact_le(yv, h) and exact_le(h, Y)
+    assert exact_le(rv, r) and exact_le(r, V)
     assert cert.all_ok() and verify_certificate(cert)[0]
 
 
