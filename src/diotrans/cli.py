@@ -193,6 +193,8 @@ def _cmd_transfer(args) -> int:
             raise UsageError(f"transfer {op} requires --X and --U")
         X = _parse_fraction(args.X)
         U = _parse_fraction(args.U)
+        if X <= 0 or U <= 0:
+            raise UsageError("--X and --U must be positive")
         if op == "mahler":
             cert = mahler_transfer(system, X, U, budget=args.budget)
         else:
@@ -264,21 +266,29 @@ def _cmd_verify_certificate(args) -> int:
 def _campaign_inequalities(args):
     if args.n is None or args.m is None:
         raise UsageError("campaign inequalities requires --n and --m")
+    if args.n < 1 or args.m < 1:
+        raise UsageError("--n and --m must be positive")
     return harness.campaign_inequalities(
         args.n, args.m, trials=args.trials, seed=args.seed, tier=args.tier
     )
 
 
+def _dims(args) -> tuple[int, ...]:
+    if min(args.dims) < 2:
+        raise UsageError("--dims must be at least 2")
+    return tuple(args.dims)
+
+
 # --family name: the campaign it runs on the parsed flags
 CAMPAIGNS = {
     "mahler": lambda args: harness.campaign_mahler(
-        dims=tuple(args.dims), trials_per_dim=args.trials, seed=args.seed
+        dims=_dims(args), trials_per_dim=args.trials, seed=args.seed
     ),
     "dominions": lambda args: harness.campaign_dominions(trials=args.trials, seed=args.seed),
     "inequalities": _campaign_inequalities,
     "jarnik-equality": lambda args: harness.campaign_jarnik_equality(count=args.trials),
     "main-lemma": lambda args: harness.campaign_main_lemma(
-        trials=args.trials, dims=tuple(args.dims), seed=args.seed
+        trials=args.trials, dims=_dims(args), seed=args.seed
     ),
     "main-lemma-gap": lambda args: harness.campaign_main_lemma_gap(
         trials=args.trials, seed=args.seed

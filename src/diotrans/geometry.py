@@ -109,8 +109,9 @@ def _dot(row: Sequence[int], v: Sequence[int]) -> int:
 class Box:
     """Parallelepiped M_{h,r} (side='primal') or M-hat_{h,r} (side='dual').
 
-    h and r may be Fractions, Radicals, or Enclosures.  With an Enclosure
-    bound, membership becomes three-valued.
+    h and r may be Fractions, Radicals, or Enclosures; an Enclosure bound
+    stands for its lower endpoint, so the box is never larger than the true
+    one.
     """
 
     system: System
@@ -122,44 +123,29 @@ class Box:
         if self.side not in ("primal", "dual"):
             raise ValueError("side must be 'primal' or 'dual'")
 
-    def conservative(self) -> "Box":
-        """Shrunk box with exact bounds (lower enclosure endpoints)."""
-        h = self.h.lo if isinstance(self.h, Enclosure) else self.h
-        r = self.r.lo if isinstance(self.r, Enclosure) else self.r
-        return Box(self.system, h, r, self.side)
-
     def bounds(self) -> tuple[list, list]:
-        """Per-coordinate (hbounds, rbounds) of the conservative box."""
-        b = self.conservative()
-        return [b.h] * self.system.n, [b.r] * self.system.m
+        """Per-coordinate (hbounds, rbounds), exact: enclosures by their lo."""
+        h, r = (b.lo if isinstance(b, Enclosure) else b for b in (self.h, self.r))
+        return [h] * self.system.n, [r] * self.system.m
 
 
-def _bound_check(value, bound) -> Optional[bool]:
-    """Is |value| <= bound?  None when an enclosure cannot decide."""
-    v = abs(Fraction(value))
-    if isinstance(bound, Enclosure):
-        if v <= bound.lo:
-            return True
-        if v > bound.hi:
-            return False
-        return None
-    return exact_le(v, bound)
-
-
-def box_contains(box: Box, z: Sequence[int]) -> Optional[bool]:
-    """Exact membership; None only for boundary-uncertain enclosure bounds."""
-    sys_ = box.system
-    if box.side == "primal":
-        first, second = sys_.primal_values(z)
-        checks = (_bound_check(first, box.r), _bound_check(second, box.h))
+def in_box(system: System, side: str, z: Sequence[int], hbounds: Sequence,
+           rbounds: Sequence) -> bool:
+    """Exact membership of z in the per-coordinate-bounded parallelepiped of
+    ``enumerate_nonzero_general``; ValueError unless z has d coordinates."""
+    x, y = system.split(z)
+    if side == "primal":
+        coords, nums = zip(x, rbounds), zip(system.primal_numerators(z), hbounds)
     else:
-        first, second = sys_.dual_values(z)
-        checks = (_bound_check(first, box.h), _bound_check(second, box.r))
-    if False in checks:
-        return False
-    if None in checks:
-        return None
-    return True
+        coords, nums = zip(y, hbounds), zip(system.dual_numerators(z), rbounds)
+    den = system.integer_form.den
+    return all(exact_le(abs(v), b) for v, b in coords) and all(
+        exact_le(Fraction(abs(v), den), b) for v, b in nums)
+
+
+def box_contains(box: Box, z: Sequence[int]) -> bool:
+    """Is z in the box, with enclosure bounds taken at their lower end?"""
+    return in_box(box.system, box.side, z, *box.bounds())
 
 
 def enumerate_nonzero_general(
@@ -173,7 +159,8 @@ def enumerate_nonzero_general(
 
     Primal: |x_j| <= rbounds[j], |(Theta x + y)_i| <= hbounds[i].
     Dual:   |y_i| <= hbounds[i], |(tTheta y - x)_j| <= rbounds[j].
-    Lexicographically sorted, exact.
+    Lexicographically sorted, exact.  The library's searches walk instead
+    (``_walk``, ``least_point``); the list is the tests' reference.
     """
     points = [z for zs in _walk(system, side, hbounds, rbounds, budget) for z in zs if any(z)]
     points.sort()

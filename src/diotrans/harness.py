@@ -668,7 +668,6 @@ def campaign_jarnik_equality(
 # ---------------------------------------------------------------------------
 
 _SCALE_EXPONENTS = range(-4, 14)
-_SCALE_GRID = [Fraction(2) ** k for k in _SCALE_EXPONENTS]
 
 
 def _witness_pair(system):
@@ -713,20 +712,19 @@ def _lemma_grid_conditions(system, v1, v2, constant_sq):
 
 
 def _cheapest_lemma_params(system, v1, v2, constant_sq):
-    """Smallest-volume (h, r) on a power-of-two grid satisfying the product
-    bound, or None when every admissible pair costs more than 3 * 10**5
-    enumerated points."""
+    """Smallest-volume (h, r) = (2**a, 2**b) on the exponent grid satisfying
+    the product bound, the first in grid order on a tie, or None when every
+    admissible pair costs more than 3 * 10**5 enumerated points."""
     n, m = system.n, system.m
     conditions = _lemma_grid_conditions(system, v1, v2, constant_sq)
-    best = None
-    for a, h in zip(_SCALE_EXPONENTS, _SCALE_GRID):
-        for b, r in zip(_SCALE_EXPONENTS, _SCALE_GRID):
-            cost = (2 * float(h) + 1) ** n * (2 * float(r) + 2) ** m
-            if cost > 3 * 10**5 or (best and cost >= best[0]):
-                continue
-            if all(u * a + v * b >= e for u, v, e in conditions):
-                best = (cost, h, r)
-    return None if best is None else (best[1], best[2])
+
+    def cost(ab):
+        return (2 * 2.0 ** ab[0] + 1) ** n * (2 * 2.0 ** ab[1] + 2) ** m
+
+    grid = ((a, b) for a in _SCALE_EXPONENTS for b in _SCALE_EXPONENTS
+            if cost((a, b)) <= 3 * 10**5 and all(u * a + v * b >= e for u, v, e in conditions))
+    best = min(grid, key=cost, default=None)
+    return None if best is None else (Fraction(2) ** best[0], Fraction(2) ** best[1])
 
 
 def campaign_main_lemma(

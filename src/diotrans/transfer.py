@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from operator import mul
 from typing import Optional, Sequence
 
@@ -26,9 +27,7 @@ from .errors import (
 )
 from .exactlinalg import wedge_norm_squared
 from .functions import FunctionSpec
-from .geometry import (
-    DEFAULT_ENUM_BUDGET, Box, System, box_contains, enumerate_nonzero, least_point,
-)
+from .geometry import DEFAULT_ENUM_BUDGET, Box, System, _walk, box_contains, in_box, least_point
 from .intervals import Enclosure
 from .radicals import (
     Radical, exact_div, exact_eq, exact_le, exact_lt, exact_max, exact_mul, exact_pow,
@@ -136,15 +135,19 @@ def _checked_target(target: dict, n: int, m: int) -> dict:
     h and r, or n per-coordinate hbounds and m rbounds."""
     if target.get("side") not in ("primal", "dual"):
         raise ValueError(f"target side must be 'primal' or 'dual', not {target.get('side')!r}")
-    if "h" in target:
-        bounds = [target["h"]], [target["r"]]
-    else:
-        bounds = target["hbounds"], target["rbounds"]
-        if not all(isinstance(b, list) for b in bounds) or list(map(len, bounds)) != [n, m]:
-            raise ValueError(f"target hbounds and rbounds must be lists of {n} and {m} bounds")
+    bounds = _target_bounds(target, n, m)
+    if not all(isinstance(b, list) for b in bounds) or list(map(len, bounds)) != [n, m]:
+        raise ValueError(f"target hbounds and rbounds must be lists of {n} and {m} bounds")
     for value in bounds[0] + bounds[1]:
         Fraction(value)
     return target
+
+
+def _target_bounds(target: dict, n: int, m: int) -> tuple:
+    """(hbounds, rbounds) of a target as written: scalar h and r repeated."""
+    if "h" in target:
+        return [target["h"]] * n, [target["r"]] * m
+    return target["hbounds"], target["rbounds"]
 
 
 def _system_of(cert: Certificate) -> System:
@@ -159,15 +162,10 @@ def verify_certificate(cert: Certificate) -> tuple[bool, list]:
     fits = len(z) == system.d  # a vector of another length fails every check on it
     results.append(("output_nonzero", any(v != 0 for v in z)))
     results.append(("output_dimension", fits))
-    side = cert.target["side"]
-    if "h" in cert.target:
-        box = Box(system, Fraction(cert.target["h"]), Fraction(cert.target["r"]), side)
-        results.append(("output_in_target_box", fits and box_contains(box, z) is True))
-    else:
-        hbounds = [Fraction(v) for v in cert.target["hbounds"]]
-        rbounds = [Fraction(v) for v in cert.target["rbounds"]]
-        results.append(("output_in_target_box",
-                        fits and _in_coordinate_box(system, side, z, hbounds, rbounds)))
+    bounds = _target_bounds(cert.target, cert.n, cert.m)
+    hbounds, rbounds = ([Fraction(v) for v in b] for b in bounds)
+    results.append(("output_in_target_box",
+                    fits and in_box(system, cert.target["side"], z, hbounds, rbounds)))
     for key in ("v1", "v2"):
         if key in cert.inputs:
             v = cert.inputs[key]
@@ -180,20 +178,6 @@ def verify_certificate(cert: Certificate) -> tuple[bool, list]:
     recorded = dict(cert.checks)
     results.append(("recorded_checks_all_true", all(recorded.values())))
     return all(ok for _, ok in results), results
-
-
-def _in_coordinate_box(system, side, z, hbounds, rbounds) -> bool:
-    x, y = system.split(z)
-    den = system.integer_form.den
-    if side == "dual":
-        coords, coord_bounds = y, hbounds
-        nums, num_bounds = system.dual_numerators(z), rbounds
-    else:
-        coords, coord_bounds = x, rbounds
-        nums, num_bounds = system.primal_numerators(z), hbounds
-    return all(abs(v) <= b for v, b in zip(coords, coord_bounds)) and all(
-        Fraction(abs(v), den) <= b for v, b in zip(nums, num_bounds)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +197,8 @@ def transference_parameters(system: System, X, U):
     return y, v
 
 
-def _find_primal_witness(system, X, U, budget):
-    z = least_point(system, "primal", *Box(system, U, X, "primal").bounds(), budget=budget)
+def _find_primal_witness(primal: Box, budget):
+    z = least_point(primal.system, "primal", *primal.bounds(), budget=budget)
     if z is None:
         raise NoWitnesses("primal box contains no nonzero integer point")
     return z
@@ -233,10 +217,10 @@ def mahler_transfer(
     Delta_d**(-1/(d-1)).
     """
     n, m, d = system.n, system.m, system.d
-    if witness is None:
-        witness = _find_primal_witness(system, X, U, budget)
-    witness = tuple(int(v) for v in witness)
     primal = Box(system, U, X, "primal")
+    if witness is None:
+        witness = _find_primal_witness(primal, budget)
+    witness = tuple(int(v) for v in witness)
     Y, V = transference_parameters(system, X, U)
     delta = delta_d(d)
 
@@ -251,18 +235,26 @@ def mahler_transfer(
         target={},
     )
     cert.check("witness_nonzero", any(witness))
-    cert.check("witness_in_primal_box", box_contains(primal, witness) is True)
+    cert.check("witness_in_primal_box", box_contains(primal, witness))
     cert.check("identity_Y^n_V^m-1_delta_eq_X", _identity_eq(Y, n, V, m - 1, delta, X))
     cert.check("identity_Y^n-1_V^m_delta_eq_U", _identity_eq(Y, n - 1, V, m, delta, U))
     if not cert.all_ok():
         raise HypothesisViolated("mahler_transfer inputs failed verification")
 
-    out = least_point(system, "dual", *Box(system, Y, V, "dual").bounds(), budget=budget)
+    return _land_in_dual_box(cert, system, Y, V, None, budget)
+
+
+def _land_in_dual_box(cert, system, h, r, accept, budget) -> Certificate:
+    """``cert`` with its output set to the least accepted nonzero point of the
+    dual (h, r)-box (``geometry.least_point``), its target to rational lower
+    bounds of h and r that still hold that point, and the check that they do."""
+    out = least_point(system, "dual", *Box(system, h, r, "dual").bounds(), accept=accept,
+                      budget=budget)
     if out is None:
-        raise PrecisionExhausted("guaranteed dual box came back empty")
+        raise PrecisionExhausted("guaranteed dual box holds no accepted point")
     yv, rv = system.dual_values(out)
-    h_lo = _rat_lower(Y, floor_at=Fraction(yv))
-    r_lo = _rat_lower(V, floor_at=rv)
+    h_lo = _rat_lower(h, floor_at=Fraction(yv))
+    r_lo = _rat_lower(r, floor_at=rv)
     cert.output_point = out
     cert.target = {"side": "dual", "h": str(h_lo), "r": str(r_lo)}
     cert.check("output_in_dual_box", yv <= h_lo and rv <= r_lo)
@@ -288,10 +280,10 @@ def mahler_transfer_asymmetric(
     n, m, d = system.n, system.m, system.d
     if not 0 <= k < d:
         raise ValueError(f"k must be in [0, {d})")
-    if witness is None:
-        witness = _find_primal_witness(system, X, U, budget)
-    witness = tuple(int(v) for v in witness)
     primal = Box(system, U, X, "primal")
+    if witness is None:
+        witness = _find_primal_witness(primal, budget)
+    witness = tuple(int(v) for v in witness)
 
     X, U = Fraction(X), Fraction(U)
     # The two base radii as exact radicals (no Delta_d gain here).
@@ -321,7 +313,7 @@ def mahler_transfer_asymmetric(
         target={},
     )
     cert.check("witness_nonzero", any(witness))
-    cert.check("witness_in_primal_box", box_contains(primal, witness) is True)
+    cert.check("witness_in_primal_box", box_contains(primal, witness))
     if not cert.all_ok():
         raise HypothesisViolated("asymmetric transfer inputs failed verification")
 
@@ -380,56 +372,12 @@ def main_lemma_transfer(
     h,
     r,
     budget: int = DEFAULT_ENUM_BUDGET,
-    _kind: str = "main_lemma",
-    _constant_sq: Optional[Fraction] = None,
-    _extra_params: Optional[dict] = None,
 ) -> Certificate:
     """Two-point section lemma: from non-collinear v1, v2 with small products
     to a nonzero integer point of the dual box orthogonal to both.
     """
     d = system.d
-    v1, v2 = (x + y for x, y in map(system.split, (v1, v2)))  # ValueError unless d long
-    if wedge_norm_squared((v1, v2)) == 0:
-        raise NonCollinearRequired("v1 and v2 are collinear")
-    constant_sq = _constant_sq if _constant_sq is not None else Fraction(1, 2 * d * (d - 1))
-    ok, vals = main_lemma_hypothesis(system, v1, v2, h, r, constant_sq)
-    if not ok:
-        raise HypothesisViolated("product bound fails for (v1, v2, h, r)")
-
-    cert = Certificate(
-        kind=_kind,
-        n=system.n,
-        m=system.m,
-        theta=system.theta,
-        params={
-            "h": _fmt(h),
-            "r": _fmt(r),
-            "constant_sq": str(constant_sq),
-            **{key: _fmt(val) for key, val in vals.items()},
-            **(_extra_params or {}),
-        },
-        inputs={"v1": v1, "v2": v2},
-        output_point=(),
-        target={},
-    )
-    cert.check("non_collinear", True)
-    cert.check("product_bound", True)
-
-    def orthogonal(z):
-        return sum(map(mul, z, v1)) == 0 and sum(map(mul, z, v2)) == 0
-
-    target_box = Box(system, h, r, "dual")
-    out = least_point(system, "dual", *target_box.bounds(), accept=orthogonal, budget=budget)
-    if out is None:
-        raise PrecisionExhausted("guaranteed orthogonal point not found in dual box")
-    yv, rv = system.dual_values(out)
-    h_lo = _rat_lower(h, floor_at=Fraction(yv))
-    r_lo = _rat_lower(r, floor_at=rv)
-    cert.output_point = out
-    cert.target = {"side": "dual", "h": str(h_lo), "r": str(r_lo)}
-    cert.check("output_orthogonal", True)
-    cert.check("output_in_dual_box", yv <= h_lo and rv <= r_lo)
-    return cert
+    return _main_lemma(system, v1, v2, h, r, Fraction(1, 2 * d * (d - 1)), budget)
 
 
 def main_lemma_transfer_3d(
@@ -444,16 +392,43 @@ def main_lemma_transfer_3d(
     to 1/2, admitting strictly more inputs."""
     if system.d != 3:
         raise Only3D("the sharpened constant is specific to d = 3")
-    return main_lemma_transfer(
-        system,
-        v1,
-        v2,
-        h,
-        r,
-        budget=budget,
-        _kind="lemma3d",
-        _constant_sq=Fraction(1, 4),
+    cert = _main_lemma(system, v1, v2, h, r, Fraction(1, 4), budget)
+    cert.kind = "lemma3d"
+    return cert
+
+
+def _main_lemma(system, v1, v2, h, r, constant_sq, budget) -> Certificate:
+    """The two-point lemma with the product constant squared ``constant_sq``."""
+    v1, v2 = (x + y for x, y in map(system.split, (v1, v2)))  # ValueError unless d long
+    if wedge_norm_squared((v1, v2)) == 0:
+        raise NonCollinearRequired("v1 and v2 are collinear")
+    ok, vals = main_lemma_hypothesis(system, v1, v2, h, r, constant_sq)
+    if not ok:
+        raise HypothesisViolated("product bound fails for (v1, v2, h, r)")
+
+    cert = Certificate(
+        kind="main_lemma",
+        n=system.n,
+        m=system.m,
+        theta=system.theta,
+        params={
+            "h": _fmt(h),
+            "r": _fmt(r),
+            "constant_sq": str(constant_sq),
+            **{key: _fmt(val) for key, val in vals.items()},
+        },
+        inputs={"v1": v1, "v2": v2},
+        output_point=(),
+        target={},
     )
+    cert.check("non_collinear", True)
+    cert.check("product_bound", True)
+    cert.check("output_orthogonal", True)  # the landing accepts orthogonal points only
+
+    def orthogonal(z):
+        return sum(map(mul, z, v1)) == 0 and sum(map(mul, z, v2)) == 0
+
+    return _land_in_dual_box(cert, system, h, r, orthogonal, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -480,17 +455,11 @@ def semicore_parameters(system: System, t, Phi, Psi, direction: int):
     return h, r
 
 
-def _semicore_witnesses(system, t, Phi, Psi, direction, budget):
+def _semicore_witnesses(system, wide, narrow, budget):
     """v2, the least point of the narrow box, and v1, the least point of the
     wide box not collinear with v2.  Only the first narrow point matters:
     ``semicore`` checks Psi <= Phi, so narrow is inside wide, and if every
     wide point is collinear with v2, so is every narrow point."""
-    if direction == 1:
-        wide = Box(system, Phi, t, "primal")
-        narrow = Box(system, Psi, t, "primal")
-    else:
-        wide = Box(system, t, Phi, "primal")
-        narrow = Box(system, t, Psi, "primal")
     v2 = least_point(system, "primal", *narrow.bounds(), budget=budget)
     if v2 is None:
         raise NoWitnesses("no nonzero point in the narrow box")
@@ -520,35 +489,29 @@ def semicore(
     if not exact_lt(0, Psi):
         raise HypothesisViolated("requires Psi > 0")
     h, r = semicore_parameters(system, t, Phi, Psi, direction)
-    if v1 is None or v2 is None:
-        v1, v2 = _semicore_witnesses(system, t, Phi, Psi, direction, budget)
     n, m, d = system.n, system.m, system.d
-    c = Radical(2 * d * (d - 1), 2)
     if direction == 1:
-        id_a = exact_eq(exact_mul(exact_pow(h, n - 2), exact_pow(r, m)),
-                        exact_mul(exact_mul(c, Phi), Psi))
-        box1, box2 = Box(system, Phi, t, "primal"), Box(system, Psi, t, "primal")
+        wide, narrow = Box(system, Phi, t, "primal"), Box(system, Psi, t, "primal")
+        h_pow, r_pow = n - 2, m
     else:
-        id_a = exact_eq(exact_mul(exact_pow(h, n), exact_pow(r, m - 2)),
-                        exact_mul(exact_mul(c, Phi), Psi))
-        box1, box2 = Box(system, t, Phi, "primal"), Box(system, t, Psi, "primal")
+        wide, narrow = Box(system, t, Phi, "primal"), Box(system, t, Psi, "primal")
+        h_pow, r_pow = n, m - 2
+    if v1 is None or v2 is None:
+        v1, v2 = _semicore_witnesses(system, wide, narrow, budget)
+    c = Radical(2 * d * (d - 1), 2)
+    id_a = exact_eq(exact_mul(exact_pow(h, h_pow), exact_pow(r, r_pow)),
+                    exact_mul(exact_mul(c, Phi), Psi))
     id_b = exact_eq(
         exact_mul(exact_pow(h, n - 1), exact_pow(r, m - 1)), exact_mul(exact_mul(c, t), Phi)
     )
-    kind = "semicore1" if direction == 1 else "semicore2"
-    extra = {
-        "t": _fmt(t),
-        "Phi": _fmt(Phi),
-        "Psi": _fmt(Psi),
-        "direction": str(direction),
-    }
-    cert = main_lemma_transfer(
-        system, v1, v2, h, r, budget=budget, _kind=kind, _extra_params=extra
-    )
+    cert = main_lemma_transfer(system, v1, v2, h, r, budget=budget)
+    cert.kind = "semicore1" if direction == 1 else "semicore2"
+    cert.params.update({"t": _fmt(t), "Phi": _fmt(Phi), "Psi": _fmt(Psi),
+                        "direction": str(direction)})
     cert.check("identity_cPhiPsi", id_a)
     cert.check("identity_ctPhi", id_b)
-    cert.check("v1_in_wide_box", box_contains(box1, v1) is True)
-    cert.check("v2_in_narrow_box", box_contains(box2, v2) is True)
+    cert.check("v1_in_wide_box", box_contains(wide, v1))
+    cert.check("v2_in_narrow_box", box_contains(narrow, v2))
     if not cert.all_ok():
         raise HypothesisViolated("semicore verification failed")
     return cert
@@ -608,16 +571,19 @@ def _least_dilation(system, box_at, key, admissible, budget):
     ``key`` and ``admissible`` take the point's (r-value, h-value), and
     ``box_at(mult)`` must hold every point of key <= mult.  mult doubles
     from 2 until the box's least admissible key is <= mult; that minimum is
-    then global, since every point outside has key > mult.  The points
-    arrive lexicographically sorted and a candidate replaces the incumbent
-    only when its key is surely smaller, so ties keep the first point.  On
-    exact keys that is the exact minimum; on enclosed keys (z and -z always
-    tie) it never raises, and the key is minimal up to the enclosure width.
+    then global, since every point outside has key > mult.  The primal walk
+    yields each box's points lexicographically without listing them, and a
+    candidate replaces the incumbent only when its key is surely smaller, so
+    ties keep the first point.  On exact keys that is the exact minimum; on
+    enclosed keys (z and -z always tie) it never raises, and the key is
+    minimal up to the enclosure width.
     """
     mult = 2
     while True:
         best, best_pt = None, None
-        for z in enumerate_nonzero(box_at(mult), budget=budget):
+        for z in chain.from_iterable(_walk(system, "primal", *box_at(mult).bounds(), budget)):
+            if not any(z):
+                continue
             rv, hv = system.primal_values(z)
             if admissible(rv, hv):
                 k = key(rv, hv)
@@ -676,8 +642,7 @@ def alphas_core(
     star_box = Box(system, h_star, r_star, "primal")
     star = least_point(system, "primal", *star_box.bounds(), budget=budget)
     if star is not None:
-        inner = mahler_transfer(system, r_star, h_star, witness=star, budget=budget)
-        cert = inner
+        cert = mahler_transfer(system, r_star, h_star, witness=star, budget=budget)
         cert.kind = "alphas_core"
         cert.params.update(params)
         cert.params["route"] = "mahler"
@@ -719,7 +684,7 @@ def alphas_core(
 
     params.update({"route": "dilation", "mu": _fmt(mu), "mu_prime": _fmt(mu2),
                    "lambda1": _fmt(lam1), "lambda2": _fmt(lam2)})
-    cert = main_lemma_transfer(
-        system, v1, v2, h, r, budget=budget, _kind="alphas_core", _extra_params=params
-    )
+    cert = main_lemma_transfer(system, v1, v2, h, r, budget=budget)
+    cert.kind = "alphas_core"
+    cert.params.update(params)
     return cert

@@ -60,6 +60,25 @@ def test_input_the_library_rejects_is_a_usage_error(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("transfer", "mahler", "--preset", "plastic_dual", "--X", "0", "--U", "1"),
+        ("transfer", "mahler", "--preset", "golden", "--X", "0", "--U", "1"),
+        ("transfer", "mahler", "--preset", "golden", "--X", "10", "--U=-1/10"),
+        ("transfer", "asymmetric", "--preset", "golden", "--X=-10", "--U", "1/10", "--k", "0"),
+        ("campaign", "--family", "mahler", "--dims", "1", "--trials", "1"),
+        ("campaign", "--family", "main-lemma", "--dims", "3", "0", "--trials", "1"),
+        ("campaign", "--family", "inequalities", "--n", "0", "--m", "1", "--trials", "1"),
+        ("campaign", "--family", "inequalities", "--n", "1", "--m", "-2", "--trials", "1"),
+    ],
+)
+def test_nonpositive_radii_and_sizes_are_usage_errors(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("usage error:")
+
+
 def test_hypothesis_violation_exit_2(capsys):
     code, _, err = _run(
         capsys,

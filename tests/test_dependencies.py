@@ -38,6 +38,7 @@ REACHED_FROM_OUTSIDE_SRC = {
     "radicals.exact_min": "bench/spans.py traces it as a radicals.compare span",
     "exactlinalg.Lattice.contains": "the membership reference of the HNF and LLL tests",
     "geometry.System.transposed": "the tests build the dual side's primal twin with it",
+    "geometry.enumerate_nonzero": "bench/spans.py binds it; tests use it as the listing reference",
 }
 
 

@@ -21,11 +21,12 @@ from diotrans.geometry import (
     box_contains,
     enumerate_nonzero,
     enumerate_nonzero_general,
+    in_box,
     least_point,
 )
+from diotrans.intervals import Enclosure
 from diotrans.presets import get_preset, random_system
 from diotrans.radicals import Radical, exact_floor
-from diotrans.transfer import _in_coordinate_box
 
 
 def _fib(k):
@@ -42,11 +43,14 @@ def test_zero_theta_box_has_eight_points():
     assert len(pts) == 8  # all nonzero (x, y) with |x|, |y| <= 1
 
 
-def test_box_membership_three_valued_only_for_enclosures():
+def test_box_membership_is_a_bool_that_reads_enclosures_at_their_lower_end():
     system = System(1, 1, ((Fraction(1, 2),),))
     box = Box(system, Fraction(1, 4), 2, "primal")
     assert box_contains(box, (2, -1)) is True  # |2*(1/2) - 1| = 0
     assert box_contains(box, (1, 0)) is False  # residual 1/2 > 1/4
+    enclosed = Box(system, Enclosure(Fraction(1, 4), Fraction(3, 4)), 2, "primal")
+    assert box_contains(enclosed, (2, -1)) is True
+    assert box_contains(enclosed, (1, 0)) is False  # 1/4 < 1/2 <= 3/4: not surely inside
 
 
 def test_golden_records_are_fibonacci_denominators():
@@ -153,7 +157,7 @@ def _brute_force(system, side, hbounds, rbounds):
     return [
         z
         for z in product(*(range(-b, b + 1) for b in cube))
-        if any(z) and _in_coordinate_box(system, side, z, hbounds, rbounds)
+        if any(z) and in_box(system, side, z, hbounds, rbounds)
     ]
 
 

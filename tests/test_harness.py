@@ -23,7 +23,6 @@ from diotrans.harness import (
     loranoyadenie_rhs,
     uniform_bound_comparison,
     _SCALE_EXPONENTS,
-    _SCALE_GRID,
     _certify_record_exponent,
     _cheapest_lemma_params,
     _lemma_grid_conditions,
@@ -33,6 +32,9 @@ from diotrans.errors import DomainError
 from diotrans.functions import FunctionSpec
 from diotrans.presets import get_preset, random_rational_system
 from diotrans.transfer import main_lemma_hypothesis
+
+# the (h, r) values of the lemma grid, built here for the reference searches
+_SCALE_GRID = [Fraction(2) ** k for k in _SCALE_EXPONENTS]
 
 
 # ---------------------------------------------------------------------------
