@@ -144,6 +144,8 @@ def _read_config(path: str) -> dict:
 
 
 def _cmd_delta(args) -> int:
+    if args.dmax < 2:
+        raise UsageError("--dmax must be at least 2")
     rows = []
     for d in range(2, args.dmax + 1):
         value = delta_d(d)
@@ -168,6 +170,8 @@ def _cmd_delta(args) -> int:
 
 
 def _cmd_best_approx(args) -> int:
+    if args.t_max < 1:
+        raise UsageError("--t-max must be at least 1")
     system = _system_from_args(args)
     table = best_approx_table(system, args.side, args.t_max)
     _emit(args, table.to_csv() if args.format == "csv" else table.to_json())
@@ -175,6 +179,8 @@ def _cmd_best_approx(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    if args.t_max < 2:  # the fits read records with t >= 2 only
+        raise UsageError("--t-max must be at least 2")
     system = _system_from_args(args)
     out = {}
     sides = ("primal", "dual") if args.side == "both" else (args.side,)
@@ -186,6 +192,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_transfer(args) -> int:
+    if args.budget < 1:
+        raise UsageError("--budget must be at least 1")
     system = _system_from_args(args)
     op = args.operation
     if op in ("mahler", "asymmetric"):
@@ -212,6 +220,8 @@ def _cmd_transfer(args) -> int:
             raise UsageError(f"--v1 and --v2 must have {system.d} coordinates")
         h = _parse_fraction(args.h)
         r = _parse_fraction(args.r)
+        if h <= 0 or r <= 0:
+            raise UsageError("--h and --r must be positive")
         fn = main_lemma_transfer_3d if op == "lemma3d" else main_lemma_transfer
         cert = fn(system, v1, v2, h, r, budget=args.budget)
     elif op == "semicore":
@@ -302,6 +312,8 @@ CAMPAIGNS = {
 
 
 def _cmd_campaign(args) -> int:
+    if args.trials < 1:
+        raise UsageError("--trials must be at least 1")
     result = CAMPAIGNS[args.family](args)
     if args.format == "csv":
         buf = io.StringIO()

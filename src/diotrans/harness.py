@@ -564,7 +564,7 @@ def campaign_dominions(trials: int = 1000, seed: int = 0) -> CampaignResult:
     return result
 
 
-def t_max_for(m_eff: int, tier: str = "standard") -> int:
+def t_max_for(m_eff: int, tier: str) -> int:
     """Scan depth by number of free variables (the cost driver)."""
     table = {
         "fast": {1: 10**4, 2: 800, 3: 120, 4: 40},
@@ -574,7 +574,7 @@ def t_max_for(m_eff: int, tier: str = "standard") -> int:
     return table[tier].get(m_eff, 30)
 
 
-def exponents_for_system(system: System, tier: str = "standard"):
+def exponents_for_system(system: System, tier: str):
     """(primal estimate, dual estimate) with per-side scan depths."""
     ep = estimate_exponents(system, "primal", t_max_for(system.m, tier))
     ed = estimate_exponents(system, "dual", t_max_for(system.n, tier))
@@ -599,11 +599,9 @@ CORE_FAMILIES = (
 )
 
 
-def check_all_inequalities(
-    system: System,
-    tier: str = "standard",
-    families: Optional[Sequence[str]] = None,
-) -> list[InequalityReport]:
+def check_all_inequalities(system: System, tier: str) -> list[InequalityReport]:
+    """Every applicable family of CORE_FAMILIES, on the exponents of one
+    scan at ``tier``."""
     ep, ed = exponents_for_system(system, tier)
     exps = {
         "alpha": ep.alpha_fit,
@@ -615,47 +613,38 @@ def check_all_inequalities(
         "alpha_t_lower": float(ed.alpha_lower),
         "beta_t_lower": float(ed.beta_lower),
     }
-    wanted = applicable_families(system.n, system.m, exps)
-    if families is not None:
-        wanted = [f for f in wanted if f in families]
+    wanted = [f for f in applicable_families(system.n, system.m, exps) if f in CORE_FAMILIES]
     return [check_inequality(f, system.n, system.m, exps) for f in wanted]
 
 
-def campaign_inequalities(
-    n: int,
-    m: int,
-    trials: int = 50,
-    seed: int = 0,
-    tier: str = "fast",
-    families: Optional[Sequence[str]] = CORE_FAMILIES,
-) -> CampaignResult:
+def campaign_inequalities(n: int, m: int, tier: str, trials: int = 50,
+                          seed: int = 0) -> CampaignResult:
     """Random generic systems (plus matching presets): every applicable
-    inequality must pass at the tolerance DEFAULT_TOL."""
+    family of CORE_FAMILIES must pass at the tolerance DEFAULT_TOL."""
     result = CampaignResult(f"inequalities_{n}x{m}")
     systems = [(p.name, p.build()) for p in PRESETS.values() if (p.n, p.m) == (n, m)]
     rng = random.Random(seed)
     for i in range(trials):
         systems.append((f"random{i}", random_system(rng, n, m)))
     for name, system in systems:
-        for rep in check_all_inequalities(system, tier=tier, families=families):
+        for rep in check_all_inequalities(system, tier):
             row = {"system": name, **rep.as_dict()}
             result.record(rep.passed, row, row)
     return result
 
 
-def campaign_jarnik_equality(
-    count: int = 50, t_max_primal: int = 10**4, t_max_dual: int = 10**5
-) -> CampaignResult:
+def campaign_jarnik_equality(count: int = 50) -> CampaignResult:
     """Cubic-field pairs (1x2): the uniform exponents of a system and its
-    transpose must satisfy 1/alpha + alpha_t = 1 within DEFAULT_TOL."""
+    transpose, scanned to t = 10^4 and 10^5, must satisfy
+    1/alpha + alpha_t = 1 within DEFAULT_TOL."""
     result = CampaignResult("jarnik_equality")
     systems = cubic_pair_family(count)
     for p in PRESETS.values():
         if (p.n, p.m) == (1, 2):
             systems.append((p.name, p.build()))
     for name, system in systems[:count]:
-        ep = estimate_exponents(system, "primal", t_max_primal)
-        ed = estimate_exponents(system, "dual", t_max_dual)
+        ep = estimate_exponents(system, "primal", 10**4)
+        ed = estimate_exponents(system, "dual", 10**5)
         resid = abs(1.0 / ep.alpha_fit + ed.alpha_fit - 1.0)
         entry = {"system": name, "alpha": ep.alpha_fit, "alpha_t": ed.alpha_fit,
                  "residual": resid}
@@ -819,13 +808,13 @@ def campaign_main_lemma_gap(trials: int = 100, seed: int = 1) -> CampaignResult:
 # ---------------------------------------------------------------------------
 
 
-def campaign_covolumes(trials: int = 500, max_dim: int = 8, seed: int = 0) -> CampaignResult:
-    """Saturated sublattice vs. its integer orthogonal complement: squared
-    covolumes must agree exactly."""
+def campaign_covolumes(trials: int = 500, seed: int = 0) -> CampaignResult:
+    """Saturated sublattice vs. its integer orthogonal complement in
+    dimension 2 to 8: squared covolumes must agree exactly."""
     result = CampaignResult("covolumes")
     rng = random.Random(seed)
     while result.trials < trials:
-        d = rng.randint(2, max_dim)
+        d = rng.randint(2, 8)
         k = rng.randint(1, d - 1)
         vecs = [[rng.randint(-9, 9) for _ in range(d)] for _ in range(k)]
         try:
@@ -841,8 +830,9 @@ def campaign_covolumes(trials: int = 500, max_dim: int = 8, seed: int = 0) -> Ca
     return result
 
 
-def campaign_cube_sections(trials: int = 1000, max_dim: int = 8, seed: int = 0) -> CampaignResult:
-    """Central hyperplane sections of the cube [-1,1]^d, exact on squares.
+def campaign_cube_sections(trials: int = 1000, seed: int = 0) -> CampaignResult:
+    """Central hyperplane sections of the cube [-1,1]^d, d = 2..8, exact on
+    squares.
 
     The squared volume vol2(a) of the section orthogonal to a normal a lies
     in [4^(d-1), 2*4^(d-1)] (unit-ball and diagonal extremes).  The cube's
@@ -854,7 +844,7 @@ def campaign_cube_sections(trials: int = 1000, max_dim: int = 8, seed: int = 0) 
     result = CampaignResult("cube_sections")
     rng = random.Random(seed)
     for _ in range(trials):
-        d = rng.randint(2, max_dim)
+        d = rng.randint(2, 8)
         normal = [Fraction(rng.randint(-20, 20), rng.randint(1, 20)) for _ in range(d)]
         if all(v == 0 for v in normal):
             normal[0] = Fraction(1)

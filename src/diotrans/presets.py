@@ -19,26 +19,26 @@ from .geometry import System
 PRECISION_BITS = 400
 
 
-def _fib_ratio(k: int = 240) -> Fraction:
-    """F_k / F_{k+1}, a deep convergent of 1/golden-ratio."""
+def _fib_ratio() -> Fraction:
+    """F_240 / F_241, a deep convergent of 1/golden-ratio."""
     a, b = 0, 1
-    for _ in range(k):
+    for _ in range(240):
         a, b = b, a + b
     return Fraction(a, b)
 
 
-def _sqrt2_frac(k: int = 150) -> Fraction:
+def _sqrt2_frac() -> Fraction:
     """Deep convergent of sqrt(2) - 1 = [0; 2, 2, 2, ...]."""
     p0, q0, p1, q1 = 0, 1, 1, 2
-    for _ in range(k):
+    for _ in range(150):
         p0, q0, p1, q1 = p1, q1, 2 * p1 + p0, 2 * q1 + q0
     return Fraction(p1, q1)
 
 
-def _plastic_root(bits: int = PRECISION_BITS) -> Fraction:
+def _plastic_root() -> Fraction:
     """The real root of x^3 = x + 1 by bisection on exact rationals."""
     lo, hi = Fraction(1), Fraction(2)
-    for _ in range(bits):
+    for _ in range(PRECISION_BITS):
         mid = (lo + hi) / 2
         if mid**3 - mid - 1 <= 0:
             lo = mid
@@ -47,8 +47,8 @@ def _plastic_root(bits: int = PRECISION_BITS) -> Fraction:
     return lo
 
 
-def _liouville(terms: int = 5) -> Fraction:
-    return sum(Fraction(1, 10 ** factorial(k)) for k in range(1, terms + 1))
+def _liouville() -> Fraction:
+    return sum(Fraction(1, 10 ** factorial(k)) for k in range(1, 6))
 
 
 @dataclass(frozen=True)
@@ -137,10 +137,10 @@ _register(
 )
 
 
-def _cubic_root(a: int, b: int, bits: int = PRECISION_BITS) -> Fraction:
+def _cubic_root(a: int, b: int) -> Fraction:
     """The unique positive root of x^3 = a*x + b (a, b >= 1), by bisection."""
     lo, hi = Fraction(1), Fraction(a + b + 1)
-    for _ in range(bits):
+    for _ in range(PRECISION_BITS):
         mid = (lo + hi) / 2
         if mid**3 - a * mid - b <= 0:
             lo = mid
@@ -191,20 +191,18 @@ def get_preset(name: str) -> Preset:
         raise KeyError(f"unknown preset {name!r}; have {sorted(PRESETS)}") from None
 
 
-def random_real(rng: random.Random, bits: int = PRECISION_BITS) -> Fraction:
+def random_real(rng: random.Random) -> Fraction:
     """A uniform dyadic rational in (0, 1) with enough bits to behave like a
     generic real at desk scale."""
-    return Fraction(rng.getrandbits(bits) | 1, 2**bits)
+    return Fraction(rng.getrandbits(PRECISION_BITS) | 1, 2**PRECISION_BITS)
 
 
-def random_system(rng: random.Random, n: int, m: int, bits: int = PRECISION_BITS) -> System:
-    rows = [[random_real(rng, bits) for _ in range(m)] for _ in range(n)]
+def random_system(rng: random.Random, n: int, m: int) -> System:
+    rows = [[random_real(rng) for _ in range(m)] for _ in range(n)]
     return System(n, m, tuple(tuple(r) for r in rows))
 
 
-def random_rational_system(
-    rng: random.Random, n: int, m: int, max_den: int = 50
-) -> System:
+def random_rational_system(rng: random.Random, n: int, m: int, max_den: int) -> System:
     """Small-denominator rational entries - for certificate campaigns where
     exact enumeration must stay cheap."""
     rows = [

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from operator import mul
+from operator import le, mul
 from typing import Optional, Sequence
 
 from .errors import (
@@ -185,80 +185,78 @@ def verify_certificate(cert: Certificate) -> tuple[bool, list]:
 # ---------------------------------------------------------------------------
 
 
+def _base_radii(system: System, X, U):
+    """X^(m/(d-1)) U^((1-m)/(d-1)) and X^((1-n)/(d-1)) U^(n/(d-1)): the radii
+    of the dual box that M_{U,X} transfers to, before the box's factor."""
+    n, m, d = system.n, system.m, system.d
+    return (exact_mul(exact_pow(X, Fraction(m, d - 1)), exact_pow(U, Fraction(1 - m, d - 1))),
+            exact_mul(exact_pow(X, Fraction(1 - n, d - 1)), exact_pow(U, Fraction(n, d - 1))))
+
+
 def transference_parameters(system: System, X, U):
     """(Y, V) for the sharpened dual box, exact radicals for rational X, U."""
-    d = system.d
-    n, m = system.n, system.m
-    factor = improved_mahler_factor(d)
-    y = exact_mul(factor, exact_mul(exact_pow(X, Fraction(m, d - 1)),
-                                    exact_pow(U, Fraction(1 - m, d - 1))))
-    v = exact_mul(factor, exact_mul(exact_pow(X, Fraction(1 - n, d - 1)),
-                                    exact_pow(U, Fraction(n, d - 1))))
-    return y, v
+    factor = improved_mahler_factor(system.d)
+    return tuple(exact_mul(factor, b) for b in _base_radii(system, X, U))
 
 
-def _find_primal_witness(primal: Box, budget):
-    z = least_point(primal.system, "primal", *primal.bounds(), budget=budget)
-    if z is None:
-        raise NoWitnesses("primal box contains no nonzero integer point")
-    return z
-
-
-def mahler_transfer(
-    system: System,
-    X,
-    U,
-    witness: Optional[Sequence[int]] = None,
-    budget: int = DEFAULT_ENUM_BUDGET,
-) -> Certificate:
-    """From a point in M_{U,X} to a point in the sharpened dual box.
-
-    The dual parameters shrink the classical factor d-1 down to
-    Delta_d**(-1/(d-1)).
-    """
-    n, m, d = system.n, system.m, system.d
+def _mahler_witness(system: System, X, U, kind: str, budget) -> Certificate:
+    """A ``kind`` certificate whose witness is the least nonzero point of
+    M_{U,X}, with the checks that it is nonzero and in that box."""
     primal = Box(system, U, X, "primal")
+    witness = least_point(system, "primal", *primal.bounds(), budget=budget)
     if witness is None:
-        witness = _find_primal_witness(primal, budget)
-    witness = tuple(int(v) for v in witness)
-    Y, V = transference_parameters(system, X, U)
-    delta = delta_d(d)
-
+        raise NoWitnesses("primal box contains no nonzero integer point")
     cert = Certificate(
-        kind="mahler",
-        n=n,
-        m=m,
+        kind=kind,
+        n=system.n,
+        m=system.m,
         theta=system.theta,
-        params={"X": _fmt(X), "U": _fmt(U), "Y": _fmt(Y), "V": _fmt(V)},
+        params={"X": _fmt(X), "U": _fmt(U)},
         inputs={"witness": witness},
         output_point=(),
         target={},
     )
     cert.check("witness_nonzero", any(witness))
     cert.check("witness_in_primal_box", box_contains(primal, witness))
+    return cert
+
+
+def mahler_transfer(system: System, X, U, budget: int = DEFAULT_ENUM_BUDGET) -> Certificate:
+    """From the least point of M_{U,X} to a point in the sharpened dual box.
+
+    The dual parameters shrink the classical factor d-1 down to
+    Delta_d**(-1/(d-1)).
+    """
+    n, m = system.n, system.m
+    cert = _mahler_witness(system, X, U, "mahler", budget)
+    Y, V = transference_parameters(system, X, U)
+    delta = delta_d(system.d)
+    cert.params.update({"Y": _fmt(Y), "V": _fmt(V)})
     cert.check("identity_Y^n_V^m-1_delta_eq_X", _identity_eq(Y, n, V, m - 1, delta, X))
     cert.check("identity_Y^n-1_V^m_delta_eq_U", _identity_eq(Y, n - 1, V, m, delta, U))
     if not cert.all_ok():
         raise HypothesisViolated("mahler_transfer inputs failed verification")
+    h_lo, r_lo = _land_in_dual_box(cert, system, *Box(system, Y, V, "dual").bounds(), None,
+                                   "output_in_dual_box", budget)
+    cert.target = {"side": "dual", "h": str(max(h_lo)), "r": str(max(r_lo))}
+    return cert
 
-    return _land_in_dual_box(cert, system, Y, V, None, budget)
 
-
-def _land_in_dual_box(cert, system, h, r, accept, budget) -> Certificate:
-    """``cert`` with its output set to the least accepted nonzero point of the
-    dual (h, r)-box (``geometry.least_point``), its target to rational lower
-    bounds of h and r that still hold that point, and the check that they do."""
-    out = least_point(system, "dual", *Box(system, h, r, "dual").bounds(), accept=accept,
-                      budget=budget)
+def _land_in_dual_box(cert, system, hbounds, rbounds, accept, check, budget) -> tuple:
+    """Set ``cert``'s output to the least accepted nonzero point of the dual
+    box with these per-coordinate bounds (``geometry.least_point``) and
+    record ``check``: that point lies within rational lower bounds of the
+    bounds.  Returns those rational bounds, (hbounds, rbounds)."""
+    out = least_point(system, "dual", hbounds, rbounds, accept=accept, budget=budget)
     if out is None:
         raise PrecisionExhausted("guaranteed dual box holds no accepted point")
-    yv, rv = system.dual_values(out)
-    h_lo = _rat_lower(h, floor_at=Fraction(yv))
-    r_lo = _rat_lower(r, floor_at=rv)
+    yvals = [Fraction(abs(v)) for v in system.split(out)[1]]
+    rvals = [Fraction(abs(v), system.integer_form.den) for v in system.dual_numerators(out)]
+    h_lo = [_rat_lower(b, floor_at=v) for b, v in zip(hbounds, yvals)]
+    r_lo = [_rat_lower(b, floor_at=v) for b, v in zip(rbounds, rvals)]
     cert.output_point = out
-    cert.target = {"side": "dual", "h": str(h_lo), "r": str(r_lo)}
-    cert.check("output_in_dual_box", yv <= h_lo and rv <= r_lo)
-    return cert
+    cert.check(check, all(map(le, yvals + rvals, h_lo + r_lo)))
+    return h_lo, r_lo
 
 
 def _identity_eq(Y, a, V, b, delta, rhs) -> bool:
@@ -270,7 +268,6 @@ def mahler_transfer_asymmetric(
     X,
     U,
     k: int,
-    witness: Optional[Sequence[int]] = None,
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> Certificate:
     """Classical bilinear-form variant: the dual box carries the factor d-1
@@ -280,60 +277,19 @@ def mahler_transfer_asymmetric(
     n, m, d = system.n, system.m, system.d
     if not 0 <= k < d:
         raise ValueError(f"k must be in [0, {d})")
-    primal = Box(system, U, X, "primal")
-    if witness is None:
-        witness = _find_primal_witness(primal, budget)
-    witness = tuple(int(v) for v in witness)
-
-    X, U = Fraction(X), Fraction(U)
-    # The two base radii as exact radicals (no Delta_d gain here).
-    ybase = exact_mul(exact_pow(X, Fraction(m, d - 1)), exact_pow(U, Fraction(1 - m, d - 1)))
-    vbase = exact_mul(exact_pow(X, Fraction(1 - n, d - 1)), exact_pow(U, Fraction(n, d - 1)))
-    lam = [Fraction(1)] * d
-    lam[k] = Fraction(d - 1)
-    # Constraint order: j = 0..m-1 are the r-side forms, then i = 0..n-1 the
-    # h-side coordinates.
-    rbounds = [exact_mul(lam[j], vbase) for j in range(m)]
-    hbounds = [exact_mul(lam[m + i], ybase) for i in range(n)]
-
-    cert = Certificate(
-        kind="mahler_asymmetric",
-        n=n,
-        m=m,
-        theta=system.theta,
-        params={
-            "X": _fmt(X),
-            "U": _fmt(U),
-            "k": str(k),
-            "Y_base": _fmt(ybase),
-            "V_base": _fmt(vbase),
-        },
-        inputs={"witness": witness},
-        output_point=(),
-        target={},
-    )
-    cert.check("witness_nonzero", any(witness))
-    cert.check("witness_in_primal_box", box_contains(primal, witness))
+    cert = _mahler_witness(system, X, U, "mahler_asymmetric", budget)
     if not cert.all_ok():
         raise HypothesisViolated("asymmetric transfer inputs failed verification")
-
-    out = least_point(system, "dual", hbounds, rbounds, budget=budget)
-    if out is None:
-        raise PrecisionExhausted("guaranteed asymmetric dual box came back empty")
-    yvals = [abs(v) for v in system.split(out)[1]]
-    rvals = [Fraction(abs(v), system.integer_form.den) for v in system.dual_numerators(out)]
-    h_lo = [_rat_lower(b, floor_at=Fraction(v)) for b, v in zip(hbounds, yvals)]
-    r_lo = [_rat_lower(b, floor_at=v) for b, v in zip(rbounds, rvals)]
-    cert.output_point = out
-    cert.target = {
-        "side": "dual",
-        "hbounds": [str(v) for v in h_lo],
-        "rbounds": [str(v) for v in r_lo],
-    }
-    cert.check(
-        "output_in_asymmetric_box",
-        all(a <= b for a, b in zip(yvals, h_lo)) and all(a <= b for a, b in zip(rvals, r_lo)),
-    )
+    ybase, vbase = _base_radii(system, X, U)
+    cert.params.update({"k": str(k), "Y_base": _fmt(ybase), "V_base": _fmt(vbase)})
+    # Constraint order: j = 0..m-1 are the r-side forms, then i = 0..n-1 the
+    # h-side coordinates.
+    bounds = [exact_mul(Fraction(d - 1) if j == k else Fraction(1), base)
+              for j, base in enumerate([vbase] * m + [ybase] * n)]
+    h_lo, r_lo = _land_in_dual_box(cert, system, bounds[m:], bounds[:m], None,
+                                   "output_in_asymmetric_box", budget)
+    cert.target = {"side": "dual", "hbounds": list(map(str, h_lo)),
+                   "rbounds": list(map(str, r_lo))}
     return cert
 
 
@@ -402,6 +358,8 @@ def _main_lemma(system, v1, v2, h, r, constant_sq, budget) -> Certificate:
     v1, v2 = (x + y for x, y in map(system.split, (v1, v2)))  # ValueError unless d long
     if wedge_norm_squared((v1, v2)) == 0:
         raise NonCollinearRequired("v1 and v2 are collinear")
+    if not (exact_lt(0, h) and exact_lt(0, r)):
+        raise HypothesisViolated("the lemma needs h > 0 and r > 0")
     ok, vals = main_lemma_hypothesis(system, v1, v2, h, r, constant_sq)
     if not ok:
         raise HypothesisViolated("product bound fails for (v1, v2, h, r)")
@@ -428,7 +386,10 @@ def _main_lemma(system, v1, v2, h, r, constant_sq, budget) -> Certificate:
     def orthogonal(z):
         return sum(map(mul, z, v1)) == 0 and sum(map(mul, z, v2)) == 0
 
-    return _land_in_dual_box(cert, system, h, r, orthogonal, budget)
+    h_lo, r_lo = _land_in_dual_box(cert, system, *Box(system, h, r, "dual").bounds(), orthogonal,
+                                   "output_in_dual_box", budget)
+    cert.target = {"side": "dual", "h": str(max(h_lo)), "r": str(max(r_lo))}
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -476,13 +437,11 @@ def semicore(
     Phi,
     Psi,
     direction: int,
-    v1: Optional[Sequence[int]] = None,
-    v2: Optional[Sequence[int]] = None,
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> Certificate:
     """Two-witness transference: v1 in the Phi-box and v2 in the Psi-box of
-    common sidelength t yield a point of the dual (h, r)-box, with h, r
-    carrying the 1/(d-2) exponents.
+    common sidelength t (``_semicore_witnesses``) yield a point of the dual
+    (h, r)-box, with h, r carrying the 1/(d-2) exponents.
     """
     if not exact_le(Psi, Phi):
         raise HypothesisViolated("requires Phi >= Psi")
@@ -496,8 +455,7 @@ def semicore(
     else:
         wide, narrow = Box(system, t, Phi, "primal"), Box(system, t, Psi, "primal")
         h_pow, r_pow = n, m - 2
-    if v1 is None or v2 is None:
-        v1, v2 = _semicore_witnesses(system, wide, narrow, budget)
+    v1, v2 = _semicore_witnesses(system, wide, narrow, budget)
     c = Radical(2 * d * (d - 1), 2)
     id_a = exact_eq(exact_mul(exact_pow(h, h_pow), exact_pow(r, r_pow)),
                     exact_mul(exact_mul(c, Phi), Psi))
@@ -639,10 +597,11 @@ def alphas_core(
         "condition": str(cond_lo),
     }
 
-    star_box = Box(system, h_star, r_star, "primal")
-    star = least_point(system, "primal", *star_box.bounds(), budget=budget)
-    if star is not None:
-        cert = mahler_transfer(system, r_star, h_star, witness=star, budget=budget)
+    try:
+        cert = mahler_transfer(system, r_star, h_star, budget=budget)
+    except NoWitnesses:
+        pass  # M_{h*, r*} is empty: take the dilation route
+    else:
         cert.kind = "alphas_core"
         cert.params.update(params)
         cert.params["route"] = "mahler"

@@ -95,7 +95,7 @@ def test_two_point_lemma_campaigns(capsys):
 
 def test_orthogonal_covolume_campaign(capsys):
     t0 = time.perf_counter()
-    result = campaign_covolumes(trials=500, max_dim=8, seed=0)
+    result = campaign_covolumes(trials=500, seed=0)
     elapsed = time.perf_counter() - t0
     _summary(capsys, "orthogonal-lattice covolume equality", result.all_passed,
              elapsed, 30.0, f"{result.passed}/{result.trials} exact equalities")
@@ -112,7 +112,7 @@ def test_exponent_reproduction(capsys):
         for est in (ep, ed):
             ok = ok and 0.95 <= est.alpha_fit <= 1.05 and 0.95 <= est.beta_fit <= 1.05
         details.append(f"{name} alpha={ep.alpha_fit:.4f}")
-    eq = campaign_jarnik_equality(count=12, t_max_primal=10**4)
+    eq = campaign_jarnik_equality(count=12)
     ok = ok and eq.all_passed
     worst = max(entry["residual"] for entry in eq.details)
     elapsed = time.perf_counter() - t0
@@ -147,7 +147,7 @@ def test_inequality_and_classifier_campaigns(capsys):
 
 def test_cube_section_volume_campaign(capsys):
     t0 = time.perf_counter()
-    result = campaign_cube_sections(trials=1000, max_dim=8, seed=0)
+    result = campaign_cube_sections(trials=1000, seed=0)
     elapsed = time.perf_counter() - t0
     _summary(capsys, "central cube-section volume bounds", result.all_passed,
              elapsed, 30.0,

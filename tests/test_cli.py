@@ -71,6 +71,23 @@ def test_input_the_library_rejects_is_a_usage_error(capsys, argv):
         ("campaign", "--family", "main-lemma", "--dims", "3", "0", "--trials", "1"),
         ("campaign", "--family", "inequalities", "--n", "0", "--m", "1", "--trials", "1"),
         ("campaign", "--family", "inequalities", "--n", "1", "--m", "-2", "--trials", "1"),
+        ("transfer", "lemma", "--preset", "plastic", "--v1", "1,0,0", "--v2", "0,1,0",
+         "--h", "-4", "--r", "-4"),
+        ("transfer", "lemma3d", "--preset", "plastic", "--v1", "1,0,0", "--v2", "0,1,0",
+         "--h", "-4", "--r", "-4"),
+        ("transfer", "lemma", "--preset", "plastic", "--v1", "1,0,0", "--v2", "0,1,0",
+         "--h", "4", "--r", "0"),
+        ("best-approx", "--preset", "golden", "--t-max", "-5"),
+        ("best-approx", "--preset", "golden", "--t-max", "0"),
+        ("estimate", "--preset", "golden", "--t-max", "0"),
+        ("estimate", "--preset", "golden", "--t-max", "1"),
+        ("campaign", "--family", "dominions", "--trials", "-1"),
+        ("campaign", "--family", "dominions", "--trials", "0"),
+        ("transfer", "mahler", "--theta", "1/2", "--n", "1", "--m", "1",
+         "--X", "10", "--U", "1/10", "--budget", "-4"),
+        ("transfer", "mahler", "--theta", "1/2", "--n", "1", "--m", "1",
+         "--X", "10", "--U", "1/10", "--budget", "0"),
+        ("delta", "--dmax", "1"),
     ],
 )
 def test_nonpositive_radii_and_sizes_are_usage_errors(capsys, argv):

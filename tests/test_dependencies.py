@@ -39,6 +39,7 @@ REACHED_FROM_OUTSIDE_SRC = {
     "exactlinalg.Lattice.contains": "the membership reference of the HNF and LLL tests",
     "geometry.System.transposed": "the tests build the dual side's primal twin with it",
     "geometry.enumerate_nonzero": "bench/spans.py binds it; tests use it as the listing reference",
+    "geometry.System.dual_values": "bench/spans.py traces it as geometry.residual",
 }
 
 
@@ -87,3 +88,67 @@ def test_every_library_definition_is_reached_from_the_library():
             if not reached and name not in diotrans.__all__:
                 unreached.append(f"{module}.{name}")
     assert sorted(unreached) == sorted(REACHED_FROM_OUTSIDE_SRC)
+
+
+# Every parameter in src/ that has a default, as module.scope.name (lambdas
+# as <lambda>).  A new library knob needs an entry here.
+LIBRARY_DEFAULTS = {
+    "cli.run.argv",
+    "geometry.enumerate_nonzero.budget",
+    "geometry.enumerate_nonzero_general.budget",
+    "geometry.least_point.accept",
+    "geometry.least_point.budget",
+    "harness.CampaignResult.record.detail",
+    "harness._below.note",
+    "harness.campaign_covolumes.seed",
+    "harness.campaign_covolumes.trials",
+    "harness.campaign_cube_sections.seed",
+    "harness.campaign_cube_sections.trials",
+    "harness.campaign_dominions.seed",
+    "harness.campaign_dominions.trials",
+    "harness.campaign_inequalities.seed",
+    "harness.campaign_inequalities.trials",
+    "harness.campaign_jarnik_equality.count",
+    "harness.campaign_mahler.<lambda>.k",
+    "harness.campaign_mahler.dims",
+    "harness.campaign_mahler.seed",
+    "harness.campaign_mahler.trials_per_dim",
+    "harness.campaign_main_lemma.dims",
+    "harness.campaign_main_lemma.seed",
+    "harness.campaign_main_lemma.trials",
+    "harness.campaign_main_lemma_gap.seed",
+    "harness.campaign_main_lemma_gap.trials",
+    "intervals.Enclosure.__init__.hi",
+    "radicals.Radical.__init__.index",
+    "transfer.alphas_core.budget",
+    "transfer.mahler_transfer.budget",
+    "transfer.mahler_transfer_asymmetric.budget",
+    "transfer.main_lemma_transfer.budget",
+    "transfer.main_lemma_transfer_3d.budget",
+    "transfer.semicore.budget",
+}
+
+
+def _defaulted_parameters(node, prefix):
+    """prefix + scope.name of each parameter with a default under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            scope = f"{prefix}{getattr(child, 'name', '<lambda>')}."
+            args = child.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):] + [
+                arg for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                if default is not None]
+            yield from (scope + arg.arg for arg in defaulted)
+            yield from _defaulted_parameters(child, scope)
+        elif isinstance(child, ast.ClassDef):
+            yield from _defaulted_parameters(child, f"{prefix}{child.name}.")
+        else:
+            yield from _defaulted_parameters(child, prefix)
+
+
+def test_library_defaults_are_pinned():
+    found = [name for path in sorted((ROOT / "src" / "diotrans").glob("*.py"))
+             for name in _defaulted_parameters(ast.parse(path.read_text()), f"{path.stem}.")]
+    assert len(found) == len(set(found))
+    assert set(found) == LIBRARY_DEFAULTS

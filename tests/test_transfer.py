@@ -184,6 +184,17 @@ def test_main_lemma_rejects_small_products():
         main_lemma_transfer(system, (1, 0, 0), (0, 1, 0), Fraction(1, 100), Fraction(1, 100))
 
 
+@pytest.mark.parametrize("h, r", [(-4, -4), (0, 1), (4, 0)])
+def test_main_lemma_rejects_nonpositive_radii(h, r):
+    # the product bound compares squares, so on its own it admits (-4, -4)
+    system = get_preset("plastic").build()
+    v1, v2 = (1, 0, 0), (0, 1, 0)
+    assert main_lemma_hypothesis(system, v1, v2, -4, -4, Fraction(1, 12))[0]
+    for transfer in (main_lemma_transfer, main_lemma_transfer_3d):
+        with pytest.raises(HypothesisViolated, match="h > 0 and r > 0"):
+            transfer(system, v1, v2, h, r)
+
+
 def test_3d_variant_needs_dimension_three():
     with pytest.raises(Only3D):
         main_lemma_transfer_3d(_half(), (1, 0), (0, 1), 1, 1)
@@ -212,6 +223,23 @@ def test_semicore_two_witness_step():
     cert = semicore(system, 3, phi_val, psi_val, 1, budget=10**6)
     assert cert.kind.startswith("semicore")
     assert cert.all_ok() and verify_certificate(cert)[0]
+
+
+def _round_trip_verifies(cert) -> bool:
+    text = cert.to_json()
+    back = Certificate.from_json(text)
+    return back.to_json() == text and verify_certificate(back)[0]
+
+
+def test_semicore_second_direction_and_core_second_condition_verify():
+    system = get_preset("plastic").build()
+    cert = semicore(system, Fraction(1, 20), 5, 3, -1)
+    assert cert.kind == "semicore2" and cert.params["direction"] == "-1"
+    assert _round_trip_verifies(cert)
+    cert = alphas_core(system, power_spec(1, Fraction(-1, 2)),
+                       power_spec(Fraction(1, 100), Fraction(-1, 2)), 4)
+    assert cert.params["condition"] == "2" and cert.params["route"] == "mahler"
+    assert _round_trip_verifies(cert)
 
 
 def test_semicore_requires_ordered_bounds():
