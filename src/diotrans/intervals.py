@@ -53,27 +53,10 @@ class Enclosure:
 
     # -- exact arithmetic ----------------------------------------------
 
-    def __add__(self, other):
-        other = Enclosure.of(other)
-        return Enclosure(self.lo + other.lo, self.hi + other.hi)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Enclosure(-self.hi, -self.lo)
-
-    def __sub__(self, other):
-        return self + (-Enclosure.of(other))
-
-    def __rsub__(self, other):
-        return Enclosure.of(other) + (-self)
-
     def __mul__(self, other):
         other = Enclosure.of(other)
         prods = [a * b for a in (self.lo, self.hi) for b in (other.lo, other.hi)]
         return Enclosure(min(prods), max(prods))
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = Enclosure.of(other)
@@ -137,10 +120,6 @@ class Enclosure:
 
     def __float__(self):
         return float(self.midpoint())
-
-    def __contains__(self, value) -> bool:
-        v = Fraction(value)
-        return self.lo <= v <= self.hi
 
     def __repr__(self):
         return f"Enclosure({float(self.lo)!r}, {float(self.hi)!r})"

@@ -102,9 +102,6 @@ class Radical:
         other = Radical.of(other)
         return self * Radical(1 / other.radicand, other.index)
 
-    def __rtruediv__(self, other) -> "Radical":
-        return Radical.of(other) / self
-
     def __pow__(self, exponent) -> "Radical":
         e = Fraction(exponent)
         if e == 0:

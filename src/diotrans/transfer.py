@@ -3,17 +3,18 @@
 Each operation takes exact inputs, checks its hypothesis pessimistically,
 derives the guaranteed target parallelepiped, finds a nonzero integer point
 in it by an exact least-point search (``geometry.least_point``), and returns
-a ``Certificate`` recording inputs, parameters, the witness, and every
-verification performed.  A certificate can be serialized to JSON and
-re-verified independently with plain rational arithmetic.
+a ``Certificate`` recording inputs, parameters, the witness and the target.
+A condition that fails during a construction raises.  A certificate can be
+serialized to JSON and re-verified independently with plain rational
+arithmetic (``verify_certificate``).
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from operator import le, mul
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import (
@@ -27,7 +28,7 @@ from .errors import (
 )
 from .exactlinalg import wedge_norm_squared
 from .functions import FunctionSpec
-from .geometry import DEFAULT_ENUM_BUDGET, Box, System, _walk, box_contains, in_box, least_point
+from .geometry import DEFAULT_ENUM_BUDGET, Box, System, _walk, in_box, least_point
 from .intervals import Enclosure
 from .radicals import (
     Radical, exact_div, exact_eq, exact_le, exact_lt, exact_max, exact_mul, exact_pow,
@@ -77,14 +78,6 @@ class Certificate:
     inputs: dict
     output_point: tuple
     target: dict  # side + rational bound strings (scalar or per-coordinate)
-    checks: list = field(default_factory=list)
-
-    def check(self, name: str, ok: bool):
-        self.checks.append((name, bool(ok)))
-        return ok
-
-    def all_ok(self) -> bool:
-        return all(ok for _, ok in self.checks)
 
     def to_dict(self) -> dict:
         return {
@@ -96,7 +89,6 @@ class Certificate:
             "inputs": {k: list(v) for k, v in self.inputs.items()},
             "output_point": list(self.output_point),
             "target": self.target,
-            "checks": [[name, ok] for name, ok in self.checks],
         }
 
     def to_json(self) -> str:
@@ -105,8 +97,11 @@ class Certificate:
     @staticmethod
     def from_dict(data: dict) -> "Certificate":
         """The certificate ``to_dict`` wrote.  A missing field raises KeyError;
-        a field of the wrong type or value TypeError or ValueError."""
-        n, m = int(data["n"]), int(data["m"])
+        a field of the wrong type or value TypeError or ValueError.  Other
+        keys, such as the ``checks`` list of older certificates, are ignored."""
+        n, m = data["n"], data["m"]
+        if type(n) is not int or type(m) is not int:
+            raise ValueError(f"n and m must be integers, not {n!r} and {m!r}")
         return Certificate(
             kind=data["kind"],
             n=n,
@@ -114,9 +109,8 @@ class Certificate:
             theta=tuple(tuple(Fraction(v) for v in row) for row in data["theta"]),
             params=dict(data["params"]),
             inputs={k: _integer_vector(v) for k, v in data["inputs"].items()},
-            output_point=tuple(int(v) for v in data["output_point"]),
+            output_point=_integer_vector(data["output_point"]),
             target=_checked_target(dict(data["target"]), n, m),
-            checks=[(name, bool(ok)) for name, ok in data["checks"]],
         )
 
     @staticmethod
@@ -126,7 +120,7 @@ class Certificate:
 
 def _integer_vector(v) -> tuple:
     if not isinstance(v, list) or not all(type(a) is int for a in v):
-        raise ValueError(f"input vectors must be lists of integers, not {v!r}")
+        raise ValueError(f"vectors must be lists of integers, not {v!r}")
     return tuple(v)
 
 
@@ -175,8 +169,6 @@ def verify_certificate(cert: Certificate) -> tuple[bool, list]:
         v1, v2 = cert.inputs["v1"], cert.inputs["v2"]
         results.append(("inputs_non_collinear", len(v1) == len(v2) == system.d
                         and wedge_norm_squared((v1, v2)) != 0))
-    recorded = dict(cert.checks)
-    results.append(("recorded_checks_all_true", all(recorded.values())))
     return all(ok for _, ok in results), results
 
 
@@ -201,12 +193,11 @@ def transference_parameters(system: System, X, U):
 
 def _mahler_witness(system: System, X, U, kind: str, budget) -> Certificate:
     """A ``kind`` certificate whose witness is the least nonzero point of
-    M_{U,X}, with the checks that it is nonzero and in that box."""
-    primal = Box(system, U, X, "primal")
-    witness = least_point(system, "primal", *primal.bounds(), budget=budget)
+    M_{U,X}."""
+    witness = least_point(system, "primal", *Box(system, U, X, "primal").bounds(), budget=budget)
     if witness is None:
         raise NoWitnesses("primal box contains no nonzero integer point")
-    cert = Certificate(
+    return Certificate(
         kind=kind,
         n=system.n,
         m=system.m,
@@ -216,9 +207,6 @@ def _mahler_witness(system: System, X, U, kind: str, budget) -> Certificate:
         output_point=(),
         target={},
     )
-    cert.check("witness_nonzero", any(witness))
-    cert.check("witness_in_primal_box", box_contains(primal, witness))
-    return cert
 
 
 def mahler_transfer(system: System, X, U, budget: int = DEFAULT_ENUM_BUDGET) -> Certificate:
@@ -232,21 +220,18 @@ def mahler_transfer(system: System, X, U, budget: int = DEFAULT_ENUM_BUDGET) -> 
     Y, V = transference_parameters(system, X, U)
     delta = delta_d(system.d)
     cert.params.update({"Y": _fmt(Y), "V": _fmt(V)})
-    cert.check("identity_Y^n_V^m-1_delta_eq_X", _identity_eq(Y, n, V, m - 1, delta, X))
-    cert.check("identity_Y^n-1_V^m_delta_eq_U", _identity_eq(Y, n - 1, V, m, delta, U))
-    if not cert.all_ok():
+    if not (_identity_eq(Y, n, V, m - 1, delta, X) and _identity_eq(Y, n - 1, V, m, delta, U)):
         raise HypothesisViolated("mahler_transfer inputs failed verification")
-    h_lo, r_lo = _land_in_dual_box(cert, system, *Box(system, Y, V, "dual").bounds(), None,
-                                   "output_in_dual_box", budget)
+    h_lo, r_lo = _land_in_dual_box(cert, system, *Box(system, Y, V, "dual").bounds(), None, budget)
     cert.target = {"side": "dual", "h": str(max(h_lo)), "r": str(max(r_lo))}
     return cert
 
 
-def _land_in_dual_box(cert, system, hbounds, rbounds, accept, check, budget) -> tuple:
+def _land_in_dual_box(cert, system, hbounds, rbounds, accept, budget) -> tuple:
     """Set ``cert``'s output to the least accepted nonzero point of the dual
-    box with these per-coordinate bounds (``geometry.least_point``) and
-    record ``check``: that point lies within rational lower bounds of the
-    bounds.  Returns those rational bounds, (hbounds, rbounds)."""
+    box with these per-coordinate bounds (``geometry.least_point``).
+    Returns rational lower bounds of the bounds, each at least the point's
+    own value on that coordinate, as (hbounds, rbounds)."""
     out = least_point(system, "dual", hbounds, rbounds, accept=accept, budget=budget)
     if out is None:
         raise PrecisionExhausted("guaranteed dual box holds no accepted point")
@@ -255,7 +240,6 @@ def _land_in_dual_box(cert, system, hbounds, rbounds, accept, check, budget) -> 
     h_lo = [_rat_lower(b, floor_at=v) for b, v in zip(hbounds, yvals)]
     r_lo = [_rat_lower(b, floor_at=v) for b, v in zip(rbounds, rvals)]
     cert.output_point = out
-    cert.check(check, all(map(le, yvals + rvals, h_lo + r_lo)))
     return h_lo, r_lo
 
 
@@ -278,16 +262,13 @@ def mahler_transfer_asymmetric(
     if not 0 <= k < d:
         raise ValueError(f"k must be in [0, {d})")
     cert = _mahler_witness(system, X, U, "mahler_asymmetric", budget)
-    if not cert.all_ok():
-        raise HypothesisViolated("asymmetric transfer inputs failed verification")
     ybase, vbase = _base_radii(system, X, U)
     cert.params.update({"k": str(k), "Y_base": _fmt(ybase), "V_base": _fmt(vbase)})
     # Constraint order: j = 0..m-1 are the r-side forms, then i = 0..n-1 the
     # h-side coordinates.
     bounds = [exact_mul(Fraction(d - 1) if j == k else Fraction(1), base)
               for j, base in enumerate([vbase] * m + [ybase] * n)]
-    h_lo, r_lo = _land_in_dual_box(cert, system, bounds[m:], bounds[:m], None,
-                                   "output_in_asymmetric_box", budget)
+    h_lo, r_lo = _land_in_dual_box(cert, system, bounds[m:], bounds[:m], None, budget)
     cert.target = {"side": "dual", "hbounds": list(map(str, h_lo)),
                    "rbounds": list(map(str, r_lo))}
     return cert
@@ -379,15 +360,12 @@ def _main_lemma(system, v1, v2, h, r, constant_sq, budget) -> Certificate:
         output_point=(),
         target={},
     )
-    cert.check("non_collinear", True)
-    cert.check("product_bound", True)
-    cert.check("output_orthogonal", True)  # the landing accepts orthogonal points only
 
     def orthogonal(z):
         return sum(map(mul, z, v1)) == 0 and sum(map(mul, z, v2)) == 0
 
     h_lo, r_lo = _land_in_dual_box(cert, system, *Box(system, h, r, "dual").bounds(), orthogonal,
-                                   "output_in_dual_box", budget)
+                                   budget)
     cert.target = {"side": "dual", "h": str(max(h_lo)), "r": str(max(r_lo))}
     return cert
 
@@ -457,21 +435,15 @@ def semicore(
         h_pow, r_pow = n, m - 2
     v1, v2 = _semicore_witnesses(system, wide, narrow, budget)
     c = Radical(2 * d * (d - 1), 2)
-    id_a = exact_eq(exact_mul(exact_pow(h, h_pow), exact_pow(r, r_pow)),
-                    exact_mul(exact_mul(c, Phi), Psi))
-    id_b = exact_eq(
-        exact_mul(exact_pow(h, n - 1), exact_pow(r, m - 1)), exact_mul(exact_mul(c, t), Phi)
-    )
+    if not (exact_eq(exact_mul(exact_pow(h, h_pow), exact_pow(r, r_pow)),
+                     exact_mul(exact_mul(c, Phi), Psi))
+            and exact_eq(exact_mul(exact_pow(h, n - 1), exact_pow(r, m - 1)),
+                         exact_mul(exact_mul(c, t), Phi))):
+        raise HypothesisViolated("semicore verification failed")
     cert = main_lemma_transfer(system, v1, v2, h, r, budget=budget)
     cert.kind = "semicore1" if direction == 1 else "semicore2"
     cert.params.update({"t": _fmt(t), "Phi": _fmt(Phi), "Psi": _fmt(Psi),
                         "direction": str(direction)})
-    cert.check("identity_cPhiPsi", id_a)
-    cert.check("identity_ctPhi", id_b)
-    cert.check("v1_in_wide_box", box_contains(wide, v1))
-    cert.check("v2_in_narrow_box", box_contains(narrow, v2))
-    if not cert.all_ok():
-        raise HypothesisViolated("semicore verification failed")
     return cert
 
 
@@ -602,13 +574,13 @@ def alphas_core(
     except NoWitnesses:
         pass  # M_{h*, r*} is empty: take the dilation route
     else:
+        # The Mahler parameters land exactly on (h, r).
+        Y, V = transference_parameters(system, r_star, h_star)
+        if not (exact_eq(Y, h) and exact_eq(V, r)):
+            raise HypothesisViolated("the Mahler route's dual box (Y, V) is not (h, r)")
         cert.kind = "alphas_core"
         cert.params.update(params)
         cert.params["route"] = "mahler"
-        # The Mahler parameters land exactly on (h, r).
-        Y, V = transference_parameters(system, r_star, h_star)
-        cert.check("mahler_route_Y_eq_h", exact_eq(Y, h))
-        cert.check("mahler_route_V_eq_r", exact_eq(V, r))
         return cert
 
     def box(h_mult, r_mult):

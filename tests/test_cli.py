@@ -300,10 +300,12 @@ MAHLER_FIELDS = {"kind": "mahler", "n": 1, "m": 1, "theta": [["1/2"]], "params":
         json.dumps({**MAHLER_FIELDS, "target": {"side": "up", "h": "1", "r": "1"}}),
         json.dumps({**MAHLER_FIELDS, "target": {"side": "dual", "hbounds": ["1", "1"],
                                                  "rbounds": ["1"]}}),
+        json.dumps({**MAHLER_FIELDS, "output_point": [1.5, 0]}),
+        json.dumps({**MAHLER_FIELDS, "n": 1.7}),
     ],
     ids=["empty", "no-fields", "theta-shape", "theta-zero-denominator", "inputs-not-object",
          "input-entry-not-integer", "target-without-side", "target-bound-not-rational", "target-side-unknown",
-         "target-bounds-wrong-length"],
+         "target-bounds-wrong-length", "output-point-not-integer", "n-not-integer"],
 )
 def test_malformed_certificate_is_an_error(tmp_path, capsys, text):
     cert_file = tmp_path / "cert.json"

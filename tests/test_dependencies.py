@@ -40,6 +40,7 @@ REACHED_FROM_OUTSIDE_SRC = {
     "geometry.System.transposed": "the tests build the dual side's primal twin with it",
     "geometry.enumerate_nonzero": "bench/spans.py binds it; tests use it as the listing reference",
     "geometry.System.dual_values": "bench/spans.py traces it as geometry.residual",
+    "geometry.box_contains": "bench/spans.py traces it",
 }
 
 

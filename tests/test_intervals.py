@@ -16,10 +16,8 @@ from diotrans.radicals import Radical
 def test_point_enclosure_arithmetic_is_exact():
     a = Enclosure(Fraction(1, 3))
     b = Enclosure(Fraction(1, 6))
-    assert (a + b).lo == Fraction(1, 2) == (a + b).hi
-    assert (a - b).midpoint() == Fraction(1, 6)
-    assert (a * b).lo == Fraction(1, 18)
-    assert (a / b).lo == 2
+    assert (a * b).lo == Fraction(1, 18) == (a * b).hi
+    assert (a / b).lo == 2 == (a / b).hi
 
 
 def test_interval_multiplication_hull():
@@ -37,7 +35,7 @@ def test_division_by_straddling_zero_raises():
 def test_exp_ln_roundtrip_contains_truth():
     x = Enclosure(Fraction(3, 7))
     y = x.exp().ln()
-    assert Fraction(3, 7) in y
+    assert y.lo <= Fraction(3, 7) <= y.hi
     assert y.hi - y.lo < Fraction(1, 10**30)
 
 
@@ -93,14 +91,15 @@ def test_radicals_leave_mpmath_unloaded_until_exp_or_ln():
         "from fractions import Fraction\n"
         "from diotrans import System, best_approx_table, get_preset\n"
         "from diotrans.functions import FunctionSpec, power_spec\n"
-        "from diotrans.transfer import alphas_core, mahler_transfer, semicore\n"
+        "from diotrans.transfer import alphas_core, mahler_transfer, semicore, verify_certificate\n"
         "plastic = get_preset('plastic').build()\n"
-        "assert mahler_transfer(System(1, 2, ((Fraction(1, 3), Fraction(1, 5)),)), 4,\n"
-        "                       Fraction(1, 4)).all_ok()\n"
+        "assert verify_certificate(mahler_transfer(\n"
+        "    System(1, 2, ((Fraction(1, 3), Fraction(1, 5)),)), 4, Fraction(1, 4)))[0]\n"
         "records = best_approx_table(plastic, 'primal', 5).records\n"
-        "assert semicore(plastic, 3, records[0].psi, records[1].psi, 1, budget=10**6).all_ok()\n"
-        "assert alphas_core(plastic, power_spec(1, Fraction(-1, 2)),\n"
-        "                   power_spec(Fraction(1, 100), -2), 20).all_ok()\n"
+        "assert verify_certificate(\n"
+        "    semicore(plastic, 3, records[0].psi, records[1].psi, 1, budget=10**6))[0]\n"
+        "assert verify_certificate(alphas_core(plastic, power_spec(1, Fraction(-1, 2)),\n"
+        "                                      power_spec(Fraction(1, 100), -2), 20))[0]\n"
         "print('mpmath' in sys.modules)\n"
         "v = FunctionSpec('exp', 3, -2).value(Fraction(1, 2))\n"
         "print('mpmath' in sys.modules, v.lo, v.hi)\n"

@@ -56,7 +56,6 @@ def test_transference_parameters_d3_radical():
 def test_mahler_transfer_produces_verified_certificate():
     system = _half()
     cert = mahler_transfer(system, Fraction(2), Fraction(1, 100))
-    assert cert.all_ok()
     ok, results = verify_certificate(cert)
     assert ok, results
 
@@ -76,7 +75,7 @@ def test_mahler_transfer_walks_its_boxes_without_listing_them():
     assert cert.output_point == (-14, -32, -40)
     assert cert.params == {"X": "60", "U": "3", "Y": "40", "V": "2"}
     assert cert.target == {"side": "dual", "h": "40", "r": "2"}
-    assert cert.all_ok() and verify_certificate(cert)[0]
+    assert verify_certificate(cert)[0]
 
 
 @pytest.mark.parametrize("n, m", [(1, 2), (2, 1), (1, 3), (2, 2), (3, 1), (1, 4), (2, 3), (4, 1)])
@@ -92,7 +91,7 @@ def test_mahler_radical_targets_lie_between_the_output_and_the_radius(n, m):
     h, r = Fraction(cert.target["h"]), Fraction(cert.target["r"])
     assert exact_le(yv, h) and exact_le(h, Y)
     assert exact_le(rv, r) and exact_le(r, V)
-    assert cert.all_ok() and verify_certificate(cert)[0]
+    assert verify_certificate(cert)[0]
 
 
 def test_mahler_requires_populated_primal_box():
@@ -105,7 +104,6 @@ def test_asymmetric_every_coordinate():
     system = System(1, 2, ((Fraction(1, 3), Fraction(2, 7)),))
     for k in range(system.d):
         cert = mahler_transfer_asymmetric(system, Fraction(3), Fraction(1, 2), k)
-        assert cert.all_ok()
         assert verify_certificate(cert)[0]
 
 
@@ -119,6 +117,33 @@ def test_certificate_json_roundtrip():
     back = Certificate.from_json(cert.to_json())
     assert back.to_dict() == cert.to_dict()
     assert verify_certificate(back)[0]
+    assert "checks" not in json.loads(cert.to_json())
+
+
+# README's certificate as written while certificates still carried the list
+# of checks their construction recorded; loading ignores that list
+OLDER_CERTIFICATE = {
+    "checks": [["witness_nonzero", True], ["witness_in_primal_box", True],
+               ["identity_Y^n_V^m-1_delta_eq_X", True], ["identity_Y^n-1_V^m_delta_eq_U", True],
+               ["output_in_dual_box", True]],
+    "inputs": {"witness": [-10, 5]},
+    "kind": "mahler",
+    "m": 1,
+    "n": 1,
+    "output_point": [-5, -10],
+    "params": {"U": "1/10", "V": "1/10", "X": "10", "Y": "10"},
+    "target": {"h": "10", "r": "1/10", "side": "dual"},
+    "theta": [["1/2"]],
+}
+
+
+def test_certificate_with_recorded_checks_still_loads_and_verifies():
+    cert = Certificate.from_json(json.dumps(OLDER_CERTIFICATE))
+    assert verify_certificate(cert)[0]
+    assert cert.to_dict() == mahler_transfer(_half(), Fraction(10), Fraction(1, 10)).to_dict()
+    assert "checks" not in cert.to_dict()
+    failed = dict(OLDER_CERTIFICATE, output_point=[5, -10])
+    assert not verify_certificate(Certificate.from_json(json.dumps(failed)))[0]
 
 
 def test_tampered_certificate_fails_verification():
@@ -134,7 +159,6 @@ def test_main_lemma_hand_instance():
     ok, vals = main_lemma_hypothesis(system, v1, v2, 4, 1, Fraction(1, 12))
     assert ok and vals["h1"] == 0 and vals["r1"] == 1
     cert = main_lemma_transfer(system, v1, v2, 4, 1)
-    assert cert.all_ok()
     assert verify_certificate(cert)[0]
     # the output is orthogonal to both inputs by construction
     z = cert.output_point
@@ -212,7 +236,7 @@ def test_3d_gap_instance_separates_constants():
     with pytest.raises(HypothesisViolated):
         main_lemma_transfer(system, v1, v2, h, 1)
     cert = main_lemma_transfer_3d(system, v1, v2, h, 1)
-    assert cert.all_ok() and verify_certificate(cert)[0]
+    assert verify_certificate(cert)[0]
 
 
 def test_semicore_two_witness_step():
@@ -222,7 +246,7 @@ def test_semicore_two_witness_step():
     psi_val = table.records[1].psi
     cert = semicore(system, 3, phi_val, psi_val, 1, budget=10**6)
     assert cert.kind.startswith("semicore")
-    assert cert.all_ok() and verify_certificate(cert)[0]
+    assert verify_certificate(cert)[0]
 
 
 def _round_trip_verifies(cert) -> bool:
@@ -254,7 +278,7 @@ def test_alphas_core_route_mahler():
         system, power_spec(1, Fraction(-1, 2)), power_spec(Fraction(1, 100), -2), 20
     )
     assert cert.params["route"] == "mahler"
-    assert cert.all_ok() and verify_certificate(cert)[0]
+    assert verify_certificate(cert)[0]
 
 
 def test_alphas_core_route_dilation():
@@ -275,7 +299,7 @@ def test_alphas_core_route_dilation():
     )
     assert cert.params["route"] == "dilation"
     assert cert.params["lambda2"] == "5"
-    assert cert.all_ok() and verify_certificate(cert)[0]
+    assert verify_certificate(cert)[0]
 
 
 def test_alphas_core_growth_hypothesis_enforced():
@@ -297,7 +321,7 @@ def test_mahler_transfer_with_enclosure_inputs():
     assert cert.params == {
         "X": "[10, 10]", "U": "[1/10, 1/10]", "Y": "[10, 10]", "V": "[1/10, 1/10]"
     }
-    assert cert.all_ok() and verify_certificate(cert)[0]
+    assert verify_certificate(cert)[0]
 
 
 def test_main_lemma_hypothesis_with_enclosed_r():
