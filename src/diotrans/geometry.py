@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional, Sequence
 from .errors import BudgetExceeded
 from .exactlinalg import lll_reduce
 from .intervals import Enclosure
-from .radicals import _int_nth_root, exact_floor, exact_le, exact_mul, floor_within
+from .radicals import _int_nth_root, exact_le, exact_mul, floor_within
 
 DEFAULT_ENUM_BUDGET = 10**7  # outer candidates of one box search
 
@@ -207,13 +207,13 @@ def _walk(system, side, hbounds, rbounds, budget):
     else:
         outer_bounds, inner_bounds, forms, sign = hbounds, rbounds, form.cols, -1
 
-    outer_bounds = [exact_floor(b) for b in outer_bounds]
+    outer_bounds = [floor_within(b) for b in outer_bounds]
     count = 1
     for b in outer_bounds:
         count *= 2 * b + 1
         if count > budget:
             raise BudgetExceeded(f"outer box has more than {budget} candidates")
-    thresholds = [floor_within(exact_mul(den, b), 0) for b in inner_bounds]
+    thresholds = [floor_within(exact_mul(den, b)) for b in inner_bounds]
 
     for outer in product(*(range(-b, b + 1) for b in outer_bounds)):
         inner_ranges = []

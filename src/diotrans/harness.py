@@ -866,7 +866,10 @@ def campaign_cube_sections(trials: int = 1000, seed: int = 0) -> CampaignResult:
 
 
 def _f_spec(psi: FunctionSpec) -> FunctionSpec:
-    """t * psi(t) within the same family (exponent shifted by one)."""
+    """t * psi(t) within the same family (exponent shifted by one).  The exp
+    family has no such member: t c e^(g t) is not c e^((g+1) t)."""
+    if psi.family == "exp":
+        raise DomainError("t * psi(t) leaves the exp family")
     return FunctionSpec(psi.family, psi.coeff, psi.exponent + 1, psi.log_exponent)
 
 

@@ -248,20 +248,10 @@ def exact_pow(a, exponent):
     return _rational_if_possible(Radical.of(a) ** e)
 
 
-def exact_floor(bound) -> int:
-    """Largest integer <= bound (bound a Fraction or positive Radical)."""
+def floor_within(bound) -> int:
+    """Largest integer <= bound (a Fraction or positive Radical), exact at
+    every magnitude."""
     if isinstance(bound, Radical):
         return bound.floor()
     f = Fraction(bound)
     return f.numerator // f.denominator
-
-
-def floor_within(bound, shift: Fraction) -> int:
-    """Largest integer y with y + shift <= bound, exact at every magnitude.
-
-    For shift = p/q in lowest terms, y + p/q <= bound iff q y + p <=
-    floor(q bound), so y is one integer floor of q * bound.
-    """
-    shift = Fraction(shift)
-    p, q = shift.numerator, shift.denominator
-    return (exact_floor(exact_mul(q, bound)) - p) // q

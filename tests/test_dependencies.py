@@ -1,4 +1,5 @@
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -42,6 +43,39 @@ REACHED_FROM_OUTSIDE_SRC = {
     "geometry.System.dual_values": "bench/spans.py traces it as geometry.residual",
     "geometry.box_contains": "bench/spans.py traces it",
 }
+
+
+def _traced():
+    """bench/spans.py's TRACED entries (module, attribute, group), read from
+    its source so that no bench/ code is imported."""
+    for node in ast.parse((ROOT / "bench" / "spans.py").read_text()).body:
+        targets = [getattr(t, "id", None) for t in getattr(node, "targets", ())]
+        if targets == ["TRACED"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/spans.py assigns no TRACED list")
+
+
+def test_every_traced_name_resolves():
+    # the tracer getattrs each entry, so a name deleted from src/ crashes
+    # every traced benchmark run; a method must be the class's own
+    unresolved = []
+    for module, attr, _ in _traced():
+        owner = importlib.import_module(f"diotrans.{module}")
+        cls, _, name = attr.rpartition(".")
+        if cls:
+            owner = getattr(owner, cls, None)
+            ok = isinstance(owner, type) and name in vars(owner)
+        else:
+            ok = hasattr(owner, name)
+        if not ok:
+            unresolved.append(f"{module}.{attr}")
+    assert unresolved == []
+
+
+def test_names_kept_for_the_tracer_are_traced():
+    traced = {f"{module}.{attr}" for module, attr, _ in _traced()}
+    kept = {name for name, reason in REACHED_FROM_OUTSIDE_SRC.items() if "bench/spans.py" in reason}
+    assert kept and kept <= traced
 
 
 def _definitions(tree):

@@ -26,7 +26,7 @@ from diotrans.geometry import (
 )
 from diotrans.intervals import Enclosure
 from diotrans.presets import get_preset, random_system
-from diotrans.radicals import Radical, exact_floor
+from diotrans.radicals import Radical, floor_within
 
 
 def _fib(k):
@@ -145,14 +145,14 @@ def _brute_force(system, side, hbounds, rbounds):
     """Every nonzero point of the bounding cube that passes the membership test."""
     n, m = system.n, system.m
     if side == "primal":
-        outer = [exact_floor(b) for b in rbounds]
+        outer = [floor_within(b) for b in rbounds]
         reach = [sum(abs(t) * b for t, b in zip(row, outer)) for row in system.theta]
-        inner = [exact_floor(b) + int(c) + 1 for b, c in zip(hbounds, reach)]
+        inner = [floor_within(b) + int(c) + 1 for b, c in zip(hbounds, reach)]
         cube = outer + inner
     else:
-        outer = [exact_floor(b) for b in hbounds]
+        outer = [floor_within(b) for b in hbounds]
         reach = [sum(abs(system.theta[i][j]) * outer[i] for i in range(n)) for j in range(m)]
-        inner = [exact_floor(b) + int(c) + 1 for b, c in zip(rbounds, reach)]
+        inner = [floor_within(b) + int(c) + 1 for b, c in zip(rbounds, reach)]
         cube = inner + outer
     return [
         z
@@ -176,9 +176,9 @@ def test_enumeration_matches_brute_force_walk():
         hbounds = [_random_bound(rng) for _ in range(n)]
         rbounds = [_random_bound(rng) for _ in range(m)]
         if side == "primal":
-            rbounds = [min(b, Fraction(2)) if exact_floor(b) > 2 else b for b in rbounds]
+            rbounds = [min(b, Fraction(2)) if floor_within(b) > 2 else b for b in rbounds]
         else:
-            hbounds = [min(b, Fraction(2)) if exact_floor(b) > 2 else b for b in hbounds]
+            hbounds = [min(b, Fraction(2)) if floor_within(b) > 2 else b for b in hbounds]
         got = enumerate_nonzero_general(system, side, hbounds, rbounds)
         assert got == _brute_force(system, side, hbounds, rbounds), (system, side, hbounds, rbounds)
 

@@ -276,6 +276,13 @@ def test_uniform_bound_increasing_branch():
     assert float(sharpened) <= float(classical)
 
 
+def test_uniform_bound_comparison_rejects_the_exp_family():
+    # t * c e^(g t) is not c e^((g+1) t): the exp family holds no t * psi(t)
+    psi = FunctionSpec("exp", 1, Fraction(-1, 10))
+    with pytest.raises(DomainError):
+        uniform_bound_comparison(psi, 100)
+
+
 def test_campaign_uniform_bounds_deterministic():
     r1 = campaign_uniform_bounds()
     r2 = campaign_uniform_bounds()

@@ -12,7 +12,6 @@ from diotrans.radicals import (
     Radical,
     exact_div,
     exact_eq,
-    exact_floor,
     exact_le,
     exact_lt,
     exact_max,
@@ -68,8 +67,8 @@ def test_exact_max_min_floor():
     s = Radical(2, 2)
     assert exact_max(s, Fraction(1)) == s
     assert exact_min(s, Fraction(1)) == Fraction(1)
-    assert exact_floor(s) == 1
-    assert exact_floor(Fraction(7, 2)) == 3
+    assert floor_within(s) == 1
+    assert floor_within(Fraction(7, 2)) == 3
 
 
 def test_exact_pow_on_fractions():
@@ -220,13 +219,10 @@ def test_floor_within_huge_radicand_is_one_root():
     # the cube root is about 2^233, far past the 53 bits of a float guess
     bound = Radical(Fraction(2**700 + 1, 3), 3)
     with _time_limit(1):
-        y = floor_within(bound, Fraction(1, 2))
-        y0 = floor_within(bound, 0)
-    assert y0 == bound.floor()
-    # y + 1/2 <= bound  iff  2y + 1 <= floor(2 bound)
-    assert y == ((2 * bound).floor() - 1) // 2
-    assert exact_le(Fraction(y) + Fraction(1, 2), bound)
-    assert exact_lt(bound, Fraction(y + 1) + Fraction(1, 2))
+        y = floor_within(bound)
+    assert y == bound.floor()
+    assert exact_le(Fraction(y), bound)
+    assert exact_lt(bound, Fraction(y + 1))
 
 
 @given(
@@ -234,15 +230,14 @@ def test_floor_within_huge_radicand_is_one_root():
     den=st.integers(1, 10**6),
     scale=st.sampled_from([-700, -300, -60, 0, 60, 300, 700]),
     index=st.sampled_from([1, 2, 3, 5]),
-    shift=st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=1000),
 )
-def test_floor_within_brackets_the_bound(num, den, scale, index, shift):
+def test_floor_within_brackets_the_bound(num, den, scale, index):
     bound = Radical(Fraction(num, den) * Fraction(2) ** scale, index)
     if bound.is_rational():
         bound = bound.as_fraction()
-    y = floor_within(bound, shift)
-    assert exact_le(Fraction(y) + shift, bound)
-    assert exact_lt(bound, Fraction(y + 1) + shift)
+    y = floor_within(bound)
+    assert exact_le(Fraction(y), bound)
+    assert exact_lt(bound, Fraction(y + 1))
 
 
 def _root_cases(k):

@@ -17,18 +17,20 @@ from diotrans.functions import FunctionSpec, power_spec
 from diotrans.geometry import Box, System, best_approx_table, box_contains
 from diotrans.intervals import Enclosure
 from diotrans.presets import get_preset, random_system
-from diotrans.radicals import exact_le
-from diotrans.sectiondual import improved_mahler_factor
+from diotrans.radicals import Radical, exact_le, exact_mul, exact_pow
+from diotrans.sectiondual import delta_d, improved_mahler_factor
 from diotrans.transfer import (
     Certificate,
     alphas_core,
     core_hypothesis_ok,
+    core_parameters,
     mahler_transfer,
     mahler_transfer_asymmetric,
     main_lemma_hypothesis,
     main_lemma_transfer,
     main_lemma_transfer_3d,
     semicore,
+    semicore_parameters,
     transference_parameters,
     verify_certificate,
 )
@@ -51,6 +53,55 @@ def test_transference_parameters_d3_radical():
     f = improved_mahler_factor(3)
     # Y = f * X^(m/(d-1)) U^((1-m)/(d-1)) = f * 4 * 4^(1/2) = 8f
     assert Y == f * 8
+
+
+# Each construction defines its dual box by a closed formula; the identities
+# the paper states for those boxes hold for every input, so they are checked
+# here once rather than on every call.  Shapes (n, m) with d = 2..5.
+SHAPES = [(n, d - n) for d in range(2, 6) for n in range(1, d)]
+
+
+def _system(n: int, m: int) -> System:
+    return System(n, m, tuple(tuple(Fraction(i + j + 1, 7) for j in range(m)) for i in range(n)))
+
+
+def _monomial(a, i, b, j, factor):
+    """a^i * b^j * factor, exactly."""
+    return exact_mul(exact_mul(exact_pow(a, i), exact_pow(b, j)), factor)
+
+
+@pytest.mark.parametrize("n, m", SHAPES)
+def test_transference_parameters_satisfy_the_mahler_identities(n, m):
+    system = _system(n, m)
+    delta = delta_d(system.d)
+    for X, U in [(2, Fraction(1, 2)), (10, Fraction(1, 100)), (Fraction(7, 3), Fraction(5, 4))]:
+        Y, V = transference_parameters(system, X, U)
+        assert _monomial(Y, n, V, m - 1, delta) == X
+        assert _monomial(Y, n - 1, V, m, delta) == U
+
+
+@pytest.mark.parametrize("direction", [1, -1])
+@pytest.mark.parametrize("n, m", [(n, m) for n, m in SHAPES if n + m >= 3])
+def test_semicore_parameters_satisfy_the_semicore_identities(n, m, direction):
+    system = _system(n, m)
+    d = system.d
+    c = Radical(2 * d * (d - 1), 2)
+    h_pow, r_pow = (n - 2, m) if direction == 1 else (n, m - 2)
+    for t, Phi, Psi in [(3, 2, 1), (Fraction(5, 2), Fraction(7, 3), Fraction(1, 4)),
+                        (Fraction(1, 20), 5, 3)]:
+        h, r = semicore_parameters(system, t, Phi, Psi, direction)
+        assert _monomial(h, h_pow, r, r_pow, 1) == exact_mul(exact_mul(c, Phi), Psi)
+        assert _monomial(h, n - 1, r, m - 1, 1) == exact_mul(exact_mul(c, t), Phi)
+
+
+@pytest.mark.parametrize("n, m", SHAPES)
+def test_core_parameters_are_the_mahler_box_of_h_and_r(n, m):
+    # alphas_core's Mahler route relies on this: X = r*, U = h* give Y = h, V = r
+    system = _system(n, m)
+    for phi in (power_spec(1, -2), power_spec(Fraction(1, 2), Fraction(-3, 2))):
+        for h in (2, 10, Fraction(7, 3)):
+            r, h_star, r_star = core_parameters(system, phi, h)
+            assert transference_parameters(system, r_star, h_star) == (h, r)
 
 
 def test_mahler_transfer_produces_verified_certificate():
