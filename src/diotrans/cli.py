@@ -126,7 +126,7 @@ def _emit(args, text: str) -> None:
 def _read_config(path: str) -> dict:
     """Flat key=value lines; '#' starts a comment; keys use flag spelling."""
     values = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -254,10 +254,9 @@ def _cmd_transfer(args) -> int:
 
 
 def _cmd_verify_certificate(args) -> int:
-    with open(args.file) as fh:
-        text = fh.read()
     try:
-        cert = Certificate.from_json(text)  # JSONDecodeError is a ValueError
+        with open(args.file, encoding="utf-8") as fh:
+            cert = Certificate.from_json(fh.read())  # decode errors are ValueErrors
         System(cert.n, cert.m, cert.theta)  # the system it describes
     except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise DioTransError(f"malformed certificate: {exc}") from exc
@@ -426,10 +425,11 @@ def _apply_config(parser: argparse.ArgumentParser, argv: Sequence[str]) -> Seque
         return argv
     idx = argv.index("--config")
     try:
-        path = argv[idx + 1]
+        values = _read_config(argv[idx + 1])
     except IndexError:
         raise UsageError("--config requires a path")
-    values = _read_config(path)
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"config file is not UTF-8 text: {exc}") from exc
     del argv[idx : idx + 2]
     extra = []
     for key, val in sorted(values.items()):

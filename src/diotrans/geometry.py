@@ -162,37 +162,19 @@ def enumerate_nonzero_general(
     Lexicographically sorted, exact.  The library's searches walk instead
     (``_walk``, ``least_point``); the list is the tests' reference.
     """
-    points = [z for zs in _walk(system, side, hbounds, rbounds, budget) for z in zs if any(z)]
-    points.sort()
-    return points
+    return sorted(_walk(system, side, hbounds, rbounds, budget))
 
 
 def least_point(system: System, side: str, hbounds: Sequence, rbounds: Sequence, accept=None,
                 budget: int = DEFAULT_ENUM_BUDGET) -> Optional[tuple[int, ...]]:
-    """The first point of ``enumerate_nonzero_general`` that ``accept`` takes
-    (any point when None), or None, from a walk that lists nothing.
-
-    Each outer vector's points arrive lexicographically.  On the primal side
-    (z = outer + inner) so do the outer vectors, and the first hit is the
-    answer; on the dual side (z = inner + outer) it is the least hit over the
-    outer vectors, and each vector's walk stops at the incumbent.
-    """
-    best = None
-    for zs in _walk(system, side, hbounds, rbounds, budget):
-        for z in zs:
-            if best is not None and z >= best:
-                break
-            if any(z) and (accept is None or accept(z)):
-                if side == "primal":
-                    return z
-                best = z
-                break
-    return best
+    """The first point of ``_walk`` that ``accept`` takes (any when None), or None."""
+    return next(filter(accept, _walk(system, side, hbounds, rbounds, budget)), None)
 
 
 def _walk(system, side, hbounds, rbounds, budget):
-    """For each outer vector in lexicographic order, an iterator over its
-    points z (zero included) in lexicographic order.
+    """The box's nonzero points z in walk order: outer coordinates first, x
+    then y on the primal side and y then x on the dual side, each
+    lexicographically.  On the primal side that is the order of z itself.
 
     With Theta = A / D, an inner coordinate v is bounded by |D v + N| <= D b
     for the integer center numerator N of the outer vector; the left side is
@@ -226,7 +208,8 @@ def _walk(system, side, hbounds, rbounds, budget):
             inner_ranges.append(range(lo, hi + 1))
         else:
             inner = product(*inner_ranges)
-            yield map(outer.__add__, inner) if primal else map(tuple.__add__, inner, repeat(outer))
+            yield from filter(any, map(outer.__add__, inner) if primal
+                              else map(tuple.__add__, inner, repeat(outer)))
 
 
 def enumerate_nonzero(box: Box, budget: int = DEFAULT_ENUM_BUDGET) -> list[tuple[int, ...]]:

@@ -2,8 +2,8 @@
 
 Each operation takes exact inputs, checks its hypothesis pessimistically,
 derives the guaranteed target parallelepiped, finds a nonzero integer point
-in it by an exact least-point search (``geometry.least_point``), and returns
-a ``Certificate`` recording inputs, parameters, the witness and the target.
+in it by an exact box walk (``geometry.least_point``), and returns a
+``Certificate`` recording inputs, parameters, the witness and the target.
 A condition that fails during a construction raises.  A certificate can be
 serialized to JSON and re-verified independently with plain rational
 arithmetic (``verify_certificate``).
@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from operator import mul
 from typing import Optional, Sequence
 
@@ -106,7 +105,7 @@ class Certificate:
             kind=data["kind"],
             n=n,
             m=m,
-            theta=tuple(tuple(Fraction(v) for v in row) for row in data["theta"]),
+            theta=tuple(tuple(_rational(v) for v in row) for row in data["theta"]),
             params=dict(data["params"]),
             inputs={k: _integer_vector(v) for k, v in data["inputs"].items()},
             output_point=_integer_vector(data["output_point"]),
@@ -116,6 +115,14 @@ class Certificate:
     @staticmethod
     def from_json(text: str) -> "Certificate":
         return Certificate.from_dict(json.loads(text))
+
+
+def _rational(v) -> Fraction:
+    """A theta entry or target bound as ``to_dict`` writes it: a JSON integer
+    or a string p or p/q, not a float, a boolean, "0.5" or "1e9"."""
+    if type(v) is not int and not (type(v) is str and set(v) <= set("-/0123456789")):
+        raise ValueError(f"rationals must be integers or strings p/q, not {v!r}")
+    return Fraction(v)
 
 
 def _integer_vector(v) -> tuple:
@@ -133,7 +140,7 @@ def _checked_target(target: dict, n: int, m: int) -> dict:
     if not all(isinstance(b, list) for b in bounds) or list(map(len, bounds)) != [n, m]:
         raise ValueError(f"target hbounds and rbounds must be lists of {n} and {m} bounds")
     for value in bounds[0] + bounds[1]:
-        Fraction(value)
+        _rational(value)
     return target
 
 
@@ -220,10 +227,10 @@ def mahler_transfer(system: System, X, U, budget: int = DEFAULT_ENUM_BUDGET) -> 
 
 
 def _land_in_dual_box(cert, system, hbounds, rbounds, accept, budget) -> tuple:
-    """Set ``cert``'s output to the least accepted nonzero point of the dual
-    box with these per-coordinate bounds (``geometry.least_point``).
-    Returns rational lower bounds of the bounds, each at least the point's
-    own value on that coordinate, as (hbounds, rbounds)."""
+    """Set ``cert``'s output to the first accepted point of the walk, y before
+    x, of the dual box with these per-coordinate bounds.  Returns rational
+    lower bounds of the bounds, each at least the point's own value on that
+    coordinate, as (hbounds, rbounds)."""
     out = least_point(system, "dual", hbounds, rbounds, accept=accept, budget=budget)
     if out is None:
         raise PrecisionExhausted("guaranteed dual box holds no accepted point")
@@ -490,9 +497,7 @@ def _least_dilation(system, box_at, key, admissible, budget):
     mult = 2
     while True:
         best, best_pt = None, None
-        for z in chain.from_iterable(_walk(system, "primal", *box_at(mult).bounds(), budget)):
-            if not any(z):
-                continue
+        for z in _walk(system, "primal", *box_at(mult).bounds(), budget):
             rv, hv = system.primal_values(z)
             if admissible(rv, hv):
                 k = key(rv, hv)

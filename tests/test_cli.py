@@ -257,6 +257,22 @@ def test_config_setting_a_removed_flag_is_a_usage_error(tmp_path, capsys):
     assert code == 1 and err.startswith("usage error:")
 
 
+def test_config_file_that_is_not_utf_8_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "diotrans.cfg"
+    cfg.write_bytes(b"dmax = 3\nformat = \xff\n")
+    code, _, err = _run(capsys, "delta", "--config", str(cfg))
+    assert code == 1 and err.startswith("usage error:")
+    assert "Traceback" not in err
+
+
+def test_certificate_rationals_as_json_integers_verify(tmp_path, capsys):
+    fields = {**MAHLER_FIELDS, "theta": [[1]], "target": {"side": "dual", "h": 1, "r": 1}}
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(json.dumps(fields))
+    code, out, _ = _run(capsys, "verify-certificate", str(cert_file))
+    assert code == 0 and json.loads(out)["verified"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -302,14 +318,25 @@ MAHLER_FIELDS = {"kind": "mahler", "n": 1, "m": 1, "theta": [["1/2"]], "params":
                                                  "rbounds": ["1"]}}),
         json.dumps({**MAHLER_FIELDS, "output_point": [1.5, 0]}),
         json.dumps({**MAHLER_FIELDS, "n": 1.7}),
+        b'{"kind": "mahler\xff"}',
+        json.dumps({**MAHLER_FIELDS, "theta": [[float("inf")]]}),
+        json.dumps({**MAHLER_FIELDS, "theta": [[0.5]]}),
+        json.dumps({**MAHLER_FIELDS, "theta": [[True]]}),
+        json.dumps({**MAHLER_FIELDS, "target": {"side": "dual", "h": float("inf"), "r": "1"}}),
+        json.dumps({**MAHLER_FIELDS, "target": {"side": "dual", "h": 0.1, "r": "1"}}),
+        json.dumps({**MAHLER_FIELDS, "target": {"side": "dual", "h": "1e5", "r": "1"}}),
+        json.dumps({**MAHLER_FIELDS, "target": {"side": "dual", "hbounds": [True],
+                                                 "rbounds": ["1"]}}),
     ],
     ids=["empty", "no-fields", "theta-shape", "theta-zero-denominator", "inputs-not-object",
          "input-entry-not-integer", "target-without-side", "target-bound-not-rational", "target-side-unknown",
-         "target-bounds-wrong-length", "output-point-not-integer", "n-not-integer"],
+         "target-bounds-wrong-length", "output-point-not-integer", "n-not-integer", "not-utf-8",
+         "theta-infinity", "theta-float", "theta-boolean", "target-bound-infinity",
+         "target-bound-float", "target-bound-exponent", "target-bound-boolean"],
 )
 def test_malformed_certificate_is_an_error(tmp_path, capsys, text):
     cert_file = tmp_path / "cert.json"
-    cert_file.write_text(text)
+    cert_file.write_bytes(text if isinstance(text, bytes) else text.encode())
     code, out, err = _run(capsys, "verify-certificate", str(cert_file))
     assert code == 1 and out == ""
     assert err.startswith("error: malformed certificate: ")

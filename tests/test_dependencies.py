@@ -72,6 +72,78 @@ def test_every_traced_name_resolves():
     assert unresolved == []
 
 
+def _library_bindings(tree):
+    """What each attribute of bench/workloads.py's ``Library`` is bound to,
+    as a dotted diotrans path, read from the imports and assignments of its
+    ``__init__``."""
+    (init,) = [f for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Library"
+               for f in node.body if isinstance(f, ast.FunctionDef) and f.name == "__init__"]
+    imported, bindings = {}, {}
+    for node in ast.walk(init):
+        if isinstance(node, ast.Import):
+            imported.update((alias.asname or alias.name, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.update((alias.asname or alias.name, f"{node.module}.{alias.name}")
+                            for alias in node.names)
+        elif isinstance(node, ast.Assign):
+            (target,) = node.targets
+            pairs = (zip(target.elts, node.value.elts) if isinstance(target, ast.Tuple)
+                     else [(target, node.value)])
+            bindings.update((t.attr, imported[v.id]) for t, v in pairs)
+    return bindings
+
+
+def _chain(node):
+    """(root, attributes) of an attribute chain such as lib.a.b; the root is
+    None unless the chain starts at a name."""
+    attrs = []
+    while isinstance(node, ast.Attribute):
+        attrs.append(node.attr)
+        node = node.value
+    return getattr(node, "id", None), attrs[::-1]
+
+
+def _library_chains(tree):
+    """Each lib.<attribute>... chain of bench/workloads.py as a list of names,
+    also through a local bound to one (``h = lib.harness``, then ``h.x``)."""
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        aliases = {"lib": []}
+        for node in ast.walk(func):
+            if (isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+                    and _chain(node.value)[0] == "lib"):
+                aliases[node.targets[0].id] = _chain(node.value)[1]
+        for node in ast.walk(func):
+            root, attrs = _chain(node)
+            if attrs and root in aliases:
+                yield aliases[root] + attrs
+
+
+def test_every_benchmark_library_name_resolves():
+    # bench/test_bench.py is not collected with these tests, so a library
+    # name the workloads call, private ones included, must resolve here
+    tree = ast.parse((ROOT / "bench" / "workloads.py").read_text())
+    bindings = _library_bindings(tree)
+    chains = list(_library_chains(tree))
+    assert ["harness", "_witness_pair"] in chains and ["harness", "CORE_FAMILIES"] in chains
+    unresolved = []
+    for first, *rest in chains:
+        if first not in bindings:
+            unresolved.append(".".join(["lib", first, *rest]))
+            continue
+        module, _, name = bindings[first].rpartition(".")
+        try:
+            owner = importlib.import_module(bindings[first])
+        except ImportError:
+            owner = getattr(importlib.import_module(module), name, None)
+        for attr in rest:
+            owner = getattr(owner, attr, None)
+        if owner is None:
+            unresolved.append(".".join(["lib", first, *rest]))
+    assert unresolved == []
+
+
 def test_names_kept_for_the_tracer_are_traced():
     traced = {f"{module}.{attr}" for module, attr, _ in _traced()}
     kept = {name for name, reason in REACHED_FROM_OUTSIDE_SRC.items() if "bench/spans.py" in reason}

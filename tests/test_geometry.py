@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import diotrans
+from diotrans import geometry
 from diotrans.errors import BudgetExceeded
 from diotrans.exactlinalg import wedge_norm_squared
 from diotrans.geometry import (
@@ -233,10 +234,31 @@ def test_least_point_is_the_first_accepted_enumerated_point():
             lambda z: sum(a * b for a, b in zip(z, w)) == 0,
             lambda z: wedge_norm_squared((z, u)) != 0,
         ]
+        # the walk visits outer coordinates first: x on the primal side, y on the dual
+        walk_order = (lambda z: z) if side == "primal" else (lambda z: z[m:] + z[:m])
         for accept in filters:
-            want = next((z for z in pts if accept is None or accept(z)), None)
+            accepted = [z for z in pts if accept is None or accept(z)]
+            want = min(accepted, key=walk_order, default=None)
             got = least_point(system, side, hbounds, rbounds, accept=accept)
             assert got == want, (system, side, hbounds, rbounds, w, u)
+
+
+def test_dual_search_stops_at_its_first_outer_vector(monkeypatch):
+    # the first outer vector y = (-50, -50) already holds a point, so the
+    # walk computes one center numerator, not one for each of 101^2 vectors
+    system = System(2, 1, ((Fraction(1, 3),), (Fraction(2, 7),)))
+    calls = 0
+    dot = geometry._dot
+
+    def counted(row, v):
+        nonlocal calls
+        calls += 1
+        return dot(row, v)
+
+    monkeypatch.setattr(geometry, "_dot", counted)
+    got = least_point(system, "dual", [Fraction(50)] * 2, [Fraction(1, 2)])
+    assert got == (-31, -50, -50)
+    assert calls == 1
 
 
 @pytest.mark.parametrize("search", [enumerate_nonzero_general, least_point])
