@@ -21,7 +21,7 @@ from .exactlinalg import orthogonal_lattice, saturate, wedge_norm_squared
 from .functions import FunctionSpec
 from .geometry import System, best_approx_table
 from .presets import PRESETS, cubic_pair_family, random_rational_system, random_system
-from .radicals import exact_div, exact_le, exact_mul
+from .radicals import exact_div, exact_le, exact_mul, power_le
 from .sectiondual import cube_section_volume_squared, delta_d
 from .transfer import (
     mahler_transfer,
@@ -88,15 +88,16 @@ def _trend_slope(pts: Sequence[tuple[float, float]]) -> float:
 
 def _certify_record_exponent(psi: Fraction, t: int, start: float) -> Fraction:
     """Largest gamma = p/64 <= min(start, MAX_EXP) with psi <= t^-gamma, exact
-    (0 when there is none).  psi > 0 and t >= 2."""
-    # psi <= t^(-p/64)  <=>  psi_num^64 * t^p <= psi_den^64
-    lhs, rhs = psi.numerator**64, psi.denominator**64
+    (0 when there is none).  psi > 0 and t >= 2.
+
+    A float guess of p is corrected one step at a time; each step is decided
+    in integers by ``radicals.power_le``, on the 64-bit heads of psi first
+    and on the full 64th powers only when the heads cannot decide."""
     top = math.floor(64 * min(start, float(MAX_EXP)))
-    # a float guess, corrected one step at a time where it is off
     p = max(0, min(top, math.floor(-64 * _log_fraction(psi) / math.log(t))))
-    while p > 0 and lhs * t**p > rhs:
+    while p > 0 and not power_le(psi, t, p):
         p -= 1
-    while p < top and lhs * t ** (p + 1) <= rhs:
+    while p < top and power_le(psi, t, p + 1):
         p += 1
     return Fraction(p, 64)
 
@@ -635,7 +636,7 @@ def campaign_inequalities(n: int, m: int, tier: str, trials: int = 50,
 
 def campaign_jarnik_equality(count: int = 50) -> CampaignResult:
     """Cubic-field pairs (1x2): the uniform exponents of a system and its
-    transpose, scanned to t = 10^4 and 10^5, must satisfy
+    transpose, scanned to t = 10^7 and 10^10, must satisfy
     1/alpha + alpha_t = 1 within DEFAULT_TOL."""
     result = CampaignResult("jarnik_equality")
     systems = cubic_pair_family(count)
@@ -643,8 +644,8 @@ def campaign_jarnik_equality(count: int = 50) -> CampaignResult:
         if (p.n, p.m) == (1, 2):
             systems.append((p.name, p.build()))
     for name, system in systems[:count]:
-        ep = estimate_exponents(system, "primal", 10**4)
-        ed = estimate_exponents(system, "dual", 10**5)
+        ep = estimate_exponents(system, "primal", 10**7)
+        ed = estimate_exponents(system, "dual", 10**10)
         resid = abs(1.0 / ep.alpha_fit + ed.alpha_fit - 1.0)
         entry = {"system": name, "alpha": ep.alpha_fit, "alpha_t": ed.alpha_fit,
                  "residual": resid}

@@ -248,6 +248,33 @@ def exact_pow(a, exponent):
     return _rational_if_possible(Radical.of(a) ** e)
 
 
+def _head(n: int) -> tuple[int, int, int]:
+    """(lo, hi, s) with lo * 2**s <= n <= hi * 2**s, read from the top 64
+    bits of n >= 0; lo == hi when n has at most 64 bits."""
+    s = max(n.bit_length() - 64, 0)
+    head = n >> s
+    return head, head + (s > 0), s
+
+
+def power_le(psi: Fraction, t: int, p: int) -> bool:
+    """psi <= t**(-p/64), that is psi_num**64 * t**p <= psi_den**64, exact.
+
+    psi > 0, t >= 1, p >= 0.  The 64-bit heads of the numerator and the
+    denominator bound both sides of the inequality; only when those bounds
+    straddle it are the full 64th powers compared.  Below 2**64 the heads
+    are the numbers themselves, so the head test is the exact one."""
+    n_lo, n_hi, a = _head(psi.numerator)
+    d_lo, d_hi, b = _head(psi.denominator)
+    tp = t**p
+    # psi**64 t**p <= 1  <=>  num**64 t**p 2**(64a) <= den**64 2**(64b)
+    ls, rs = 64 * max(a - b, 0), 64 * max(b - a, 0)
+    if (n_hi**64 * tp) << ls <= d_lo**64 << rs:
+        return True
+    if (n_lo**64 * tp) << ls > d_hi**64 << rs:
+        return False
+    return psi.numerator**64 * tp <= psi.denominator**64
+
+
 def floor_within(bound) -> int:
     """Largest integer <= bound (a Fraction or positive Radical), exact at
     every magnitude."""

@@ -104,6 +104,39 @@ def test_certified_record_exponents_lie_on_the_64ths_grid():
         assert _certify_record_exponent(psi, t, start) == Fraction(max(p, 0), 64)
 
 
+def _certified_by_full_powers(psi, t, start):
+    """The largest p/64 <= min(start, MAX_EXP) with psi_num^64 t^p <=
+    psi_den^64 (0 when there is none), bisected on the full 64th powers."""
+    lhs, rhs = psi.numerator**64, psi.denominator**64
+    lo, hi = 0, max(0, math.floor(64 * min(start, float(MAX_EXP))))
+    while lo < hi:  # p = lo holds or is 0; every p > hi fails or is out of range
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if lhs * t**mid <= rhs else (lo, mid - 1)
+    return Fraction(lo, 64)
+
+
+def test_certified_record_exponents_at_every_magnitude():
+    # 400- to 10 000-bit psi: random ones near t^-gamma, and near-ties at
+    # p0/64 that the 64-bit heads of psi cannot decide
+    rng = random.Random(19)
+    for bits in (400, 2000, 10**4):
+        for _ in range(4):
+            den = rng.getrandbits(bits) | 1 << (bits - 1)
+            t = rng.randint(2, 10**12)
+            psi = Fraction(max(1, den >> rng.randint(0, 3 * t.bit_length())), den)
+            start = rng.uniform(0, 4)
+            assert _certify_record_exponent(psi, t, start) == _certified_by_full_powers(psi, t, start)
+        for t in (3, 10**5, 10**12 - 11):
+            # psi = num / (num t^k + e): a tie at k for e = 0, just below it
+            # for e = 1 and just above it for e = -1
+            k = rng.randint(1, min(50, (bits - 1) // t.bit_length()))
+            num = rng.getrandbits(bits) | 1 << (bits - 1)
+            for e, expected in ((0, 64 * k), (1, 64 * k), (-1, 64 * k - 1)):
+                psi = Fraction(num, num * t**k + e)
+                assert _certify_record_exponent(psi, t, k + 0.5) == Fraction(expected, 64)
+                assert _certified_by_full_powers(psi, t, k + 0.5) == Fraction(expected, 64)
+
+
 # ---------------------------------------------------------------------------
 # single inequality checks on hand-picked exponents
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import random
 import signal
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from diotrans.radicals import (
     exact_mul,
     exact_pow,
     floor_within,
+    power_le,
     _int_nth_root,
 )
 
@@ -273,3 +275,77 @@ def test_huge_radicand_normalises_in_one_root():
     assert cube.index == 3
     assert floors[0] ** 2 <= big < (floors[0] + 1) ** 2
     assert 7 * floors[1] ** 3 <= big < 7 * (floors[1] + 1) ** 3
+
+
+def _head_verdict(psi, t, p):
+    """What the top 64 bits of psi's numerator and denominator alone say of
+    psi**64 * t**p <= 1: True, False, or None when their bounds straddle it."""
+
+    def bounds(n):
+        s = max(n.bit_length() - 64, 0)
+        return (n >> s) << s, ((n >> s) + (s > 0)) << s
+
+    (n_lo, n_hi), (d_lo, d_hi) = bounds(psi.numerator), bounds(psi.denominator)
+    if n_hi**64 * t**p <= d_lo**64:
+        return True
+    if n_lo**64 * t**p > d_hi**64:
+        return False
+    return None
+
+
+def _power_le_cases():
+    """Exact ties, near-ties and clear cases with 400- to 10 000-bit psi,
+    t up to 10**12 and p up to 3200."""
+    # ties psi = 2^-a, t = 2^b with 64a = pb, and their neighbours
+    for a, b, p in ((2, 2, 64), (10, 40, 16), (400, 8, 3200), (625, 25, 1600), (2000, 40, 3200)):
+        yield Fraction(1, 2**a), 2**b, p
+        for k in (1, 400):
+            yield Fraction(2**k - 1, 2 ** (a + k)), 2**b, p
+            yield Fraction(2**k + 1, 2 ** (a + k)), 2**b, p
+    # ties psi = t^-k, p = 64k, with t = 10^12: the heads of t^k are inexact
+    t = 10**12
+    for k in (1, 7, 50):
+        for den in (t**k - 1, t**k, t**k + 1):
+            yield Fraction(1, den), t, 64 * k
+    # near-ties, moved by 1, by a 2^-80 share (the heads straddle) and by a
+    # 2^-30 share (the heads decide)
+    def moves(num):
+        return (num, num + 1, num - (num >> 80), num + (num >> 80) + 1,
+                num - (num >> 30), num + (num >> 30) + 1)
+
+    rng = random.Random(19)
+    for bits in (400, 1000, 2000):
+        # psi = floor(2^E t^(-p/64)) / 2^E, and the same over a random den
+        for den in (2**bits, rng.getrandbits(bits) | 1 << (bits - 1)):
+            t = rng.choice([3, rng.randint(2, 10**6), rng.randint(2, 10**12)])
+            p = rng.randint(0, min(3200, 64 * (bits - 1) // t.bit_length()))
+            num = _int_nth_root(den**64 // t**p, 64)[0]
+            yield from ((Fraction(moved, den), t, p) for moved in moves(num))
+    for bits in (400, 2000, 10**4):
+        # p = 64k: psi <= t^-k reads num * t^k <= den
+        for _ in range(2):
+            num = rng.getrandbits(bits) | 1 << (bits - 1)
+            t, k = rng.randint(2, 10**12), rng.randint(0, 50)
+            yield from ((Fraction(num, den), t, 64 * k) for den in moves(num * t**k))
+    yield Fraction(2**10**4 + 1, 3), 10**12, 3200  # psi > 1
+
+
+def test_power_le_matches_the_full_powers_at_every_magnitude():
+    verdicts = Counter()
+    for psi, t, p in _power_le_cases():
+        assert power_le(psi, t, p) == (psi.numerator**64 * t**p <= psi.denominator**64), (psi, t, p)
+        verdicts[_head_verdict(psi, t, p)] += 1
+    # both head verdicts and the exact comparison are reached
+    assert verdicts[True] > 10 and verdicts[False] > 10 and verdicts[None] > 10
+
+
+@given(
+    num=st.integers(1, 2**64 - 1),
+    den=st.integers(1, 2**64 - 1),
+    t=st.integers(1, 10**12),
+    p=st.integers(0, 3200),
+)
+def test_power_le_heads_are_exact_below_2_to_the_64(num, den, t, p):
+    psi = Fraction(num, den)
+    assert _head_verdict(psi, t, p) is not None
+    assert power_le(psi, t, p) == (psi.numerator**64 * t**p <= psi.denominator**64)
