@@ -20,7 +20,7 @@ from .errors import (
     PrecisionExhausted,
     UsageError,
 )
-from .exactlinalg import Lattice, gram_det, grassmann, orthogonal_lattice, saturate
+from .exactlinalg import Lattice, gram_det, orthogonal_lattice, saturate
 from .functions import FunctionSpec, power_spec
 from .geometry import ApproxRecord, BestApproxTable, Box, System, best_approx_table
 from .harness import (
@@ -85,7 +85,6 @@ __all__ = [
     "estimate_exponents",
     "get_preset",
     "gram_det",
-    "grassmann",
     "improved_mahler_factor",
     "mahler_transfer",
     "mahler_transfer_asymmetric",

@@ -2,15 +2,14 @@
 
 Hermite normal form over the columns, integer kernels, lattice saturation,
 orthogonal integer lattices, one fraction-free determinant for Gram
-determinants, wedge norms and Grassmann coordinates, and integral LLL
-reduction.
+determinants and wedge norms, and LLL reduction: float-guided with exact
+integer updates, and integral.
 Matrices are plain lists of rows; lattice bases are tuples of vectors.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
 from operator import mul
 from typing import Sequence
@@ -134,28 +133,6 @@ def wedge_norm_squared(vectors: Sequence[Sequence]) -> Fraction:
 
 
 @dataclass(frozen=True)
-class GrassmannCoords:
-    """k x k minors of the row matrix of the input vectors, lexicographic."""
-
-    dimension: int
-    rank: int
-    subsets: tuple[tuple[int, ...], ...]
-    coefficients: tuple
-
-
-def grassmann(vectors: Sequence[Sequence]) -> GrassmannCoords:
-    k = len(vectors)
-    d = len(vectors[0])
-    subsets = tuple(combinations(range(d), k))
-    coeffs = []
-    all_int = all(isinstance(x, int) for v in vectors for x in v)
-    for s in subsets:
-        c = det([[row[j] for j in s] for row in vectors])
-        coeffs.append(int(c) if all_int else c)
-    return GrassmannCoords(d, k, subsets, tuple(coeffs))
-
-
-@dataclass(frozen=True)
 class Lattice:
     """A rank-k sublattice of Z^d given by an independent column basis."""
 
@@ -227,6 +204,8 @@ def lll_reduce(basis: list[list[int]], weights: Sequence[int], dual: list[list[i
     operation.  ``dual`` follows the opposite operations (``basis[k] -= q *
     basis[l]`` adds ``q * dual[k]`` to ``dual[l]``, a swap swaps), so the
     pairings <basis[a], dual[b]> keep their values: a dual basis stays one.
+    The library reaches it only through ``lll_guided``: on Gram diagonals of
+    at most 64 bits, and as the fallback when the doubles fail.
     """
     def dot(u, v):
         return sum(map(mul, weights, map(mul, u, v)))
@@ -279,3 +258,118 @@ def lll_reduce(basis: list[list[int]], weights: Sequence[int], dual: list[list[i
             for l in range(k - 2, -1, -1):
                 reduce_against(k, l)
             k += 1
+
+
+DELTA = 0.75  # Lovasz constant of the float test
+ETA = 0.51  # size-reduction bound of the float test
+_WORD_BITS = 64  # Gram diagonals this narrow go to the integral LLL
+_EXP_BITS = 1000  # doubles span 2^-1074 .. 2^1024; Gram values stay in 2^(+-1000)
+_ROUNDS = 8  # size-reduction passes of one row before the doubles are given up
+
+
+def lll_guided(basis: list[list[int]], weights: Sequence[int], dual: list[list[int]]) -> None:
+    """LLL-reduce the rows of ``basis`` in place for the inner product
+    sum_l weights[l] * u_l * v_l (positive integer weights): doubles choose
+    every step, and every step is an exact integer row operation
+    (Schnorr & Euchner 1994; Nguyen & Stehle's L^2, SIAM J. Comput. 39, 2009).
+
+    The weighted Gram matrix G is kept exactly in integers: ``basis[k] -= q *
+    basis[j]`` turns G_kk into G_kk - 2q G_kj + q^2 G_jj and G_ki into
+    G_ki - q G_ji, and a swap permutes rows and columns.  The Gram-Schmidt
+    coefficients mu_kj and squared lengths r_kk are computed in doubles from
+    G over one common power of two.  Row k is size-reduced by q = round(mu_kj)
+    and its mu recomputed from the new G until every |mu_kj| <= ETA; it is
+    then swapped with row k - 1 when r_kk < (DELTA - mu_k,k-1^2) r_k-1,k-1.
+    ``basis`` and ``dual`` change only by ``lll_reduce``'s unimodular row
+    operations, so the pairings <basis[a], dual[b]> keep their values.
+
+    The result is reduced for DELTA and ETA in doubles; the tests check it
+    exactly for delta = 0.74 and eta = 0.52, which leaves room for their
+    rounding.  ``lll_reduce`` (delta = 3/4, eta = 1/2) reduces the basis
+    instead when every G_ii has at most 64 bits, where its integers are one
+    word wide and it is the cheaper; and it finishes the reduction from the
+    current basis when the doubles fail: G's diagonal spans more bits than
+    a double's exponent holds, some r_kk <= 0 or a value overflows, a row
+    is not size-reduced after ``_ROUNDS`` passes, or the steps exceed the
+    bound of LLL's potential argument (every swap shrinks the product of
+    the Gram determinants of the leading rows, an integer >= 1, by a
+    factor < 0.76).
+    """
+    d = len(basis)
+    diag = [sum(map(mul, weights, map(mul, b, b))) for b in basis]
+    top, low = max(diag).bit_length(), min(diag).bit_length()
+    shift = max(top - _EXP_BITS, 0)
+    if top > _WORD_BITS and low > shift - _EXP_BITS:
+        try:
+            if _guided_steps(basis, weights, dual, diag, 1 << shift, 3 * d * d * top):
+                return
+        except OverflowError:  # a Gram value or a mu past the doubles' range
+            pass
+    lll_reduce(basis, weights, dual)
+
+
+def _guided_steps(basis, weights, dual, diag, unit, steps):
+    """The float-guided loop of ``lll_guided`` on the Gram values over
+    ``unit``; False (or OverflowError) when the doubles fail.  ``basis`` and
+    ``dual`` are a dual pair of bases between any two steps, which
+    ``lll_reduce`` can finish."""
+    d = len(basis)
+    gram = [[0] * d for _ in range(d)]
+    for i, b in enumerate(basis):
+        weighted = list(map(mul, weights, b))
+        gram[i][i] = diag[i]
+        for j in range(i):
+            gram[i][j] = gram[j][i] = sum(map(mul, weighted, basis[j]))
+    rdiag = [0.0] * d
+    r = [[0.0] * d for _ in range(d)]  # r[k][j] = <b_k, b_j*> for j < k
+    mu = [[0.0] * d for _ in range(d)]
+    k = 0
+    while k < d:
+        steps -= 1
+        if steps < 0:
+            return False
+        rk, muk, gk = r[k], mu[k], gram[k]
+        for _ in range(_ROUNDS):
+            size = 0.0
+            for j in range(k):
+                rkj, muj = gk[j] / unit, mu[j]
+                for l in range(j):
+                    rkj -= muj[l] * rk[l]
+                rk[j] = rkj
+                muk[j] = rkj / rdiag[j]
+                size = max(size, abs(muk[j]))
+            if size <= ETA:
+                break
+            for j in range(k - 1, -1, -1):
+                q = round(muk[j])
+                if q:
+                    muj, gj = mu[j], gram[j]
+                    for l in range(j):
+                        muk[l] -= q * muj[l]
+                    basis[k] = [a - q * b for a, b in zip(basis[k], basis[j])]
+                    dual[j] = [a + q * b for a, b in zip(dual[j], dual[k])]
+                    gk[k] += q * (q * gj[j] - 2 * gk[j])
+                    for i in range(d):
+                        if i != k:
+                            gk[i] -= q * gj[i]
+                            gram[i][k] = gk[i]
+        else:
+            return False
+        # s = r_kk + mu_k,k-1 r_k,k-1, tested before its last term is taken
+        # off: a b_k that is short against b_k-1* makes r_kk a cancellation
+        s = gk[k] / unit
+        for j in range(k - 1):
+            s -= muk[j] * rk[j]
+        if k and s < DELTA * rdiag[k - 1]:
+            basis[k - 1], basis[k] = basis[k], basis[k - 1]
+            dual[k - 1], dual[k] = dual[k], dual[k - 1]
+            gram[k - 1], gram[k] = gram[k], gram[k - 1]
+            for row in gram:
+                row[k - 1], row[k] = row[k], row[k - 1]
+            k -= 1
+            continue
+        rdiag[k] = s - muk[k - 1] * rk[k - 1] if k else s
+        if not rdiag[k] > 0:
+            return False
+        k += 1
+    return True

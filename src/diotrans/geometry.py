@@ -18,7 +18,7 @@ from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import BudgetExceeded
-from .exactlinalg import lll_reduce
+from .exactlinalg import lll_guided
 from .intervals import Enclosure
 from .radicals import _int_nth_root, exact_le, exact_mul, floor_within
 
@@ -301,6 +301,12 @@ def _records(rows, den, t_max):
     (S from ``best_approx_table``); there |r_i| < D / 2, so r = A x + D y
     holds the nearest y.  The basis is LLL-reduced for each box's shape and
     carried from record to record, so each reduction starts from the last.
+    ``exactlinalg.lll_guided`` reduces it: doubles choose the steps, which are
+    exact integer row operations on ``basis`` and ``dual``; the integral
+    ``lll_reduce`` runs instead on Gram diagonals of at most 64 bits and
+    finishes when the doubles fail.  Any basis of the lattice gives the same
+    records, since ``_least_point`` bounds its coefficients from the exact
+    dual pairing; the reduction only sets the cost of the walk.
     """
     if t_max < 1:
         return
@@ -325,7 +331,7 @@ def _records(rows, den, t_max):
             reach = min(t_max, den)
         # weights that make the box a cube: x scaled by bound, r by reach
         wx, wr = max(bound // reach, 1) ** 2, max(reach // max(bound, 1), 1) ** 2
-        lll_reduce(basis, [wx] * k + [wr] * n, dual)
+        lll_guided(basis, [wx] * k + [wr] * n, dual)
         point = _least_point(basis, dual, den, k, reach, bound)
         if point is None:
             return

@@ -6,26 +6,20 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from diotrans import exactlinalg
 from diotrans.errors import DependentInput, NotSaturated
 from diotrans.exactlinalg import (
     Lattice,
     det,
     gram_det,
-    grassmann,
     hnf,
     integer_kernel,
+    lll_guided,
     lll_reduce,
     orthogonal_lattice,
     saturate,
     wedge_norm_squared,
 )
-
-
-def test_gram_det_example_matches_minors():
-    vecs = ((1, 2, 0), (0, 1, 1))
-    assert gram_det(vecs) == 6
-    g = grassmann(vecs)
-    assert sum(c * c for c in g.coefficients) == 6  # 1^2 + 1^2 + 2^2
 
 
 def test_wedge_of_dependent_vectors_is_zero():
@@ -104,15 +98,6 @@ def test_covolume_equality_random(seed):
     assert back.det_squared == lat.det_squared
     for v in lat.basis:
         assert back.contains(v)
-
-
-def test_grassmann_norm_equals_gram_det_random():
-    rng = random.Random(7)
-    for _ in range(25):
-        d = rng.randint(2, 5)
-        k = rng.randint(1, d)
-        vecs = [[rng.randint(-4, 4) for _ in range(d)] for _ in range(k)]
-        assert sum(c * c for c in grassmann(vecs).coefficients) == gram_det(vecs)
 
 
 def _leibniz(rows):
@@ -214,3 +199,77 @@ def test_lll_reduce_is_reduced_for_its_weights_and_keeps_the_lattice():
                 if j == i - 1:
                     assert dot(star, star) >= (Fraction(3, 4) - mu**2) * dot(bj, bj)
             ortho.append(star)
+
+
+def _cofactor_rows(basis):
+    """Rows of the cofactor matrix: <basis[a], dual[b]> = det * (a == b)."""
+    k = len(basis)
+    return [[(-1) ** (b + j) * _leibniz([row[:j] + row[j + 1:] for i, row in enumerate(basis)
+                                         if i != b]) for j in range(k)] for b in range(k)]
+
+
+def _assert_lll_output(basis, reduced, weights, dual, delta, eta):
+    """``reduced`` spans the lattice of ``basis``, ``dual`` pairs with it as
+    det times the identity, and it is (delta, eta)-reduced for the weighted
+    inner product, all in rationals."""
+    # reduced lies in the lattice (Cramer: integer coefficients) and has its
+    # covolume, so it spans the lattice
+    det_, k = _leibniz(basis), len(basis)
+    assert all(sum(map(mul, v, c)) % det_ == 0 for v in reduced for c in _cofactor_rows(basis))
+    assert abs(det(reduced)) == abs(det_)
+    assert [[sum(map(mul, u, v)) for v in dual] for u in reduced] == [
+        [det_ * (a == b) for b in range(k)] for a in range(k)]
+
+    def dot(u, v):
+        return sum(w * a * b for w, a, b in zip(weights, u, v))
+    ortho = []
+    for i, v in enumerate(reduced):
+        star = [Fraction(a) for a in v]
+        for j, bj in enumerate(ortho):
+            mu = dot(v, bj) / dot(bj, bj)
+            assert abs(mu) <= eta
+            star = [a - mu * b for a, b in zip(star, bj)]
+            if j == i - 1:
+                assert dot(star, star) >= (delta - mu**2) * dot(bj, bj)
+        ortho.append(star)
+
+
+def test_lll_guided_is_reduced_for_its_stated_constants_and_keeps_the_lattice(monkeypatch):
+    # narrow, word-sized and 400-bit entries, with weights up to 2^400
+    integral = []
+    monkeypatch.setattr(exactlinalg, "lll_reduce",
+                        lambda *args: integral.append(1) or lll_reduce(*args))
+    rng = random.Random(23)
+    narrow = 0
+    for trial in range(150):
+        k = 1 + trial % 5
+        bits = (8, 30, 400)[trial % 3]
+        basis = [[rng.randint(-2**bits, 2**bits) for _ in range(k)] for _ in range(k)]
+        if _leibniz(basis) == 0:
+            continue
+        weights = [rng.choice((1, 3, 2**rng.randint(1, 400))) for _ in range(k)]
+        narrow += max(sum(w * a * a for w, a in zip(weights, v)) for v in basis) < 2**64
+        reduced, dual = [list(row) for row in basis], _cofactor_rows(basis)
+        lll_guided(reduced, weights, dual)
+        _assert_lll_output(basis, reduced, weights, dual, Fraction(74, 100), Fraction(52, 100))
+    # the integral LLL ran on the Gram diagonals of at most 64 bits alone
+    assert 0 < len(integral) == narrow < 100
+
+
+def test_lll_guided_falls_back_when_the_gram_diagonal_spans_past_doubles(monkeypatch):
+    integral = []
+    monkeypatch.setattr(exactlinalg, "lll_reduce",
+                        lambda *args: integral.append(1) or lll_reduce(*args))
+    rng = random.Random(5)
+    for trial in range(20):
+        k = 2 + trial % 3
+        basis = [[rng.randint(-10**6, 10**6) for _ in range(k)] for _ in range(k)]
+        if _leibniz(basis) == 0:
+            continue
+        weights = [1, 2**2400] + [rng.choice((1, 2**2400)) for _ in range(k - 2)]
+        reduced, dual = [list(row) for row in basis], _cofactor_rows(basis)
+        calls = len(integral)
+        lll_guided(reduced, weights, dual)
+        assert len(integral) == calls + 1
+        _assert_lll_output(basis, reduced, weights, dual, Fraction(3, 4), Fraction(1, 2))
+    assert integral

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import diotrans
-from diotrans import geometry
+from diotrans import exactlinalg, geometry
 from diotrans.errors import BudgetExceeded
-from diotrans.exactlinalg import wedge_norm_squared
+from diotrans.exactlinalg import lll_reduce, wedge_norm_squared
 from diotrans.geometry import (
     Box,
     System,
@@ -26,7 +26,8 @@ from diotrans.geometry import (
     least_point,
 )
 from diotrans.intervals import Enclosure
-from diotrans.presets import get_preset, random_system
+from diotrans.harness import t_max_for
+from diotrans.presets import PRESETS, get_preset, random_system
 from diotrans.radicals import Radical, floor_within
 
 
@@ -352,6 +353,86 @@ def test_scan_matches_exact_walk_on_every_shape():
                 ]
                 for theta in (generic, rational):
                     _assert_scan_is_exact(System(n, m, theta), side, t_max)
+
+
+def _desk_scale_scans():
+    """The systems, sides and depths of
+    ``test_scan_matches_exact_walk_on_every_shape``, drawn the same way."""
+    rng = random.Random(11)
+    for free in (1, 2, 3):
+        t_max = 8 if free == 3 else 30
+        for side in ("primal", "dual"):
+            for other in (1, 2):
+                n, m = (other, free) if side == "primal" else (free, other)
+                generic = [
+                    [Fraction(rng.getrandbits(400), 2**400) for _ in range(m)] for _ in range(n)
+                ]
+                rational = [
+                    [Fraction(rng.randint(-8, 8), rng.randint(1, 8)) for _ in range(m)]
+                    for _ in range(n)
+                ]
+                for theta in (generic, rational):
+                    yield System(n, m, theta), side, t_max
+
+
+def test_records_do_not_depend_on_the_reduction(monkeypatch):
+    # the guided LLL, the integral LLL and no reduction at all give the same
+    # records and witnesses; the guided one keeps <basis_a, dual_b> = D (a == b)
+    def paired(den):
+        def reduce(basis, weights, dual):
+            exactlinalg.lll_guided(basis, weights, dual)
+            calls.append(1)
+            assert [[sum(a * b for a, b in zip(u, v)) for v in dual] for u in basis] == [
+                [den * (a == b) for b in range(len(dual))] for a in range(len(basis))]
+        return reduce
+
+    calls = []
+    for system, side, t_max in _desk_scale_scans():
+        tables = []
+        for reduce in (paired(system.integer_form.den), lll_reduce, lambda *args: None):
+            monkeypatch.setattr(geometry, "lll_guided", reduce)
+            tables.append(best_approx_table(system, side, t_max).to_json())
+        assert tables[0] == tables[1] == tables[2], (system, side)
+    assert calls
+
+
+def _convergent_denominators(theta, t_max):
+    """The distinct continued-fraction convergent denominators q <= t_max of
+    theta, with ||q theta|| for each: the classical best approximations."""
+    num, den = theta.numerator % theta.denominator, theta.denominator
+    prev, q, out = 0, 1, []
+    while q <= t_max:
+        if not out or q != out[-1][0]:
+            out.append((q, min(q * theta % 1, 1 - q * theta % 1)))
+        if not num:
+            break
+        a, num, den = den // num, den % num, num
+        prev, q = q, a * q + prev
+    return out
+
+
+def test_one_dimensional_records_are_the_convergents_to_1e50():
+    # an oracle independent of the lattice search, far past the harness depths
+    systems = [get_preset(name).build() for name in ("golden", "sqrt2", "liouville")]
+    systems += [random_system(random.Random(seed), 1, 1) for seed in range(50)]
+    for system in systems:
+        expected = _convergent_denominators(system.theta[0][0], 10**50)
+        for side in ("primal", "dual"):
+            table = best_approx_table(system, side, 10**50)
+            assert [(r.t, r.psi) for r in table.records] == expected, (system, side)
+
+
+def test_guided_lll_needs_no_fallback_at_fast_depth(monkeypatch):
+    def integral(*args):
+        raise AssertionError("the integral LLL was reached")
+
+    monkeypatch.setattr(exactlinalg, "lll_reduce", integral)
+    systems = [preset.build() for preset in PRESETS.values()]
+    systems += [random_system(random.Random(seed), n, m) for seed, (n, m) in
+                enumerate(((1, 1), (2, 1), (1, 2), (2, 2), (1, 3), (3, 1)))]
+    for system in systems:
+        best_approx_table(system, "primal", t_max_for(system.m, "fast"))
+        best_approx_table(system, "dual", t_max_for(system.n, "fast"))
 
 
 def test_scan_matches_snapshot():
