@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from operator import mul
 from typing import Sequence
@@ -287,14 +288,22 @@ def lll_guided(basis: list[list[int]], weights: Sequence[int], dual: list[list[i
     exactly for delta = 0.74 and eta = 0.52, which leaves room for their
     rounding.  ``lll_reduce`` (delta = 3/4, eta = 1/2) reduces the basis
     instead when every G_ii has at most 64 bits, where its integers are one
-    word wide and it is the cheaper; and it finishes the reduction from the
-    current basis when the doubles fail: G's diagonal spans more bits than
-    a double's exponent holds, some r_kk <= 0 or a value overflows, a row
-    is not size-reduced after ``_ROUNDS`` passes, or the steps exceed the
-    bound of LLL's potential argument (every swap shrinks the product of
-    the Gram determinants of the leading rows, an integer >= 1, by a
-    factor < 0.76).
+    word wide and it is the cheaper (the bound len(weights) * max weight *
+    max entry^2 on G_ii decides this first when the largest weight has at
+    most 64 bits, and the exact diagonal otherwise); and it finishes the
+    reduction from the current basis when the doubles fail: G's diagonal
+    spans more bits than a double's exponent holds, some r_kk <= 0 or a
+    value overflows, a row is not size-reduced after ``_ROUNDS`` passes, or
+    the steps exceed the bound of LLL's potential argument (every swap
+    shrinks the product of the Gram determinants of the leading rows, an
+    integer >= 1, by a factor < 0.76).
     """
+    heaviest = max(weights)
+    if heaviest.bit_length() <= _WORD_BITS:
+        big = max(map(abs, chain.from_iterable(basis)))
+        if (len(weights) * heaviest * big * big).bit_length() <= _WORD_BITS:
+            lll_reduce(basis, weights, dual)
+            return
     d = len(basis)
     diag = [sum(map(mul, weights, map(mul, b, b))) for b in basis]
     top, low = max(diag).bit_length(), min(diag).bit_length()

@@ -4,7 +4,10 @@ All entries are high-precision rational snapshots of the intended real
 numbers: the snapshot error is far below any residual the desk-scale scans
 can resolve, so the finite tables are indistinguishable from the real
 thing.  Spanning three regimes: badly approximable (quadratic and cubic
-algebraics), generic, and Liouville-extreme.
+algebraics), generic, and Liouville-extreme.  A cubic root (the plastic
+number, the x^3 = a*x + b pairs) is snapshot as the largest point of a grid
+of step 2^-PRECISION_BITS times the interval's width not past the root,
+decided in integers (``_grid_root``).
 """
 from __future__ import annotations
 
@@ -35,16 +38,37 @@ def _sqrt2_frac() -> Fraction:
     return Fraction(p1, q1)
 
 
-def _plastic_root() -> Fraction:
-    """The real root of x^3 = x + 1 by bisection on exact rationals."""
-    lo, hi = Fraction(1), Fraction(2)
-    for _ in range(PRECISION_BITS):
-        mid = (lo + hi) / 2
-        if mid**3 - mid - 1 <= 0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+def _grid_root(a: int, b: int, w: int) -> Fraction:
+    """The snapshot of the root rho > 1 of x^3 = a*x + b (a, b >= 1): the
+    largest point 1 + j*w / 2^PRECISION_BITS of the grid on [1, 1 + w] not
+    past rho (rho < 1 + w), decided in integers.
+
+    On x >= 1, x^3 - a*x - b <= 0 exactly on [1, rho]: it is negative up to
+    sqrt(a/3) and increasing after it.  With one = 2^PRECISION_BITS and
+    X = one * x, the test is X^3 - a*X*one^2 - b*one^3 <= 0.  Integer Newton
+    runs from X = one * (1 + w), above rho: the cubic is convex and increasing
+    there, so every step, rounded down, stays at or above one * rho and the
+    steps shrink to 0.  The grid index is then moved until the test holds at
+    j and fails at j + 1, so the result rests on the exact test alone.
+    """
+    one = 1 << PRECISION_BITS
+    one2, one3 = one * one, one * one * one
+
+    def cubic(x):
+        return x * x * x - a * x * one2 - b * one3
+
+    x = one * (1 + w)
+    while True:
+        step = cubic(x) // (3 * x * x - a * one2)
+        if step <= 0:
+            break
+        x -= step
+    j = (x - one) // w
+    while cubic(one + j * w) > 0:
+        j -= 1
+    while cubic(one + (j + 1) * w) <= 0:
+        j += 1
+    return Fraction(one + j * w, one)
 
 
 def _liouville() -> Fraction:
@@ -98,7 +122,7 @@ _register(
 
 
 def _plastic_row() -> list[Fraction]:
-    th = _plastic_root()
+    th = _grid_root(1, 1, 1)
     return [th - 1, th * th - 1]
 
 
@@ -137,18 +161,6 @@ _register(
 )
 
 
-def _cubic_root(a: int, b: int) -> Fraction:
-    """The unique positive root of x^3 = a*x + b (a, b >= 1), by bisection."""
-    lo, hi = Fraction(1), Fraction(a + b + 1)
-    for _ in range(PRECISION_BITS):
-        mid = (lo + hi) / 2
-        if mid**3 - a * mid - b <= 0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def _is_irreducible_cubic(a: int, b: int) -> bool:
     # x^3 - a x - b factors over Q iff it has an integer root dividing b.
     for r in range(1, abs(b) + 1):
@@ -162,10 +174,11 @@ def _is_irreducible_cubic(a: int, b: int) -> bool:
 def cubic_pair_system(a: int, b: int) -> System:
     """The 1x2 system (frac(x), frac(x^2)) for the positive root of
     x^3 = a*x + b; a basis of a real cubic field, so both exponents sit at
-    the generic value 2 and the transposed uniform exponent at 1/2."""
+    the generic value 2 and the transposed uniform exponent at 1/2.  x is
+    the root's snapshot on the grid of [1, a + b + 1] (``_grid_root``)."""
     if not _is_irreducible_cubic(a, b):
         raise ValueError(f"x^3 - {a}x - {b} is reducible")
-    th = _cubic_root(a, b)
+    th = _grid_root(a, b, a + b)
     row = [th - (th.numerator // th.denominator), None]
     t2 = th * th
     row[1] = t2 - (t2.numerator // t2.denominator)

@@ -50,23 +50,33 @@ class Radical:
     __slots__ = ("radicand", "index")
 
     def __init__(self, radicand, index: int = 1):
-        radicand = Fraction(radicand)
+        if not isinstance(radicand, Fraction):
+            radicand = Fraction(radicand)
         if radicand <= 0:
             raise ValueError("radicand must be positive")
         index = int(index)
         if index < 1:
             raise ValueError("index must be >= 1")
-        # Reduce the index whenever the radicand is a perfect power.
-        p = 2
-        while p <= index:
-            while index % p == 0:
-                rn, okn = _int_nth_root(radicand.numerator, p)
-                rd, okd = _int_nth_root(radicand.denominator, p)
-                if okn and okd:
+        # Reduce the index whenever the radicand is a perfect power.  Only
+        # the primes p of the index are tried: a perfect (p*s)-th power is a
+        # perfect p-th power, which is taken out at p, and a root taken at a
+        # later prime is a p-th power only if the radicand was one.
+        rest, p = index, 2
+        while rest > 1:
+            if p * p > rest:
+                p = rest
+            if rest % p == 0:
+                while rest % p == 0:
+                    rest //= p
+                while index % p == 0:
+                    rn, exact = _int_nth_root(radicand.numerator, p)
+                    if not exact:
+                        break
+                    rd, exact = _int_nth_root(radicand.denominator, p)
+                    if not exact:
+                        break
                     radicand = Fraction(rn, rd)
                     index //= p
-                else:
-                    break
             p += 1
         self.radicand = radicand
         self.index = index

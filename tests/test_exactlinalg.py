@@ -256,6 +256,19 @@ def test_lll_guided_is_reduced_for_its_stated_constants_and_keeps_the_lattice(mo
     assert 0 < len(integral) == narrow < 100
 
 
+def test_lll_guided_takes_the_integral_path_on_the_exact_diagonal_past_a_wide_bound(monkeypatch):
+    # len(weights) * max weight * max entry^2 = 2^73, yet every G_ii has at
+    # most 64 bits: the exact diagonal, not the bound, picks the integral LLL
+    integral = []
+    monkeypatch.setattr(exactlinalg, "lll_reduce",
+                        lambda *args: integral.append(1) or lll_reduce(*args))
+    basis, weights = [[2**31, 0], [3, 1]], [1, 2**10]
+    reduced, dual = [list(row) for row in basis], _cofactor_rows(basis)
+    lll_guided(reduced, weights, dual)
+    assert integral == [1]
+    _assert_lll_output(basis, reduced, weights, dual, Fraction(3, 4), Fraction(1, 2))
+
+
 def test_lll_guided_falls_back_when_the_gram_diagonal_spans_past_doubles(monkeypatch):
     integral = []
     monkeypatch.setattr(exactlinalg, "lll_reduce",

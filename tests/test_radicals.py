@@ -277,6 +277,39 @@ def test_huge_radicand_normalises_in_one_root():
     assert 7 * floors[1] ** 3 <= big < 7 * (floors[1] + 1) ** 3
 
 
+def _normalised_by_every_p(radicand, index):
+    """The index reduction that tries every p = 2..index, composites
+    included, and takes both integer roots before testing either."""
+    radicand = Fraction(radicand)
+    p = 2
+    while p <= index:
+        while index % p == 0:
+            rn, okn = _int_nth_root(radicand.numerator, p)
+            rd, okd = _int_nth_root(radicand.denominator, p)
+            if okn and okd:
+                radicand = Fraction(rn, rd)
+                index //= p
+            else:
+                break
+        p += 1
+    return radicand, index
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_normalisation_on_prime_indices_matches_every_p(k):
+    # perfect k-th powers u^k / v^k and their near misses, at every index
+    # 1..24, so composite and repeated prime factors meet powers of each order
+    rng = random.Random(k)
+    for _ in range(12):
+        u, v = rng.randint(1, 10**6), rng.randint(1, 10**6)
+        cases = (Fraction(u**k, v**k), Fraction(u**k + 1, v**k), Fraction(u**k, v**k + 1),
+                 Fraction(2**k * 3 ** (2 * k), 5**k), u**k)
+        for radicand in cases:
+            for index in range(1, 25):
+                r = Radical(radicand, index)
+                assert (r.radicand, r.index) == _normalised_by_every_p(radicand, index)
+
+
 def _head_verdict(psi, t, p):
     """What the top 64 bits of psi's numerator and denominator alone say of
     psi**64 * t**p <= 1: True, False, or None when their bounds straddle it."""
