@@ -124,13 +124,10 @@ def det(rows: Sequence[Sequence]) -> Fraction:
 
 
 def gram_det(vectors: Sequence[Sequence]) -> Fraction:
-    """det(<v_i, v_j>) computed exactly for integer or rational entries."""
+    """det(<v_i, v_j>) computed exactly for integer or rational entries: the
+    squared Euclidean norm of the wedge v_1 ^ ... ^ v_k, 0 for dependent
+    inputs."""
     return det([[sum(map(mul, vi, vj)) for vj in vectors] for vi in vectors])
-
-
-def wedge_norm_squared(vectors: Sequence[Sequence]) -> Fraction:
-    """Squared Euclidean norm of v_1 ^ ... ^ v_k; 0 for dependent inputs."""
-    return gram_det(vectors)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,9 @@ Three families cover everything the transference procedures consume:
 Each spec evaluates, inverts, and reports its monotonicity.  Power-family
 values and inverses are exact ``Radical``/``Fraction`` objects so that
 downstream membership tests remain decidable; the other families return
-``Enclosure`` intervals and invert by bisection.
+``Enclosure`` intervals from ``Enclosure.pow``, ``ln`` and ``exp``, and
+invert by bisection: the inverse of an enclosure is the hull of the
+preimages of its two ends, which holds every preimage since f is monotone.
 """
 from __future__ import annotations
 
@@ -79,50 +81,43 @@ class FunctionSpec:
             raise DomainError(f"t={float(et.lo)} outside domain of {self.family}")
         if self.family == "exp":
             return Enclosure(self.coeff) * (et * Enclosure(self.exponent)).exp()
-        # power_log: c * exp(g ln t) * exp(b ln ln t)
-        lnt = et.ln()
-        return (
-            Enclosure(self.coeff)
-            * (lnt * Enclosure(self.exponent)).exp()
-            * (lnt.ln() * Enclosure(self.log_exponent)).exp()
-        )
+        return Enclosure(self.coeff) * et.pow(self.exponent) * et.ln().pow(self.log_exponent)
 
     # -- inversion ----------------------------------------------------------
 
     def inverse_at(self, s):
         """The t with f(t) = s.
 
-        Exact for the power family.  Otherwise bisects until the bracketing
-        enclosure has relative width below 10**-12.
+        Exact for the power family.  Otherwise f is monotone, so the
+        preimage of s's enclosure lies between those of its two ends; each
+        is bisected until its bracket has relative width below 10**-12.
         """
         if self.family == "power":
             return exact_pow(exact_div(s, self.coeff), 1 / self.exponent)
-        return self._bisect_inverse(s)
-
-    def _bisect_inverse(self, s):
         target = Enclosure.of(s)
+        brackets = [self._bisect_inverse(end) for end in {target.lo, target.hi}]
+        return Enclosure(min(b.lo for b in brackets), max(b.hi for b in brackets))
+
+    def _bisect_inverse(self, s: Fraction) -> Enclosure:
+        """A bracket of the t with f(t) = s, for a rational s."""
         lo = self.t_min + Fraction(1, 10**6)
         hi = max(lo * 2, Fraction(2))
         for _ in range(20000):
             v = self.value(hi)
-            if (v.lo > target.hi) == self.increasing:
+            if v.lo > s if self.increasing else v.hi < s:
                 break
             hi *= 2
         else:
             raise PrecisionExhausted("could not bracket the inverse")
-        for _ in range(20000):
-            if hi - lo <= Fraction(1, 10**12) * hi:
-                break
+        while hi - lo > Fraction(1, 10**12) * hi:
             mid = (lo + hi) / 2
             v = self.value(mid)
-            if v.lo > target.hi:
-                lo, hi = (lo, mid) if self.increasing else (mid, hi)
-            elif v.hi < target.lo:
-                lo, hi = (mid, hi) if self.increasing else (lo, mid)
+            if v.lo <= s <= v.hi:
+                break  # f(mid) is enclosed too widely to tell the side of mid
+            if (v.hi < s) == self.increasing:
+                lo = mid
             else:
-                # Value enclosure straddles the target: shrink symmetrically.
-                quarter = (hi - lo) / 4
-                lo, hi = lo + quarter, hi - quarter
+                hi = mid
         return Enclosure(lo, hi)
 
     # -- presentation ---------------------------------------------------------

@@ -17,7 +17,7 @@ from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from .errors import DomainError, HypothesisViolated
-from .exactlinalg import orthogonal_lattice, saturate, wedge_norm_squared
+from .exactlinalg import gram_det, orthogonal_lattice, saturate
 from .functions import FunctionSpec
 from .geometry import System, best_approx_table
 from .presets import PRESETS, cubic_pair_family, random_rational_system, random_system
@@ -667,7 +667,7 @@ def _witness_pair(system):
     ws = [rec.witness for rec in tab.records]
     for i in range(len(ws)):
         for j in range(i + 1, len(ws)):
-            if wedge_norm_squared((ws[i], ws[j])) != 0:
+            if gram_det((ws[i], ws[j])) != 0:
                 return ws[i], ws[j]
     return None
 

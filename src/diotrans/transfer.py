@@ -25,7 +25,7 @@ from .errors import (
     OnlyDimAtLeast3,
     PrecisionExhausted,
 )
-from .exactlinalg import wedge_norm_squared
+from .exactlinalg import gram_det
 from .functions import FunctionSpec
 from .geometry import DEFAULT_ENUM_BUDGET, Box, System, _walk, in_box, least_point
 from .intervals import Enclosure
@@ -171,7 +171,7 @@ def verify_certificate(cert: Certificate) -> tuple[bool, list]:
     if "v1" in cert.inputs and "v2" in cert.inputs:
         v1, v2 = cert.inputs["v1"], cert.inputs["v2"]
         results.append(("inputs_non_collinear", len(v1) == len(v2) == system.d
-                        and wedge_norm_squared((v1, v2)) != 0))
+                        and gram_det((v1, v2)) != 0))
     return all(ok for _, ok in results), results
 
 
@@ -332,7 +332,7 @@ def main_lemma_transfer_3d(
 def _main_lemma(system, v1, v2, h, r, constant_sq, budget) -> Certificate:
     """The two-point lemma with the product constant squared ``constant_sq``."""
     v1, v2 = (x + y for x, y in map(system.split, (v1, v2)))  # ValueError unless d long
-    if wedge_norm_squared((v1, v2)) == 0:
+    if gram_det((v1, v2)) == 0:
         raise NonCollinearRequired("v1 and v2 are collinear")
     if not (exact_lt(0, h) and exact_lt(0, r)):
         raise HypothesisViolated("the lemma needs h > 0 and r > 0")
@@ -398,7 +398,7 @@ def _semicore_witnesses(system, wide, narrow, budget):
     if v2 is None:
         raise NoWitnesses("no nonzero point in the narrow box")
     v1 = least_point(system, "primal", *wide.bounds(),
-                     accept=lambda z: wedge_norm_squared((z, v2)) != 0, budget=budget)
+                     accept=lambda z: gram_det((z, v2)) != 0, budget=budget)
     if v1 is None:
         raise NoWitnesses("all points of the wide box are collinear with the narrow one")
     return v1, v2

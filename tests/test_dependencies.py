@@ -11,11 +11,11 @@ import diotrans
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _imported_distributions():
-    """Top-level names of the absolute imports in src/diotrans/*.py, less the
+def _imported_distributions(directory):
+    """Top-level names of the absolute imports in directory/*.py, less the
     standard library and the package itself."""
     names = set()
-    for path in (ROOT / "src" / "diotrans").glob("*.py"):
+    for path in directory.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
                 names.update(alias.name.split(".")[0] for alias in node.names)
@@ -24,12 +24,23 @@ def _imported_distributions():
     return names - set(sys.stdlib_module_names) - {"diotrans"}
 
 
+def _declared(requirements):
+    return {re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower() for dep in requirements}
+
+
 def test_declared_dependencies_match_imports():
     tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
-    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower()
-                for dep in project["dependencies"]}
-    assert declared == _imported_distributions()
+    assert _declared(project["dependencies"]) == _imported_distributions(ROOT / "src" / "diotrans")
+
+
+def test_test_extra_declares_every_import_of_the_tests():
+    # mpmath is a test oracle only (quadosc, and the exp/ln enclosure checks)
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    imported = _imported_distributions(ROOT / "tests")
+    assert {"mpmath", "pytest", "hypothesis"} <= imported
+    assert _declared(project["optional-dependencies"]["test"]) == imported
 
 
 # Module-level names and class methods in src/ that nothing in src/

@@ -6,6 +6,7 @@ import pytest
 
 from diotrans.errors import DomainError
 from diotrans.functions import FunctionSpec, power_spec
+from diotrans.intervals import Enclosure
 from diotrans.radicals import Radical
 
 
@@ -53,6 +54,27 @@ def test_bisection_inverse_of_power_log():
     s = f.value(Fraction(50))
     inv = f.inverse_at(s)
     assert abs(float(inv) - 50) < 1e-6
+
+
+def test_inverse_of_a_wide_target_holds_every_preimage():
+    # f is decreasing, so the preimage of [f(50), f(5)] is [5, 50]
+    f = FunctionSpec("power_log", 1, -2, -1)
+    inv = f.inverse_at(Enclosure(f.value(Fraction(50)).lo, f.value(Fraction(5)).hi))
+    assert inv.lo <= 5 and 50 <= inv.hi
+    assert inv.hi - inv.lo < 46
+    g = FunctionSpec("exp", 2, Fraction(1, 3))
+    inv = g.inverse_at(Enclosure(g.value(Fraction(1)).lo, g.value(Fraction(9)).hi))
+    assert inv.lo <= 1 and 9 <= inv.hi
+
+
+def test_power_log_value_is_c_t_to_the_g_times_ln_t_to_the_b():
+    f = FunctionSpec("power_log", Fraction(3, 2), Fraction(-1, 2), 2)
+    t = Fraction(1000)
+    v = f.value(t)
+    lnt = Enclosure(t).ln()
+    root = Enclosure(t).pow(Fraction(-1, 2))
+    assert v.lo <= Fraction(3, 2) * root.hi * lnt.hi**2 and Fraction(3, 2) * root.lo * lnt.lo**2 <= v.hi
+    assert (v.hi - v.lo) / v.lo < Fraction(1, 2**150)
 
 
 def test_validation_errors():

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import diotrans
 from diotrans import exactlinalg, geometry
 from diotrans.errors import BudgetExceeded
-from diotrans.exactlinalg import lll_reduce, wedge_norm_squared
+from diotrans.exactlinalg import gram_det, lll_reduce
 from diotrans.geometry import (
     Box,
     System,
@@ -233,7 +233,7 @@ def test_least_point_is_the_first_accepted_enumerated_point():
         filters = [
             None,
             lambda z: sum(a * b for a, b in zip(z, w)) == 0,
-            lambda z: wedge_norm_squared((z, u)) != 0,
+            lambda z: gram_det((z, u)) != 0,
         ]
         # the walk visits outer coordinates first: x on the primal side, y on the dual
         walk_order = (lambda z: z) if side == "primal" else (lambda z: z[m:] + z[:m])
