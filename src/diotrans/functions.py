@@ -91,6 +91,8 @@ class FunctionSpec:
         Exact for the power family.  Otherwise f is monotone, so the
         preimage of s's enclosure lies between those of its two ends; each
         is bisected until its bracket has relative width below 10**-12.
+        DomainError when an end of s lies outside f's range on
+        t >= t_min + 10**-6, where the bisection starts.
         """
         if self.family == "power":
             return exact_pow(exact_div(s, self.coeff), 1 / self.exponent)
@@ -99,12 +101,21 @@ class FunctionSpec:
         return Enclosure(min(b.lo for b in brackets), max(b.hi for b in brackets))
 
     def _bisect_inverse(self, s: Fraction) -> Enclosure:
-        """A bracket of the t with f(t) = s, for a rational s."""
+        """A bracket of the t with f(t) = s, for a rational s; DomainError
+        when s <= 0 (every family is positive) or f at the starting lower
+        end already lies past s."""
+
+        def past(t):
+            v = self.value(t)
+            return v.lo > s if self.increasing else v.hi < s
+
         lo = self.t_min + Fraction(1, 10**6)
+        if s <= 0 or past(lo):
+            raise DomainError(
+                f"target outside the range of {self.describe()} on t >= t_min + 10^-6")
         hi = max(lo * 2, Fraction(2))
         for _ in range(20000):
-            v = self.value(hi)
-            if v.lo > s if self.increasing else v.hi < s:
+            if past(hi):
                 break
             hi *= 2
         else:

@@ -704,17 +704,32 @@ def _lemma_grid_conditions(system, v1, v2, constant_sq):
 def _cheapest_lemma_params(system, v1, v2, constant_sq):
     """Smallest-volume (h, r) = (2**a, 2**b) on the exponent grid satisfying
     the product bound, the first in grid order on a tie, or None when every
-    admissible pair costs more than 3 * 10**5 enumerated points."""
+    admissible pair costs more than 3 * 10**5 enumerated points.
+
+    The grid is solved row by row: at a fixed a each condition u*a + v*b >= e
+    bounds b from below (v > 0) or above (v < 0), or decides the row alone
+    (v = 0).  The cost grows with b, so the least feasible b is the only
+    candidate of its row, and a row replaces the best so far only when it
+    is strictly cheaper, which is min()'s tie rule over the whole grid."""
     n, m = system.n, system.m
     conditions = _lemma_grid_conditions(system, v1, v2, constant_sq)
-
-    def cost(ab):
-        return (2 * 2.0 ** ab[0] + 1) ** n * (2 * 2.0 ** ab[1] + 2) ** m
-
-    grid = ((a, b) for a in _SCALE_EXPONENTS for b in _SCALE_EXPONENTS
-            if cost((a, b)) <= 3 * 10**5 and all(u * a + v * b >= e for u, v, e in conditions))
-    best = min(grid, key=cost, default=None)
-    return None if best is None else (Fraction(2) ** best[0], Fraction(2) ** best[1])
+    best = None
+    for a in _SCALE_EXPONENTS:
+        lo, hi = _SCALE_EXPONENTS[0], _SCALE_EXPONENTS[-1]
+        for u, v, e in conditions:
+            k = e - u * a  # the condition is v*b >= k
+            if v > 0:
+                lo = max(lo, -(-k // v))
+            elif v < 0:
+                hi = min(hi, k // v)
+            elif k > 0:
+                hi = lo - 1
+        if lo > hi:
+            continue
+        cost = (2 * 2.0**a + 1) ** n * (2 * 2.0**lo + 2) ** m
+        if cost <= 3 * 10**5 and (best is None or cost < best[0]):
+            best = (cost, a, lo)
+    return None if best is None else (Fraction(2) ** best[1], Fraction(2) ** best[2])
 
 
 def campaign_main_lemma(

@@ -15,6 +15,7 @@ outward:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 DEFAULT_PREC = 160  # bits
 _GUARD = 24  # bits the series carry above DEFAULT_PREC; their error bounds take 12
@@ -45,6 +46,12 @@ def _atanh(u: int, v: int, f: int) -> tuple[int, int]:
     return (total if u >= 0 else -total), 3 * j + 2
 
 
+@lru_cache(maxsize=64)
+def _half_ln2(f: int) -> tuple[int, int]:
+    """_atanh(1, 3, f): ln 2 / 2 in f-bit fixed point, computed once per f."""
+    return _atanh(1, 3, f)
+
+
 def _ln(x: Fraction) -> "Enclosure":
     """ln x for a rational x > 0."""
     p, q = x.numerator, x.denominator
@@ -60,7 +67,7 @@ def _ln(x: Fraction) -> "Enclosure":
     u, v = num - den, num + den
     extra = v.bit_length() - u.bit_length() if u else 0
     f = DEFAULT_PREC + _GUARD + abs(k).bit_length() + extra
-    half_ln2, half_ln2_err = _atanh(1, 3, f)
+    half_ln2, half_ln2_err = _half_ln2(f)
     t, t_err = _atanh(u, v, f)
     return _rounded(2 * (k * half_ln2 + t), 2 * (abs(k) * half_ln2_err + t_err), -f)
 
@@ -69,7 +76,7 @@ def _exp(x: Fraction) -> "Enclosure":
     """exp x for a rational x."""
     # f grows with |x|: r below carries |k| <= 1.45 |x| + 2 times the error of ln 2
     f = DEFAULT_PREC + _GUARD + (abs(x.numerator) // x.denominator).bit_length() + 1
-    half_ln2, half_ln2_err = _atanh(1, 3, f)
+    half_ln2, half_ln2_err = _half_ln2(f)
     ln2 = 2 * half_ln2
     xf = (x.numerator << f) // x.denominator
     k = xf // ln2
@@ -136,14 +143,19 @@ class Enclosure:
 
     # -- transcendental steps -------------------------------------------
 
-    # exp and ln are increasing, so each endpoint's image bounds the image.
+    # exp and ln are increasing, so each endpoint's image bounds the image;
+    # a point enclosure is its one endpoint's image.
 
     def exp(self) -> "Enclosure":
+        if self.lo == self.hi:
+            return _exp(self.lo)
         return Enclosure(_exp(self.lo).lo, _exp(self.hi).hi)
 
     def ln(self) -> "Enclosure":
         if self.lo <= 0:
             raise ValueError("log of non-positive enclosure")
+        if self.lo == self.hi:
+            return _ln(self.lo)
         return Enclosure(_ln(self.lo).lo, _ln(self.hi).hi)
 
     def pow(self, exponent: Fraction) -> "Enclosure":

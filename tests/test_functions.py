@@ -67,6 +67,33 @@ def test_inverse_of_a_wide_target_holds_every_preimage():
     assert inv.lo <= 1 and 9 <= inv.hi
 
 
+def test_inverse_of_a_target_outside_the_range_raises():
+    # e^(t/10) >= 1 on t > 0, and t^(1/2) / ln t has its minimum e/2 at t = e^2
+    with pytest.raises(DomainError):
+        FunctionSpec("exp", 1, Fraction(1, 10)).inverse_at(Fraction(1, 2))
+    with pytest.raises(DomainError):
+        FunctionSpec("power_log", 1, Fraction(1, 2), -1).inverse_at(Fraction(1, 10))
+    # decreasing: t^-2 / ln t reaches 10^7 only below t_min + 10^-6 = 1 + 10^-6,
+    # where the bisection starts
+    with pytest.raises(DomainError):
+        FunctionSpec("power_log", 1, -2, -1).inverse_at(10**7)
+
+
+def test_inverse_of_a_target_at_or_below_zero_raises():
+    # every family is positive on its domain; a decreasing f only tends to 0
+    for f in (FunctionSpec("power_log", 1, -2, -1), FunctionSpec("exp", 1, Fraction(-1, 10))):
+        for s in (0, -1):
+            with pytest.raises(DomainError):
+                f.inverse_at(s)
+
+
+def test_inverse_of_a_target_inside_the_range_still_inverts():
+    for f, t in ((FunctionSpec("exp", 1, Fraction(1, 10)), Fraction(7)),
+                 (FunctionSpec("power_log", 1, Fraction(1, 2), -1), Fraction(40))):
+        inv = f.inverse_at(f.value(t))
+        assert inv.lo <= t <= inv.hi and inv.hi - inv.lo < Fraction(1, 10**9)
+
+
 def test_power_log_value_is_c_t_to_the_g_times_ln_t_to_the_b():
     f = FunctionSpec("power_log", Fraction(3, 2), Fraction(-1, 2), 2)
     t = Fraction(1000)

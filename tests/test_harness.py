@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from diotrans import harness
 from diotrans.geometry import System
 from diotrans.harness import (
     CORE_FAMILIES,
@@ -352,6 +353,77 @@ def test_cheapest_lemma_params_reads_witness_residuals_once(monkeypatch):
         monkeypatch.undo()
         assert params == (None if best is None else best[1:])
         assert calls == list(pair)
+
+
+def _grid_scan_lemma_params(n, m, conditions):
+    """The reference: the cheapest (h, r) over all 18 x 18 grid points, the
+    first in grid order on a tie, or None past 3 * 10**5 points."""
+
+    def cost(ab):
+        return (2 * 2.0 ** ab[0] + 1) ** n * (2 * 2.0 ** ab[1] + 2) ** m
+
+    grid = ((a, b) for a in _SCALE_EXPONENTS for b in _SCALE_EXPONENTS
+            if cost((a, b)) <= 3 * 10**5 and all(u * a + v * b >= e for u, v, e in conditions))
+    best = min(grid, key=cost, default=None)
+    return None if best is None else (Fraction(2) ** best[0], Fraction(2) ** best[1])
+
+
+def test_row_wise_lemma_params_equal_the_grid_scan():
+    rng = random.Random(24)
+    seen = {"instances": 0, "none": 0, "v<0": 0, "v=0": 0, "no_condition": 0, "n=1": 0}
+    for trial in range(720):
+        d = 3 + trial % 3
+        n = 1 if trial % 4 == 0 else rng.randint(1, d - 1)
+        system = random_rational_system(rng, n, d - n, max_den=rng.choice((8, 1000)))
+        form = system.integer_form
+        # x = D e_j, y = -A e_j has residual Theta x + y = 0
+        j = rng.randrange(system.m)
+        exact = [form.den * (i == j) for i in range(system.m)] + [-row[j] for row in form.rows]
+        width = rng.choice((3, 3, 60))
+        v1, v2 = ([rng.randint(-width, width) for _ in range(d)] for _ in range(2))
+        kind = trial % 3
+        if kind == 1 and (pair := _witness_pair(system)) is not None:
+            v1, v2 = pair
+        elif kind == 2:
+            v2 = exact
+        seen["n=1"] += n == 1
+        for c2 in (Fraction(1, 2 * d * (d - 1)), Fraction(1, 12), Fraction(1, 4)):
+            conditions = _lemma_grid_conditions(system, v1, v2, c2)
+            params = _cheapest_lemma_params(system, v1, v2, c2)
+            assert params == _grid_scan_lemma_params(n, d - n, conditions), (system, v1, v2, c2)
+            seen["instances"] += 1
+            seen["none"] += params is None
+            seen["v<0"] += any(v < 0 for _, v, _ in conditions)
+            seen["v=0"] += any(v == 0 for _, v, _ in conditions)
+            seen["no_condition"] += len(conditions) < 3
+    assert seen["instances"] >= 2000, seen
+    assert min(seen.values()) > 0, seen
+
+
+def test_row_wise_lemma_params_keep_the_first_of_tied_rows_and_exact_row_bounds(monkeypatch):
+    # conditions of every shape's (u, v) with drawn e: ties between rows at
+    # the least cost (n = m) and rows emptied by a bound of a negative v
+    # occur here far more often than on real witness pairs
+    rng = random.Random(5)
+    ties = found = 0
+    for trial in range(3000):
+        d = 3 + trial % 3
+        n = rng.randint(1, d - 1)
+        m = d - n
+        terms = [(2 * n, 2 * m - 4), (2 * n - 4, 2 * m), (2 * n - 2, 2 * m - 2)]
+        conditions = [(u, v, rng.randint(-40, 30)) for u, v in terms if rng.random() < 0.85]
+        monkeypatch.setattr(harness, "_lemma_grid_conditions", lambda *_: conditions)
+        system = System(n, m, [[Fraction(1, 3)] * m] * n)
+        expected = _grid_scan_lemma_params(n, m, conditions)
+        assert _cheapest_lemma_params(system, None, None, Fraction(1, 4)) == expected, (n, conditions)
+        if expected is not None:
+            found += 1
+            a, b = (e.numerator.bit_length() - e.denominator.bit_length() for e in expected)
+            cost = (2 * 2.0**a + 1) ** n * (2 * 2.0**b + 2) ** m
+            ties += any((2 * 2.0**x + 1) ** n * (2 * 2.0**y + 2) ** m == cost and (x, y) > (a, b)
+                        and all(u * x + v * y >= e for u, v, e in conditions)
+                        for x in _SCALE_EXPONENTS for y in _SCALE_EXPONENTS)
+    assert found > 1000 and ties > 0
 
 
 def test_lemma_grid_conditions_decide_the_product_bound():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import random
@@ -173,6 +174,25 @@ def test_exp_and_ln_enclose_mpmath_and_are_at_most_a_few_ulps_wider(name, args):
         if tight.hi != 0:
             ref = _mp_interval(name.replace("ln", "log"), x, DEFAULT_PREC)
             assert ours.hi - ours.lo <= ref.hi - ref.lo + 4 * _ulp(tight.hi), x
+
+
+def _hex(q):
+    return f"{q.numerator:x}/{q.denominator:x}"
+
+
+def test_exp_and_ln_endpoints_are_unchanged_by_point_and_ln2_reuse():
+    # SHA-256 of every endpoint on the grids above, of point enclosures and of
+    # the hulls of consecutive arguments, as computed when exp and ln
+    # evaluated both ends of a point enclosure and ln 2 anew on every call
+    digest = hashlib.sha256()
+    for name, args in (("ln", LN_ARGUMENTS), ("exp", EXP_ARGUMENTS)):
+        for x in args:
+            e = getattr(Enclosure(x), name)()
+            digest.update(f"{name} {_hex(x)} {_hex(e.lo)} {_hex(e.hi)}\n".encode())
+        for x, y in zip(args, args[1:]):
+            e = getattr(Enclosure(min(x, y), max(x, y)), name)()
+            digest.update(f"{name} {_hex(x)} {_hex(y)} {_hex(e.lo)} {_hex(e.hi)}\n".encode())
+    assert digest.hexdigest() == "85173821e5543098ef6d4335a048ef58abe53589c168670e9e9d16486bc86351"
 
 
 def test_exp_of_ln_encloses_the_argument():
