@@ -24,6 +24,8 @@ from .presets import PRESETS, cubic_pair_family, random_rational_system, random_
 from .radicals import exact_div, exact_le, exact_mul, power_le
 from .sectiondual import cube_section_volume_squared, delta_d
 from .transfer import (
+    lemma_constant_sq,
+    lemma_terms,
     mahler_transfer,
     mahler_transfer_asymmetric,
     main_lemma_hypothesis,
@@ -235,9 +237,26 @@ def _below(lhs, rhs, note=""):
     return lhs, rhs, lhs - rhs, note
 
 
-def _dyson_bound(n, m, xs):
-    """(n x + n - 1) / ((m - 1) x + m), the weakest over the candidates x."""
-    return min(_capped_div(n * x + n - 1, (m - 1) * x + m) for x in xs)
+def _exact_capped_div(num, den) -> Fraction:
+    """num / den in Fractions, and +-MAX_EXP (0 for 0/0) at den = 0."""
+    return Fraction(num) / den if den else MAX_EXP * ((num > 0) - (num < 0))
+
+
+def laurent_bound(k: int, n: int, m: int, x, y):
+    """Lower bound k in {1, 2, 3} on beta_t from alpha = x and beta = y, in
+    the operands' arithmetic: floats through ``_capped_div``, else Fractions.
+    Bound 1 is Dyson's, (n y + n - 1) / ((m - 1) y + m); bounds 2 and 3 are
+    ((n - 1) p - q) / ((m - 1) p + q), (p, q) = (1 + y, 1 - x), (1 + 1/y, 1/x - 1)."""
+    div = _capped_div if isinstance(y, float) else _exact_capped_div
+    if k == 1:
+        return div(n * y + n - 1, (m - 1) * y + m)
+    if k == 2:
+        p, q = 1 + y, 1 - x
+    elif k == 3:
+        p, q = 1 + div(1, y), div(1, x) - 1
+    else:
+        raise DomainError("k must be 1, 2 or 3")
+    return div((n - 1) * p - q, (m - 1) * p + q)
 
 
 _TWO_DIRECTIONS = "two transference directions, certified-floor left sides"
@@ -304,16 +323,16 @@ def _my_inequalities(e):
     return _below(e.at_eff, min(rhs, _CAP), "case alpha >= 1")
 
 
-def _loranoyadenie(p, q):
-    """Bounds 2 and 3: ((n-1) p - q) / ((m-1) p + q) with p from beta and q
-    from alpha, the weakest over the candidates, capped."""
+def _dyson(e):
+    """Bound 1 of ``laurent_bound`` on beta_t, the weakest over the candidates."""
+    return _below(e.bt_eff, min(laurent_bound(1, e.n, e.m, y, y) for y in e.B))
+
+
+def _laurent(k):
+    """Bound 2 or 3 of ``laurent_bound`` on beta_t, the weakest over the candidates, capped."""
 
     def bound(e):
-        rhs = min(
-            _capped_div((e.n - 1) * p(y) - q(x), (e.m - 1) * p(y) + q(x))
-            for x in e.A
-            for y in e.B
-        )
+        rhs = min(laurent_bound(k, e.n, e.m, x, y) for x in e.A for y in e.B)
         return _below(e.bt_eff, min(rhs, _CAP))
 
     return bound
@@ -331,13 +350,14 @@ def _one_form(n, m, a, at) -> bool:
 # bound on the exponent data of check_inequality, giving lhs, rhs, slack, note),
 # in the order of reports, which campaign details and benchmark verdicts keep
 _TABLE = {
-    "apfelbeck_i": (_always, "", lambda e: _below(e.at_eff, _dyson_bound(e.n, e.m, e.A))),
-    "dyson": (_always, "", lambda e: _below(e.bt_eff, _dyson_bound(e.n, e.m, e.B))),
+    # Apfelbeck's first bound is Dyson's on the uniform exponents
+    "apfelbeck_i": (_always, "", lambda e: _below(
+        e.at_eff, min(laurent_bound(1, e.n, e.m, x, x) for x in e.A))),
+    "dyson": (_always, "", _dyson),
     "my_inequalities": (_always, "", _my_inequalities),
-    "loranoyadenie_1": (_always, "", lambda e: _below(e.bt_eff, _dyson_bound(e.n, e.m, e.B))),
-    "loranoyadenie_2": (_always, "", _loranoyadenie(lambda y: 1 + y, lambda x: 1 - x)),
-    "loranoyadenie_3": (_always, "", _loranoyadenie(lambda y: 1 + _capped_div(1.0, y),
-                                                    lambda x: _capped_div(1.0, x) - 1)),
+    "loranoyadenie_1": (_always, "", _dyson),
+    "loranoyadenie_2": (_always, "", _laurent(2)),
+    "loranoyadenie_3": (_always, "", _laurent(3)),
     "jarnik_ineq_i": (_one_form, "needs n=1",
                       lambda e: _two_directions(e.m, e.A, e.AT, e.a_eff, e.at_eff)),
     "khintchine": (_one_form, "needs n=1",
@@ -413,36 +433,25 @@ def check_inequality(family: str, n: int, m: int, exps: dict) -> InequalityRepor
 # ---------------------------------------------------------------------------
 
 
-def loranoyadenie_rhs(k: int, n: int, m: int, alpha: Fraction, beta: Fraction) -> Fraction:
-    """Exact right-hand side of lower bound k in {1,2,3} on beta_t."""
+def _dominion_domain(n: int, m: int, alpha, beta) -> tuple[Fraction, Fraction]:
+    """(alpha, beta) as Fractions, in the classifier's domain.  At n = m = 1
+    that is alpha = 1 alone, where bounds 2 and 3 read 0/0."""
     alpha, beta = Fraction(alpha), Fraction(beta)
-    if k == 1:
-        return Fraction(n * beta + n - 1, 1) / ((m - 1) * beta + m)
-    if k == 2:
-        den = (m - 1) * (1 + beta) + (1 - alpha)
-        if den <= 0:
-            return MAX_EXP
-        return ((n - 1) * (1 + beta) - (1 - alpha)) / den
-    if k == 3:
-        binv = 1 / beta
-        ainv = 1 / alpha
-        den = (m - 1) * (1 + binv) + (ainv - 1)
-        if den <= 0:
-            return MAX_EXP
-        return ((n - 1) * (1 + binv) - (ainv - 1)) / den
-    raise DomainError("k must be 1, 2 or 3")
+    if n == m == 1:
+        raise DomainError("the classification needs n + m >= 3")
+    if not (beta >= alpha >= Fraction(m, n)):
+        raise DomainError("requires beta >= alpha >= m/n")
+    if m == 1 and alpha > 1:
+        raise DomainError("m=1 forces alpha <= 1")
+    return alpha, beta
 
 
 def dominions(n: int, m: int, alpha, beta) -> tuple[str, int]:
     """(case label, index of the strongest lower bound) per the threshold
     classification; requires beta >= alpha >= m/n."""
-    alpha, beta = Fraction(alpha), Fraction(beta)
+    alpha, beta = _dominion_domain(n, m, alpha, beta)
     d = n + m
-    if not (beta >= alpha >= Fraction(m, n)):
-        raise DomainError("requires beta >= alpha >= m/n")
     if m == 1:
-        if alpha > 1:
-            raise DomainError("m=1 forces alpha <= 1")
         return "i", 2
     if alpha <= 1:
         if beta <= Fraction((d - 1) * alpha - m, 1) / (m - 1):
@@ -457,8 +466,10 @@ def dominions(n: int, m: int, alpha, beta) -> tuple[str, int]:
 
 
 def dominions_brute(n: int, m: int, alpha, beta) -> set[int]:
-    """Indices attaining the exact pointwise maximum of the three bounds."""
-    vals = {k: loranoyadenie_rhs(k, n, m, Fraction(alpha), Fraction(beta)) for k in (1, 2, 3)}
+    """Indices attaining the exact pointwise maximum of the three bounds, on
+    the domain of ``dominions``."""
+    alpha, beta = _dominion_domain(n, m, alpha, beta)
+    vals = {k: laurent_bound(k, n, m, alpha, beta) for k in (1, 2, 3)}
     top = max(vals.values())
     return {k for k, v in vals.items() if v == top}
 
@@ -683,21 +694,12 @@ def _lemma_grid_conditions(system, v1, v2, constant_sq):
     """The product bound of ``main_lemma_hypothesis`` at h = 2**a, r = 2**b
     as integer conditions (u, v, e), each holding iff u*a + v*b >= e.
 
-    The bound max(T1, T2, T3)**2 <= c h^(2n) r^(2m), c = constant_sq,
-    holds iff every term does.  Each Ti is a power product of h and r times
-    a witness factor t, so dividing the powers out, Ti holds iff
-    t**2 / c <= 2**(u a + v b), and e is the least integer with
-    t**2 / c <= 2**e.  A term with t = 0 (a witness residual or |x| of 0)
-    always holds and gives no condition."""
-    n, m = system.n, system.m
-    r1, h1 = system.primal_values(v1)
-    r2, h2 = system.primal_values(v2)
-    terms = (
-        (r1 * r2, 2 * n, 2 * m - 4),  # T1 = r^2 r1 r2
-        (h1 * h2, 2 * n - 4, 2 * m),  # T2 = h^2 h1 h2
-        (max(r1, r2) * max(h1, h2), 2 * n - 2, 2 * m - 2),  # T3 = h r max max
-    )
+    A term (t, u, v) of ``lemma_terms`` holds iff t**2 / c <= 2**(u a + v b),
+    c = constant_sq, and e is the least integer with t**2 / c <= 2**e.  A
+    term with t = 0 (a witness residual or |x| of 0) always holds and gives
+    no condition."""
     c = Fraction(constant_sq)
+    terms, _ = lemma_terms(system, v1, v2)
     return [(u, v, _ceil_log2(t * t / c)) for t, u, v in terms if t != 0]
 
 
@@ -749,7 +751,7 @@ def campaign_main_lemma(
         if pair is None:
             continue
         v1, v2 = pair
-        c2 = Fraction(1, 2 * d * (d - 1))
+        c2 = lemma_constant_sq(d)
         params = _cheapest_lemma_params(system, v1, v2, c2)
         if params is None:
             continue
@@ -770,8 +772,7 @@ def campaign_main_lemma_gap(trials: int = 100, seed: int = 1) -> CampaignResult:
     result = CampaignResult("main_lemma_gap")
     rng = random.Random(seed)
     attempts = 0
-    c2_general = Fraction(1, 12)
-    c2_sharp = Fraction(1, 4)
+    c2_general, c2_sharp = lemma_constant_sq(3), Fraction(1, 4)
     while result.trials < trials and attempts < 100 * trials:
         attempts += 1
         n = 1 + attempts % 2

@@ -274,52 +274,50 @@ def mahler_transfer_asymmetric(
 # ---------------------------------------------------------------------------
 
 
-def main_lemma_hypothesis(system: System, v1, v2, h, r, constant_sq: Fraction):
-    """(holds, details) for max(r^2 r1 r2, h^2 h1 h2, h r max max) <= h^n r^m * const.
+def lemma_constant_sq(d: int) -> Fraction:
+    """1/(2d(d-1)), the square of the lemma's general constant 1/c."""
+    return Fraction(1, 2 * d * (d - 1))
 
-    ``constant_sq`` is the square of the constant multiplying h^n r^m
-    (1/(2d(d-1)) in general, 1/4 in the sharpened 3D form); the comparison
-    is done on squares so everything stays rational/radical-exact.
-    """
+
+def lemma_terms(system: System, v1, v2):
+    """(terms, details) for v1, v2: at h, r > 0 the lemma's product bound holds
+    iff t^2 <= constant_sq h^u r^v for each term (t, u, v), from r^2 r1 r2, h^2 h1 h2
+    and h r max(r1, r2) max(h1, h2) <= const h^n r^m; details {h1, r1, h2, r2}."""
+    n, m = system.n, system.m
     r1, h1 = system.primal_values(v1)
     r2, h2 = system.primal_values(v2)
-    lhs = exact_max(
-        exact_mul(exact_mul(exact_pow(r, 2), r1), r2),
-        exact_max(
-            exact_mul(exact_mul(exact_pow(h, 2), h1), h2),
-            exact_mul(exact_mul(exact_mul(h, r), max(r1, r2)), max(h1, h2)),
-        ),
-    )
-    rhs_sq = exact_mul(
-        exact_mul(exact_pow(h, 2 * system.n), exact_pow(r, 2 * system.m)), constant_sq
-    )
-    holds = exact_le(exact_mul(lhs, lhs), rhs_sq)
-    return holds, {"h1": h1, "r1": r1, "h2": h2, "r2": r2}
+    terms = ((r1 * r2, 2 * n, 2 * m - 4), (h1 * h2, 2 * n - 4, 2 * m),
+             (max(r1, r2) * max(h1, h2), 2 * n - 2, 2 * m - 2))
+    return terms, {"h1": h1, "r1": r1, "h2": h2, "r2": r2}
 
 
-def main_lemma_transfer(
-    system: System,
-    v1: Sequence[int],
-    v2: Sequence[int],
-    h,
-    r,
-    budget: int = DEFAULT_ENUM_BUDGET,
-) -> Certificate:
+def main_lemma_hypothesis(system: System, v1, v2, h, r, constant_sq: Fraction):
+    """(holds, details) for the product bound of ``lemma_terms`` at (h, r),
+    ``constant_sq`` being ``lemma_constant_sq`` in general and 1/4 in the
+    sharpened 3D form.  Each term is compared in the squares of h and r, as
+    t^2 (h^2)^(n-u/2) (r^2)^(m-v/2) <= constant_sq (h^2)^n (r^2)^m, so no
+    power is negative and everything stays rational/radical-exact."""
+    n, m = system.n, system.m
+    terms, details = lemma_terms(system, v1, v2)
+    h2, r2 = exact_pow(h, 2), exact_pow(r, 2)
+    hs, rs = (1, h2, exact_mul(h2, h2)), (1, r2, exact_mul(r2, r2))  # n - u/2, m - v/2 <= 2
+    rhs = exact_mul(exact_mul(exact_pow(h2, n), exact_pow(r2, m)), constant_sq)
+    for t, u, v in terms:
+        if not exact_le(exact_mul(exact_mul(t * t, hs[n - u // 2]), rs[m - v // 2]), rhs):
+            return False, details
+    return True, details
+
+
+def main_lemma_transfer(system: System, v1: Sequence[int], v2: Sequence[int], h, r,
+                        budget: int = DEFAULT_ENUM_BUDGET) -> Certificate:
     """Two-point section lemma: from non-collinear v1, v2 with small products
     to a nonzero integer point of the dual box orthogonal to both.
     """
-    d = system.d
-    return _main_lemma(system, v1, v2, h, r, Fraction(1, 2 * d * (d - 1)), budget)
+    return _main_lemma(system, v1, v2, h, r, lemma_constant_sq(system.d), budget)
 
 
-def main_lemma_transfer_3d(
-    system: System,
-    v1: Sequence[int],
-    v2: Sequence[int],
-    h,
-    r,
-    budget: int = DEFAULT_ENUM_BUDGET,
-) -> Certificate:
+def main_lemma_transfer_3d(system: System, v1: Sequence[int], v2: Sequence[int], h, r,
+                           budget: int = DEFAULT_ENUM_BUDGET) -> Certificate:
     """d=3 sharpening: the product bound constant improves from 1/(2*sqrt(3))
     to 1/2, admitting strictly more inputs."""
     if system.d != 3:
@@ -375,7 +373,7 @@ def semicore_parameters(system: System, t, Phi, Psi, direction: int):
     n, m, d = system.n, system.m, system.d
     if d < 3:
         raise OnlyDimAtLeast3("the 1/(d-2) exponent needs d >= 3")
-    c = Radical(2 * d * (d - 1), 2)
+    c = Radical(1 / lemma_constant_sq(d), 2)
     t, Phi, Psi = Radical.of(t), Radical.of(Phi), Radical.of(Psi)
     e = Fraction(1, d - 2)
     if direction == 1:
@@ -458,7 +456,7 @@ def core_hypothesis_ok(system: System, phi: FunctionSpec, psi: FunctionSpec, t) 
     Monotonicity of t*psi(t) is decided from the family shape.
     """
     d = system.d
-    c_delta = exact_mul(Radical(2 * d * (d - 1), 2), delta_d(d))
+    c_delta = exact_mul(Radical(1 / lemma_constant_sq(d), 2), delta_d(d))
     # The core parameters at h = t are phi(t) and the two arguments of psi.
     phit, arg2, arg1 = core_parameters(system, phi, t)
     noninc, nondec = _t_times_monotonicity(psi)
@@ -530,7 +528,7 @@ def alphas_core(
     lambda bound and the lemma hypothesis are checked with ``exact_le``.
     """
     n, m, d = system.n, system.m, system.d
-    c = Radical(2 * d * (d - 1), 2)
+    c = Radical(1 / lemma_constant_sq(d), 2)
     r, h_star, r_star = core_parameters(system, phi, h)
 
     # Hypothesis: one of the growth conditions must hold on the interval
@@ -589,9 +587,7 @@ def alphas_core(
             lambda rv, hv: exact_le(rv, below) and not exact_eq(rv, below), budget)
     _, lam1 = system.primal_values(v1)
     lam2, _ = system.primal_values(v2)
-    lam_bound = exact_div(
-        exact_mul(exact_pow(r, m - 1), exact_pow(h, n - 1)), c
-    )
+    lam_bound = exact_div(exact_mul(exact_pow(r, m - 1), exact_pow(h, n - 1)), c)
     if not exact_le(exact_mul(lam1, lam2), lam_bound):
         raise HypothesisViolated("lambda_1 lambda_2 exceeds r^{m-1} h^{n-1} / c")
 

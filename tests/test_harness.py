@@ -21,7 +21,7 @@ from diotrans.harness import (
     dominions,
     dominions_brute,
     estimate_exponents,
-    loranoyadenie_rhs,
+    laurent_bound,
     uniform_bound_comparison,
     _SCALE_EXPONENTS,
     _certify_record_exponent,
@@ -233,13 +233,58 @@ def test_applicable_families_match_check_domains():
     ]
 
 
-def test_loranoyadenie_rhs_exact_values():
+def test_laurent_bound_exact_values():
     # k = 1 at n = 1, m = 2, beta = 2: (1*2 + 0) / (1*2 + 2) = 1/2
-    assert loranoyadenie_rhs(1, 1, 2, Fraction(2), Fraction(2)) == Fraction(1, 2)
+    assert laurent_bound(1, 1, 2, Fraction(2), Fraction(2)) == Fraction(1, 2)
     # k = 2 at alpha = 1 collapses to k = 1 shape
-    assert loranoyadenie_rhs(2, 1, 2, Fraction(1), Fraction(2)) == Fraction(0)
+    assert laurent_bound(2, 1, 2, Fraction(1), Fraction(2)) == Fraction(0)
     with pytest.raises(DomainError):
-        loranoyadenie_rhs(4, 1, 2, Fraction(1), Fraction(1))
+        laurent_bound(4, 1, 2, Fraction(1), Fraction(1))
+    # m = 1 at alpha = 1: a zero denominator under a positive numerator
+    for k in (2, 3):
+        exact = laurent_bound(k, 2, 1, Fraction(1), Fraction(2))
+        assert type(exact) is Fraction and exact == MAX_EXP
+        fitted = laurent_bound(k, 2, 1, 1.0, 2.0)
+        assert type(fitted) is float and fitted == float(MAX_EXP)
+
+
+def _loranoyadenie_rhs(k, n, m, alpha, beta):
+    """The three bounds written out in Fractions, with MAX_EXP for a
+    denominator <= 0: the reference of ``laurent_bound``'s exact arithmetic."""
+    alpha, beta = Fraction(alpha), Fraction(beta)
+    if k == 1:
+        return Fraction(n * beta + n - 1, 1) / ((m - 1) * beta + m)
+    if k == 2:
+        den = (m - 1) * (1 + beta) + (1 - alpha)
+        if den <= 0:
+            return MAX_EXP
+        return ((n - 1) * (1 + beta) - (1 - alpha)) / den
+    binv = 1 / beta
+    ainv = 1 / alpha
+    den = (m - 1) * (1 + binv) + (ainv - 1)
+    if den <= 0:
+        return MAX_EXP
+    return ((n - 1) * (1 + binv) - (ainv - 1)) / den
+
+
+def test_laurent_bound_equals_the_written_out_bounds_on_the_classifier_domain():
+    points = capped = 0
+    for n in range(1, 5):
+        for m in range(1, 5):
+            if n == m == 1:
+                continue
+            lo = Fraction(m, n)
+            hi = Fraction(1) if m == 1 else lo + 5
+            for i in range(21):
+                alpha = lo + (hi - lo) * Fraction(i, 20)
+                for j in range(41):
+                    beta = alpha + Fraction(j, 8)
+                    for k in (1, 2, 3):
+                        value = laurent_bound(k, n, m, alpha, beta)
+                        assert value == _loranoyadenie_rhs(k, n, m, alpha, beta), (k, n, m)
+                        points += 1
+                        capped += value == MAX_EXP
+    assert points == 38745 and capped > 0
 
 
 def test_dominions_matches_brute_on_grid():
@@ -255,6 +300,14 @@ def test_dominions_matches_brute_on_grid():
                     beta = alpha + Fraction(j, 3)
                     _, winner = dominions(n, m, alpha, beta)
                     assert winner in dominions_brute(n, m, alpha, beta)
+
+
+def test_dominions_reject_the_one_by_one_shape():
+    # at n = m = 1 the domain is the single value alpha = 1, where bounds 2
+    # and 3 read 0/0; a 1x1 system is its own transpose, so beta_t = beta
+    for classify in (dominions, dominions_brute):
+        with pytest.raises(DomainError):
+            classify(1, 1, 1, 2)
 
 
 def test_dominions_case_labels():

@@ -16,8 +16,8 @@ from diotrans.errors import (
 from diotrans.functions import FunctionSpec, power_spec
 from diotrans.geometry import Box, System, best_approx_table, box_contains
 from diotrans.intervals import Enclosure
-from diotrans.presets import get_preset, random_system
-from diotrans.radicals import Radical, exact_le, exact_mul, exact_pow
+from diotrans.presets import get_preset, random_rational_system, random_system
+from diotrans.radicals import Radical, exact_le, exact_max, exact_mul, exact_pow
 from diotrans.sectiondual import delta_d, improved_mahler_factor
 from diotrans.transfer import (
     Certificate,
@@ -386,6 +386,90 @@ def test_main_lemma_hypothesis_with_enclosed_r():
     ok, _ = main_lemma_hypothesis(system, v1, v2, Fraction(256), Enclosure(1000, 1001),
                                   Fraction(1, 12))
     assert ok is True
+
+
+def _max_form_hypothesis(system, v1, v2, h, r, constant_sq):
+    """The product bound as one max-expression, max(r^2 r1 r2, h^2 h1 h2,
+    h r max(r1, r2) max(h1, h2))^2 <= constant_sq h^(2n) r^(2m): the
+    reference of the term table of ``main_lemma_hypothesis``."""
+    r1, h1 = system.primal_values(v1)
+    r2, h2 = system.primal_values(v2)
+    lhs = exact_max(
+        exact_mul(exact_mul(exact_pow(r, 2), r1), r2),
+        exact_max(exact_mul(exact_mul(exact_pow(h, 2), h1), h2),
+                  exact_mul(exact_mul(exact_mul(h, r), max(r1, r2)), max(h1, h2))))
+    rhs = exact_mul(exact_mul(exact_pow(h, 2 * system.n), exact_pow(r, 2 * system.m)), constant_sq)
+    return exact_le(exact_mul(lhs, lhs), rhs), {"h1": h1, "r1": r1, "h2": h2, "r2": r2}
+
+
+def _lemma_instances(rng, count):
+    """(system, v1, v2, constants) at d = 3, 4, 5: random small vectors, t = 12
+    record witnesses, and zero-residual vectors x = D e_j, y = -A e_j."""
+    for trial in range(count):
+        d = 3 + trial % 3
+        n = rng.randint(1, d - 1)
+        system = random_rational_system(rng, n, d - n, max_den=rng.choice((8, 1000)))
+        form = system.integer_form
+        j = rng.randrange(system.m)
+        exact = [form.den * (i == j) for i in range(system.m)] + [-row[j] for row in form.rows]
+        v1, v2 = ([rng.randint(-3, 3) for _ in range(d)] for _ in range(2))
+        records = best_approx_table(system, "primal", 12).records
+        if trial % 3 == 1 and len(records) >= 2:
+            v1, v2 = records[-2].witness, records[-1].witness
+        elif trial % 3 == 2:
+            v2 = exact
+        yield system, v1, v2, (Fraction(1, 2 * d * (d - 1)), Fraction(1, 12), Fraction(1, 4))
+
+
+def _random_radius(rng):
+    return Fraction(rng.randint(1, 99), rng.randint(1, 99)) * Fraction(2) ** rng.randint(-4, 13)
+
+
+def test_lemma_term_table_decides_as_the_max_form():
+    rng = random.Random(26)
+    verdicts = {"fraction": set(), "radical": set(), "enclosure": set()}
+    zero_residuals = 0
+    for system, v1, v2, constants in _lemma_instances(rng, 90):
+        zero_residuals += 0 in system.primal_values(v2)
+        for c2 in constants:
+            for _ in range(3):
+                a, b = _random_radius(rng), _random_radius(rng)
+                k = rng.choice((2, 3))
+                widen = 1 + Fraction(rng.randint(0, 10), 100)
+                for kind, h, r in (("fraction", a, b),
+                                   ("radical", Radical(a**k, k + 1), Radical(b, k)),
+                                   ("enclosure", Enclosure(a, a * widen), Enclosure(b, b * widen)),
+                                   ("enclosure", Radical(a, k), Enclosure(b, b * widen))):
+                    got = main_lemma_hypothesis(system, v1, v2, h, r, c2)
+                    assert got == _max_form_hypothesis(system, v1, v2, h, r, c2), (h, r, c2)
+                    verdicts[kind].add(got[0])
+    assert zero_residuals >= 20
+    assert all(seen == {True, False} for seen in verdicts.values()), verdicts
+    # the instances of test_main_lemma_hypothesis_with_enclosed_r
+    system = get_preset("plastic").build()
+    records = best_approx_table(system, "primal", 12).records
+    v1, v2 = records[2].witness, records[3].witness
+    for h, r in ((Fraction(4), Enclosure(3, Fraction(31, 10))),
+                 (Fraction(256), Enclosure(1000, 1001))):
+        assert (main_lemma_hypothesis(system, v1, v2, h, r, Fraction(1, 12))
+                == _max_form_hypothesis(system, v1, v2, h, r, Fraction(1, 12)))
+
+
+def test_lemma_term_table_at_zero_and_negative_radii():
+    # no division by h or r = 0, and both-negative pairs such as the pinned
+    # (-4, -4) decide as the max-form does; at mixed signs the max-form
+    # drops its then negative third term, while the table reads |h| and |r|
+    rng = random.Random(27)
+    for system, v1, v2, constants in _lemma_instances(rng, 60):
+        for c2 in constants:
+            h, r = _random_radius(rng), _random_radius(rng)
+            for hh, rr in ((0, r), (h, 0), (0, 0), (-h, -r), (-4, -4)):
+                assert (main_lemma_hypothesis(system, v1, v2, hh, rr, c2)
+                        == _max_form_hypothesis(system, v1, v2, hh, rr, c2)), (hh, rr)
+            for hh, rr in ((-h, r), (h, -r)):
+                got = main_lemma_hypothesis(system, v1, v2, hh, rr, c2)
+                assert got == main_lemma_hypothesis(system, v1, v2, h, r, c2)
+                assert got[0] <= _max_form_hypothesis(system, v1, v2, hh, rr, c2)[0]
 
 
 def test_core_hypothesis_with_power_log_phi():
