@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product, repeat
-from math import lcm
+from math import inf, lcm
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
@@ -105,6 +105,11 @@ def _dot(row: Sequence[int], v: Sequence[int]) -> int:
     return sum(map(mul, row, v))
 
 
+def _check_side(side: str) -> None:
+    if side not in ("primal", "dual"):
+        raise ValueError("side must be 'primal' or 'dual'")
+
+
 @dataclass(frozen=True)
 class Box:
     """Parallelepiped M_{h,r} (side='primal') or M-hat_{h,r} (side='dual').
@@ -120,8 +125,7 @@ class Box:
     side: str  # 'primal' | 'dual'
 
     def __post_init__(self):
-        if self.side not in ("primal", "dual"):
-            raise ValueError("side must be 'primal' or 'dual'")
+        _check_side(self.side)
 
     def bounds(self) -> tuple[list, list]:
         """Per-coordinate (hbounds, rbounds), exact: enclosures by their lo."""
@@ -133,6 +137,7 @@ def in_box(system: System, side: str, z: Sequence[int], hbounds: Sequence,
            rbounds: Sequence) -> bool:
     """Exact membership of z in the per-coordinate-bounded parallelepiped of
     ``enumerate_nonzero_general``; ValueError unless z has d coordinates."""
+    _check_side(side)
     x, y = system.split(z)
     if side == "primal":
         coords, nums = zip(x, rbounds), zip(system.primal_numerators(z), hbounds)
@@ -181,6 +186,7 @@ def _walk(system, side, hbounds, rbounds, budget):
     an integer, so D b may be replaced by B = floor(D b), decided once per
     box.  Each outer vector then costs integer arithmetic only.
     """
+    _check_side(side)
     form = system.integer_form
     den = form.den
     primal = side == "primal"
@@ -279,6 +285,7 @@ def best_approx_table(system: System, side: str, t_max: int) -> BestApproxTable:
     the least index a with |x_a| = t, then the lexicographically least x.
     The rule depends on the point alone.
     """
+    _check_side(side)
     form = system.integer_form
     rows = form.rows if side == "primal" else form.cols
     table = BestApproxTable(side=side, t_max=t_max)
@@ -299,14 +306,20 @@ def _records(rows, den, t_max):
     point of ``_least_point`` on the lattice spanned by the rows (e_j, A e_j)
     and (0, D e_i), in the box |x|_inf <= min(t_max, S), |r|_inf <= e - 1
     (S from ``best_approx_table``); there |r_i| < D / 2, so r = A x + D y
-    holds the nearest y.  The basis is LLL-reduced for each box's shape and
-    carried from record to record, so each reduction starts from the last.
+    holds the nearest y.  The basis is carried from record to record and
+    walked as it is while its walk is narrow: while the outer coefficient
+    ranges of ``_least_point`` (d - 1 of them, d = k + n) hold at most 3^d
+    vectors.  A wider walk is refused before it starts; the basis is then
+    LLL-reduced with weights that make the box a cube, and walked again.  A
+    walk of up to 3^d outer vectors costs less than a reduction would save
+    on the benchmark's record scans (always reducing, or reducing past
+    3^(d-1), 2 3^d or 3^(d+1), took longer there).
     ``exactlinalg.lll_guided`` reduces it: doubles choose the steps, which are
     exact integer row operations on ``basis`` and ``dual``; the integral
     ``lll_reduce`` runs instead on Gram diagonals of at most 64 bits and
     finishes when the doubles fail.  Any basis of the lattice gives the same
     records, since ``_least_point`` bounds its coefficients from the exact
-    dual pairing; the reduction only sets the cost of the walk.
+    dual pairing; the reduction and the gate only set the cost of the walk.
     """
     if t_max < 1:
         return
@@ -321,27 +334,33 @@ def _records(rows, den, t_max):
     basis += [[0] * k + [den * (i == l) for l in range(n)] for i in range(n)]
     dual = [[den * (i == j) for i in range(k)] + [0] * n for j in range(k)]
     dual += [[-a for a in centered[i]] + [int(i == l) for l in range(n)] for i in range(n)]
-    s = 1
+    s, den_n, narrow = 1, den**n, 3 ** (k + n)
     while e and s < t_max:
         bound = e - 1
         if bound:
-            root, exact = _int_nth_root(-(-(den**n) // bound**n), k)
+            root, exact = _int_nth_root(-(-den_n // bound**n), k)
             reach = min(t_max, root + (not exact))
         else:
             reach = min(t_max, den)
-        # weights that make the box a cube: x scaled by bound, r by reach
-        wx, wr = max(bound // reach, 1) ** 2, max(reach // max(bound, 1), 1) ** 2
-        lll_guided(basis, [wx] * k + [wr] * n, dual)
-        point = _least_point(basis, dual, den, k, reach, bound)
+        point = _least_point(basis, dual, den, k, reach, bound, narrow)
+        if point is _WIDE:
+            # weights that make the box a cube: x scaled by bound, r by reach
+            wx, wr = max(bound // reach, 1) ** 2, max(reach // max(bound, 1), 1) ** 2
+            lll_guided(basis, [wx] * k + [wr] * n, dual)
+            point = _least_point(basis, dual, den, k, reach, bound, inf)
         if point is None:
             return
         s, e, x, r = point
         yield s, e, x, tuple((ri - _dot(row, x)) // den for row, ri in zip(rows, r))
 
 
-def _least_point(basis, dual, den, k, reach, bound):
+_WIDE = "wide"  # _least_point's answer for a walk wider than its limit
+
+
+def _least_point(basis, dual, den, k, reach, bound, limit):
     """(s, e, x, r) for the least nonzero lattice point v = (x, r) with
-    |x|_inf <= reach and |r|_inf <= bound, or None.
+    |x|_inf <= reach and |r|_inf <= bound, or None; ``_WIDE``, without a
+    walk, when the outer coefficient ranges hold more than ``limit`` vectors.
 
     Points are ordered by (s, e, a, x) with s = |x|_inf, e = |r|_inf and a the
     least index with |x_a| = s, each taken with the sign that makes x_a = +s.
@@ -357,6 +376,11 @@ def _least_point(basis, dual, den, k, reach, bound):
     norms = [(sum(map(abs, m[:k])), sum(map(abs, m[k:]))) for m in dual]
     order = sorted(range(d), key=lambda j: reach * norms[j][0] + bound * norms[j][1])
     levels = [(basis[j], *norms[j]) for j in order[:-1]]
+    width = 1
+    for _, nx, nr in levels:
+        width *= 2 * ((reach * nx + bound * nr) // den) + 1
+        if width > limit:
+            return _WIDE
     inner = basis[order[-1]]
     box = [reach] * k + [bound] * (d - k)
     best = None

@@ -21,6 +21,9 @@ from .errors import PrecisionExhausted
 from .intervals import Enclosure
 
 Exact = Union[int, Fraction, "Radical"]
+# rational operands, matched by exact type (so bool takes the generic path):
+# exact_le, exact_mul, exact_div and exact_pow answer them without dispatch
+_RATIONAL = (int, Fraction)
 
 
 def _int_nth_root(n: int, k: int) -> tuple[int, bool]:
@@ -183,6 +186,8 @@ def _rational_if_possible(r: Radical):
 
 def exact_le(a, b) -> bool:
     """a <= b; with an enclosure "surely <=", so False when undecided."""
+    if type(a) in _RATIONAL and type(b) in _RATIONAL:
+        return a <= b
     if isinstance(a, Enclosure) or isinstance(b, Enclosure):
         return Enclosure.of(a).surely_le(b)
     if isinstance(a, Radical):
@@ -227,6 +232,9 @@ def exact_min(a, b):
 def exact_mul(a, b):
     """a * b; Fraction(0) if either is a rational zero, else an enclosure
     operand gives the interval product."""
+    if type(a) in _RATIONAL and type(b) in _RATIONAL:
+        p = a * b
+        return p if type(p) is Fraction else Fraction(p)
     if a == 0 or b == 0:  # a Radical is positive, an Enclosure never == 0
         return Fraction(0)
     if isinstance(a, Enclosure) or isinstance(b, Enclosure):
@@ -239,6 +247,8 @@ def exact_mul(a, b):
 def exact_div(a, b):
     """a / b; Fraction(0) for a rational zero over a nonzero b, else an
     enclosure gives the interval quotient (ZeroDivisionError if it holds 0)."""
+    if type(a) in _RATIONAL and type(b) in _RATIONAL:
+        return Fraction(a, b)
     if a == 0 and b != 0:
         return Fraction(0)
     if isinstance(a, Enclosure) or isinstance(b, Enclosure):
@@ -250,6 +260,8 @@ def exact_div(a, b):
 
 def exact_pow(a, exponent):
     """a ** exponent for a rational exponent; an enclosure gives its power."""
+    if type(a) in _RATIONAL and type(exponent) is int:
+        return Fraction(a) ** exponent
     e = Fraction(exponent)
     if isinstance(a, Enclosure):
         return a.pow(e)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import subprocess
@@ -109,6 +110,20 @@ def test_vectors_of_the_wrong_length_are_rejected(z):
                    system.primal_numerators, system.dual_numerators):
         with pytest.raises(ValueError, match=message):
             method(z)
+
+
+def test_an_invalid_side_is_refused():
+    # each of these once read any side but "primal" as "dual"
+    system = get_preset("plastic").build()
+    calls = [
+        lambda: best_approx_table(system, "prime", 50),
+        lambda: in_box(system, "bogus", (1, 1, 1), [1], [1, 1]),
+        lambda: least_point(system, "bogus", [1, 1], [1]),
+        lambda: enumerate_nonzero_general(system, "bogus", [1, 1], [1]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="side must be 'primal' or 'dual'"):
+            call()
 
 
 def test_transposed_involution():
@@ -394,6 +409,30 @@ def test_records_do_not_depend_on_the_reduction(monkeypatch):
             tables.append(best_approx_table(system, side, t_max).to_json())
         assert tables[0] == tables[1] == tables[2], (system, side)
     assert calls
+
+
+def test_the_reduction_gate_changes_no_record(monkeypatch):
+    # reducing only before a walk wider than 3^d gives the tables of reducing
+    # at every record (limit 0), on 400-bit systems of every shape, d = 3..5
+    gated = []
+    for d in (3, 4, 5):
+        for n in range(1, d):
+            system = random_system(random.Random(100 * d + n), n, d - n)
+            for side in ("primal", "dual"):
+                gated.append((system, side, 10**12 if d <= 4 else 10**6))
+    tables = [best_approx_table(*scan).to_json() for scan in gated]
+    walk = geometry._least_point
+    monkeypatch.setattr(geometry, "_least_point", lambda *args: walk(
+        *args[:-1], 0 if args[-1] < math.inf else args[-1]))
+    assert [best_approx_table(*scan).to_json() for scan in gated] == tables
+
+
+def test_a_carried_basis_is_reduced_less_often_than_once_a_record(monkeypatch):
+    calls = []
+    monkeypatch.setattr(geometry, "lll_guided",
+                        lambda *args: calls.append(1) or exactlinalg.lll_guided(*args))
+    table = best_approx_table(get_preset("plastic").build(), "primal", 10**5)
+    assert len(table.records) == 25 and len(calls) < len(table.records)
 
 
 def _convergent_denominators(theta, t_max):

@@ -87,6 +87,11 @@ def test_estimate_invariants():
         assert float(est.alpha_lower) <= est.alpha_fit + 0.5
 
 
+def test_estimate_refuses_an_invalid_side():
+    with pytest.raises(ValueError, match="side must be 'primal' or 'dual'"):
+        estimate_exponents(get_preset("plastic").build(), "bogus", 100)
+
+
 def test_certified_record_exponents_lie_on_the_64ths_grid():
     # the largest p/64 <= min(start, MAX_EXP) with psi <= t^(-p/64); the
     # walk from limit_denominator(64) returned 3/10 here

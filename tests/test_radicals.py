@@ -22,6 +22,7 @@ from diotrans.radicals import (
     floor_within,
     power_le,
     _int_nth_root,
+    _rational_if_possible,
 )
 
 
@@ -130,6 +131,78 @@ def test_exact_div_and_pow_on_mixed_operands_and_zeros():
     assert isinstance(p, Enclosure) and p.lo <= 2 and 3 <= p.hi < Fraction(301, 100)
     sq = exact_pow(Enclosure(2, 3), 2)
     assert (sq.lo, sq.hi) == (4, 9)
+
+
+# The generic dispatch of exact_le, exact_mul, exact_div and exact_pow, as it
+# stands without their rational short-circuit: the reference for that path.
+def _generic_le(a, b):
+    if isinstance(a, Enclosure) or isinstance(b, Enclosure):
+        return Enclosure.of(a).surely_le(b)
+    if isinstance(a, Radical):
+        return a <= b
+    if isinstance(b, Radical):
+        return b >= a
+    return Fraction(a) <= Fraction(b)
+
+
+def _generic_mul(a, b):
+    if a == 0 or b == 0:
+        return Fraction(0)
+    if isinstance(a, Enclosure) or isinstance(b, Enclosure):
+        return Enclosure.of(a) * Enclosure.of(b)
+    if isinstance(a, Radical) or isinstance(b, Radical):
+        return _rational_if_possible(Radical.of(a) * Radical.of(b))
+    return Fraction(a) * Fraction(b)
+
+
+def _generic_div(a, b):
+    if a == 0 and b != 0:
+        return Fraction(0)
+    if isinstance(a, Enclosure) or isinstance(b, Enclosure):
+        return Enclosure.of(a) / Enclosure.of(b)
+    if isinstance(a, Radical) or isinstance(b, Radical):
+        return _rational_if_possible(Radical.of(a) / Radical.of(b))
+    return Fraction(a) / Fraction(b)
+
+
+def _generic_pow(a, exponent):
+    e = Fraction(exponent)
+    if isinstance(a, Enclosure):
+        return a.pow(e)
+    if not isinstance(a, Radical) and (e.denominator == 1 or a == 0):
+        return Fraction(a) ** e.numerator
+    return _rational_if_possible(Radical.of(a) ** e)
+
+
+def _outcome(f, *args):
+    """(type, value) of f's result, or the class of the exception it raises."""
+    try:
+        out = f(*args)
+    except (ValueError, ZeroDivisionError, PrecisionExhausted) as exc:
+        return type(exc)
+    return type(out), (out.lo, out.hi) if isinstance(out, Enclosure) else out
+
+
+_small = st.integers(-40, 40)
+_operands = st.one_of(
+    _small, st.just(0), st.just(Fraction(0)), st.booleans(),
+    st.builds(Fraction, _small, st.integers(1, 40)),
+    st.builds(Radical, st.builds(Fraction, st.integers(1, 40), st.integers(1, 40)),
+              st.integers(1, 4)),
+    st.builds(lambda lo, w: Enclosure(lo, lo + w),
+              st.builds(Fraction, _small, st.integers(1, 9)), st.fractions(0, 3)),
+)
+
+
+@given(_operands, _operands, st.one_of(st.integers(-3, 3), st.booleans(),
+                                       st.fractions(-3, 3, max_denominator=4)))
+def test_exact_ops_equal_their_generic_dispatch(a, b, exponent):
+    # same result type and value (or the same exception) on every operand
+    # kind, so the int and Fraction short-circuit changes nothing
+    for exact, generic in ((exact_le, _generic_le), (exact_mul, _generic_mul),
+                           (exact_div, _generic_div)):
+        assert _outcome(exact, a, b) == _outcome(generic, a, b), (exact, a, b)
+    assert _outcome(exact_pow, a, exponent) == _outcome(_generic_pow, a, exponent)
 
 
 def test_exact_le_is_surely_le_on_enclosures():
