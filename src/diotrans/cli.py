@@ -12,7 +12,7 @@ verify-certificate FILE             independently re-check a certificate
 campaign --family NAME              randomized verification campaigns
 
 transfer takes --budget, the candidates one box search may visit (default
-geometry.DEFAULT_ENUM_BUDGET).
+geometry.DEFAULT_ENUM_BUDGET); the lemma at d = 3 searches no box.
 delta, best-approx and campaign write JSON or, with --format csv, CSV; the
 other commands write JSON.
 

@@ -176,6 +176,49 @@ def least_point(system: System, side: str, hbounds: Sequence, rbounds: Sequence,
     return next(filter(accept, _walk(system, side, hbounds, rbounds, budget)), None)
 
 
+def least_multiple(system: System, side: str, w: Sequence[int], hbounds: Sequence,
+                   rbounds: Sequence) -> Optional[tuple[int, ...]]:
+    """``least_point`` over the nonzero multiples of w, without a walk.
+
+    The box holds k w iff |k| <= K, K the least floor(B / |c|) over the
+    nonzero outer coordinates and inner numerators c of w and their integer
+    bounds B (``_integer_bounds``).  The walk's order is lexicographic in the
+    outer then the inner coordinates, so of the points k w, 0 < |k| <= K,
+    it meets first the one whose first nonzero coordinate in that order is
+    the most negative: -K w or K w.  None when K = 0.
+    """
+    _check_side(side)
+    x, y = system.split(w)
+    if side == "primal":
+        coords, order = x + tuple(system.primal_numerators(w)), x + y
+    else:
+        coords, order = y + tuple(system.dual_numerators(w)), y + x
+    if not any(order):
+        raise ValueError("w must be nonzero")
+    outer_bounds, thresholds = _integer_bounds(system, side, hbounds, rbounds)
+    bounds = outer_bounds + thresholds
+    if min(bounds) < 0:
+        return None
+    k = min(b // abs(c) for b, c in zip(bounds, coords) if c)
+    if k == 0:
+        return None
+    if next(v for v in order if v) > 0:
+        k = -k
+    return tuple(k * v for v in x + y)
+
+
+def _integer_bounds(system, side, hbounds, rbounds):
+    """The box as ``_walk`` reads it: (outer, inner) lists of integer bounds,
+    |outer coordinate| <= floor(b) and |inner numerator| <= floor(D b).
+
+    The outer coordinates are x on the primal side and y on the dual side;
+    the inner numerators are ``primal_numerators`` resp. ``dual_numerators``.
+    """
+    den = system.integer_form.den
+    outer, inner = (rbounds, hbounds) if side == "primal" else (hbounds, rbounds)
+    return [floor_within(b) for b in outer], [floor_within(exact_mul(den, b)) for b in inner]
+
+
 def _walk(system, side, hbounds, rbounds, budget):
     """The box's nonzero points z in walk order: outer coordinates first, x
     then y on the primal side and y then x on the dual side, each
@@ -190,18 +233,13 @@ def _walk(system, side, hbounds, rbounds, budget):
     form = system.integer_form
     den = form.den
     primal = side == "primal"
-    if primal:
-        outer_bounds, inner_bounds, forms, sign = rbounds, hbounds, form.rows, 1
-    else:
-        outer_bounds, inner_bounds, forms, sign = hbounds, rbounds, form.cols, -1
-
-    outer_bounds = [floor_within(b) for b in outer_bounds]
+    forms, sign = (form.rows, 1) if primal else (form.cols, -1)
+    outer_bounds, thresholds = _integer_bounds(system, side, hbounds, rbounds)
     count = 1
     for b in outer_bounds:
         count *= 2 * b + 1
         if count > budget:
             raise BudgetExceeded(f"outer box has more than {budget} candidates")
-    thresholds = [floor_within(exact_mul(den, b)) for b in inner_bounds]
 
     for outer in product(*(range(-b, b + 1) for b in outer_bounds)):
         inner_ranges = []

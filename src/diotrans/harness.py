@@ -24,11 +24,11 @@ from .presets import PRESETS, cubic_pair_family, random_rational_system, random_
 from .radicals import exact_div, exact_le, exact_mul, power_le
 from .sectiondual import cube_section_volume_squared, delta_d
 from .transfer import (
+    lemma_bound_holds,
     lemma_constant_sq,
     lemma_terms,
     mahler_transfer,
     mahler_transfer_asymmetric,
-    main_lemma_hypothesis,
     main_lemma_transfer,
     main_lemma_transfer_3d,
     verify_certificate,
@@ -683,10 +683,9 @@ def _witness_pair(system):
     return None
 
 
-def _ceil_log2(q: Fraction) -> int:
-    """Least integer e with q <= 2**e, for q > 0."""
-    num, den = q.numerator, q.denominator
-    e = num.bit_length() - den.bit_length()  # 2**(e-1) < q < 2**(e+1)
+def _ceil_log2(num: int, den: int) -> int:
+    """Least integer e with num / den <= 2**e, for positive integers."""
+    e = num.bit_length() - den.bit_length()  # 2**(e-1) < num / den < 2**(e+1)
     return e if num << max(-e, 0) <= den << max(e, 0) else e + 1
 
 
@@ -694,13 +693,15 @@ def _lemma_grid_conditions(system, v1, v2, constant_sq):
     """The product bound of ``main_lemma_hypothesis`` at h = 2**a, r = 2**b
     as integer conditions (u, v, e), each holding iff u*a + v*b >= e.
 
-    A term (t, u, v) of ``lemma_terms`` holds iff t**2 / c <= 2**(u a + v b),
-    c = constant_sq, and e is the least integer with t**2 / c <= 2**e.  A
-    term with t = 0 (a witness residual or |x| of 0) always holds and gives
-    no condition."""
+    A term (T, k, u, v) of ``lemma_terms``, t = T / D**k, holds iff
+    t**2 / c <= 2**(u a + v b), c = constant_sq, and e is the least integer
+    with t**2 / c <= 2**e.  A term with T = 0 (a witness residual or |x| of
+    0) always holds and gives no condition."""
     c = Fraction(constant_sq)
+    den = system.integer_form.den
     terms, _ = lemma_terms(system, v1, v2)
-    return [(u, v, _ceil_log2(t * t / c)) for t, u, v in terms if t != 0]
+    return [(u, v, _ceil_log2(t * t * c.denominator, c.numerator * den ** (2 * k)))
+            for t, k, u, v in terms if t != 0]
 
 
 def _cheapest_lemma_params(system, v1, v2, constant_sq):
@@ -786,37 +787,35 @@ def campaign_main_lemma_gap(trials: int = 100, seed: int = 1) -> CampaignResult:
         if params is None:
             continue
         h0, r0 = params
+        terms, _ = lemma_terms(system, v1, v2)
         found = None
         scale = Fraction(1)
         for _ in range(60):
             scale *= Fraction(19, 20)
             h, r = h0 * scale, r0 * scale
-            gen_ok, _ = main_lemma_hypothesis(system, v1, v2, h, r, c2_general)
-            sharp_ok, _ = main_lemma_hypothesis(system, v1, v2, h, r, c2_sharp)
-            if not sharp_ok:
+            if not lemma_bound_holds(system, terms, h, r, c2_sharp):
                 break
-            if not gen_ok:
+            if not lemma_bound_holds(system, terms, h, r, c2_general):
                 found = (h, r)
                 break
         if found is None:
             continue
         h, r = found
-        rejected = False
+        failure = {"n": n, "m": m, "v1": v1, "v2": v2, "h": str(h), "r": str(r),
+                   "general_rejected": False}
+        ok = False
         try:
             main_lemma_transfer(system, v1, v2, h, r)
         except HypothesisViolated:
-            rejected = True
-        except Exception:  # noqa: BLE001
-            pass
-        ok = False
-        if rejected:
+            failure["general_rejected"] = True
             try:
                 cert = main_lemma_transfer_3d(system, v1, v2, h, r)
                 ok, _ = verify_certificate(cert)
-            except Exception:  # noqa: BLE001
-                ok = False
-        result.record(ok, {"n": n, "m": m, "v1": v1, "v2": v2, "h": str(h), "r": str(r),
-                           "general_rejected": rejected})
+            except Exception as exc:  # noqa: BLE001
+                failure["detail"] = repr(exc)
+        except Exception as exc:  # noqa: BLE001
+            failure["detail"] = repr(exc)
+        result.record(ok, failure)
     return result
 
 

@@ -2,7 +2,8 @@
 
 Each operation takes exact inputs, checks its hypothesis pessimistically,
 derives the guaranteed target parallelepiped, finds a nonzero integer point
-in it by an exact box walk (``geometry.least_point``), and returns a
+in it by an exact box walk (``geometry.least_point``; the d = 3 lemma by
+``geometry.least_multiple``, without a walk), and returns a
 ``Certificate`` recording inputs, parameters, the witness and the target.
 A condition that fails during a construction raises.  A certificate can be
 serialized to JSON and re-verified independently with plain rational
@@ -13,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from operator import mul
 from typing import Optional, Sequence
 
@@ -27,7 +29,9 @@ from .errors import (
 )
 from .exactlinalg import gram_det
 from .functions import FunctionSpec
-from .geometry import DEFAULT_ENUM_BUDGET, Box, System, _walk, in_box, least_point
+from .geometry import (
+    DEFAULT_ENUM_BUDGET, Box, System, _walk, in_box, least_multiple, least_point,
+)
 from .intervals import Enclosure
 from .radicals import (
     Radical, exact_div, exact_eq, exact_le, exact_lt, exact_max, exact_mul, exact_pow,
@@ -221,17 +225,18 @@ def mahler_transfer(system: System, X, U, budget: int = DEFAULT_ENUM_BUDGET) -> 
     cert = _mahler_witness(system, X, U, "mahler", budget)
     Y, V = transference_parameters(system, X, U)
     cert.params.update({"Y": _fmt(Y), "V": _fmt(V)})
-    h_lo, r_lo = _land_in_dual_box(cert, system, *Box(system, Y, V, "dual").bounds(), None, budget)
+    bounds = Box(system, Y, V, "dual").bounds()
+    h_lo, r_lo = _land_in_dual_box(cert, system, *bounds,
+                                   least_point(system, "dual", *bounds, budget=budget))
     cert.target = {"side": "dual", "h": str(max(h_lo)), "r": str(max(r_lo))}
     return cert
 
 
-def _land_in_dual_box(cert, system, hbounds, rbounds, accept, budget) -> tuple:
-    """Set ``cert``'s output to the first accepted point of the walk, y before
-    x, of the dual box with these per-coordinate bounds.  Returns rational
+def _land_in_dual_box(cert, system, hbounds, rbounds, out) -> tuple:
+    """Set ``cert``'s output to ``out``, the point found in the dual box with
+    these per-coordinate bounds (None if there is none).  Returns rational
     lower bounds of the bounds, each at least the point's own value on that
     coordinate, as (hbounds, rbounds)."""
-    out = least_point(system, "dual", hbounds, rbounds, accept=accept, budget=budget)
     if out is None:
         raise PrecisionExhausted("guaranteed dual box holds no accepted point")
     yvals = [Fraction(abs(v)) for v in system.split(out)[1]]
@@ -263,7 +268,9 @@ def mahler_transfer_asymmetric(
     # h-side coordinates.
     bounds = [exact_mul(Fraction(d - 1) if j == k else Fraction(1), base)
               for j, base in enumerate([vbase] * m + [ybase] * n)]
-    h_lo, r_lo = _land_in_dual_box(cert, system, bounds[m:], bounds[:m], None, budget)
+    hbounds, rbounds = bounds[m:], bounds[:m]
+    h_lo, r_lo = _land_in_dual_box(cert, system, hbounds, rbounds,
+                                   least_point(system, "dual", hbounds, rbounds, budget=budget))
     cert.target = {"side": "dual", "hbounds": list(map(str, h_lo)),
                    "rbounds": list(map(str, r_lo))}
     return cert
@@ -281,31 +288,70 @@ def lemma_constant_sq(d: int) -> Fraction:
 
 def lemma_terms(system: System, v1, v2):
     """(terms, details) for v1, v2: at h, r > 0 the lemma's product bound holds
-    iff t^2 <= constant_sq h^u r^v for each term (t, u, v), from r^2 r1 r2, h^2 h1 h2
-    and h r max(r1, r2) max(h1, h2) <= const h^n r^m; details {h1, r1, h2, r2}."""
+    iff t^2 <= constant_sq h^u r^v for each term t = T / D^k, given as
+    (T, k, u, v) with integers T >= 0 and D = ``integer_form.den``, from
+    r^2 r1 r2, h^2 h1 h2 and h r max(r1, r2) max(h1, h2) <= const h^n r^m;
+    details {h1, r1, h2, r2}.  Each witness is read once."""
     n, m = system.n, system.m
+    den = system.integer_form.den
     r1, h1 = system.primal_values(v1)
     r2, h2 = system.primal_values(v2)
-    terms = ((r1 * r2, 2 * n, 2 * m - 4), (h1 * h2, 2 * n - 4, 2 * m),
-             (max(r1, r2) * max(h1, h2), 2 * n - 2, 2 * m - 2))
+    e1, e2 = (h.numerator * (den // h.denominator) for h in (h1, h2))  # D h1, D h2
+    terms = ((r1 * r2, 0, 2 * n, 2 * m - 4), (e1 * e2, 2, 2 * n - 4, 2 * m),
+             (max(r1, r2) * max(e1, e2), 1, 2 * n - 2, 2 * m - 2))
     return terms, {"h1": h1, "r1": r1, "h2": h2, "r2": r2}
+
+
+def _lemma_operand(x) -> tuple:
+    """(left, right, k): x read as left^(1/k) on the small side of a product
+    bound and as right^(1/k) on its large side, left and right rational.  An
+    Enclosure is read at the ends its interval product takes there, hi and
+    lo; an exact value is |x| on both sides."""
+    if isinstance(x, Enclosure):
+        if x.lo <= 0:
+            raise ValueError("power of a non-positive enclosure")
+        return x.hi, x.lo, 1
+    if isinstance(x, Radical):
+        return x.radicand, x.radicand, x.index
+    x = abs(Fraction(x))
+    return x, x, 1
+
+
+def lemma_bound_holds(system: System, terms, h, r, constant_sq: Fraction) -> bool:
+    """Does every term (T, k, u, v) of ``lemma_terms`` hold at (h, r)?
+
+    The term is compared in the squares of h and r, as
+    T^2 (h^2)^(n-u/2) (r^2)^(m-v/2) <= constant_sq D^(2k) (h^2)^n (r^2)^m, so
+    no power is negative and h or r = 0 needs no division.  Both sides are
+    raised to the lcm q of the root indices of h and r, as ``Radical``
+    compares, which makes h^q and r^q rational, and multiplied out to one
+    integer comparison.  An Enclosure h or r is read at hi on the left and at
+    lo on the right (``_lemma_operand``): the verdict of its interval
+    product, "surely <=".
+    """
+    n, m, den = system.n, system.m, system.integer_form.den
+    c = Fraction(constant_sq)
+    (hl, hr, i), (rl, rr, j) = _lemma_operand(h), _lemma_operand(r)
+    q = lcm(i, j)
+    hl, hr, rl, rr = hl ** (q // i), hr ** (q // i), rl ** (q // j), rr ** (q // j)
+    # on the left, h^(2qx) = ha[x] / hb[x] and r^(2qy) = ra[y] / rb[y] for x, y <= 2
+    ha, hb, ra, rb = ((1, s, s * s) for s in (hl.numerator**2, hl.denominator**2,
+                                               rl.numerator**2, rl.denominator**2))
+    left = hr.denominator ** (2 * n) * rr.denominator ** (2 * m) * c.denominator**q
+    right = hr.numerator ** (2 * n) * rr.numerator ** (2 * m) * c.numerator**q
+    for t, k, u, v in terms:
+        x, y = n - u // 2, m - v // 2
+        if left * (t * t) ** q * ha[x] * ra[y] > right * den ** (2 * k * q) * hb[x] * rb[y]:
+            return False
+    return True
 
 
 def main_lemma_hypothesis(system: System, v1, v2, h, r, constant_sq: Fraction):
     """(holds, details) for the product bound of ``lemma_terms`` at (h, r),
     ``constant_sq`` being ``lemma_constant_sq`` in general and 1/4 in the
-    sharpened 3D form.  Each term is compared in the squares of h and r, as
-    t^2 (h^2)^(n-u/2) (r^2)^(m-v/2) <= constant_sq (h^2)^n (r^2)^m, so no
-    power is negative and everything stays rational/radical-exact."""
-    n, m = system.n, system.m
+    sharpened 3D form, decided by ``lemma_bound_holds``."""
     terms, details = lemma_terms(system, v1, v2)
-    h2, r2 = exact_pow(h, 2), exact_pow(r, 2)
-    hs, rs = (1, h2, exact_mul(h2, h2)), (1, r2, exact_mul(r2, r2))  # n - u/2, m - v/2 <= 2
-    rhs = exact_mul(exact_mul(exact_pow(h2, n), exact_pow(r2, m)), constant_sq)
-    for t, u, v in terms:
-        if not exact_le(exact_mul(exact_mul(t * t, hs[n - u // 2]), rs[m - v // 2]), rhs):
-            return False, details
-    return True, details
+    return lemma_bound_holds(system, terms, h, r, constant_sq), details
 
 
 def main_lemma_transfer(system: System, v1: Sequence[int], v2: Sequence[int], h, r,
@@ -327,8 +373,21 @@ def main_lemma_transfer_3d(system: System, v1: Sequence[int], v2: Sequence[int],
     return cert
 
 
+def _primitive_cross(v1, v2) -> tuple:
+    """(v1 x v2) / gcd for non-collinear v1, v2 in Z^3: the integer points
+    orthogonal to both are its multiples."""
+    (a1, a2, a3), (b1, b2, b3) = v1, v2
+    w = (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
+    g = gcd(*w)
+    return tuple(c // g for c in w)
+
+
 def _main_lemma(system, v1, v2, h, r, constant_sq, budget) -> Certificate:
-    """The two-point lemma with the product constant squared ``constant_sq``."""
+    """The two-point lemma with the product constant squared ``constant_sq``.
+
+    The dual point is the first orthogonal point of the box's walk.  At d = 3
+    the orthogonal lattice has rank 1 and ``least_multiple`` finds that point
+    without a walk, so the budget bounds the walk at d >= 4 only."""
     v1, v2 = (x + y for x, y in map(system.split, (v1, v2)))  # ValueError unless d long
     if gram_det((v1, v2)) == 0:
         raise NonCollinearRequired("v1 and v2 are collinear")
@@ -354,11 +413,13 @@ def _main_lemma(system, v1, v2, h, r, constant_sq, budget) -> Certificate:
         target={},
     )
 
-    def orthogonal(z):
-        return sum(map(mul, z, v1)) == 0 and sum(map(mul, z, v2)) == 0
-
-    h_lo, r_lo = _land_in_dual_box(cert, system, *Box(system, h, r, "dual").bounds(), orthogonal,
-                                   budget)
+    bounds = Box(system, h, r, "dual").bounds()
+    if system.d == 3:  # the points orthogonal to both are the multiples of one vector
+        out = least_multiple(system, "dual", _primitive_cross(v1, v2), *bounds)
+    else:
+        out = least_point(system, "dual", *bounds, budget=budget, accept=lambda z: (
+            sum(map(mul, z, v1)) == 0 and sum(map(mul, z, v2)) == 0))
+    h_lo, r_lo = _land_in_dual_box(cert, system, *bounds, out)
     cert.target = {"side": "dual", "h": str(max(h_lo)), "r": str(max(r_lo))}
     return cert
 

@@ -1,12 +1,15 @@
 import json
+import math
 import random
+import time
 
 import pytest
 
 from diotrans import harness
 from diotrans.cli import build_parser, run
-from diotrans.geometry import DEFAULT_ENUM_BUDGET
-from diotrans.presets import random_system
+from diotrans.geometry import DEFAULT_ENUM_BUDGET, Box, in_box
+from diotrans.presets import get_preset, random_system
+from diotrans.transfer import Certificate
 
 
 def _run(capsys, *argv):
@@ -136,6 +139,33 @@ def test_theta_and_random_sources(capsys):
         "--t-max", "50",
     )
     assert code == 0
+
+
+def test_lemma3d_lands_a_record_pair_of_plastic(tmp_path, capsys):
+    # consecutive records at t = 4 039 199 and 9 734 175 with h = r = 2^47:
+    # the walk of the dual box would visit (2^48 + 1) outer vectors
+    start = time.perf_counter()
+    code, out, err = _run(
+        capsys, "transfer", "lemma3d", "--preset", "plastic",
+        "--v1=4039199,2497824,-3197152", "--v2=-2497824,9734175,-6537023",
+        "--h", "140737488355328", "--r", "140737488355328",
+    )
+    assert code == 0, err
+    assert time.perf_counter() - start < 1
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(out)
+    code, verdict, _ = _run(capsys, "verify-certificate", str(cert_file))
+    assert code == 0 and json.loads(verdict)["verified"] is True
+    # the point is the largest multiple of the primitive cross product in the box
+    cert = Certificate.from_json(out)
+    system = get_preset("plastic").build()
+    z = cert.output_point
+    k = math.gcd(*z)
+    w = [v // k for v in z]
+    assert all(sum(a * b for a, b in zip(w, cert.inputs[v])) == 0 for v in ("v1", "v2"))
+    bounds = Box(system, 2**47, 2**47, "dual").bounds()
+    assert in_box(system, "dual", z, *bounds)
+    assert not in_box(system, "dual", [(k + 1) * v for v in w], *bounds)
 
 
 def test_transfer_and_verify_roundtrip(tmp_path, capsys):

@@ -24,6 +24,7 @@ from diotrans.geometry import (
     enumerate_nonzero,
     enumerate_nonzero_general,
     in_box,
+    least_multiple,
     least_point,
 )
 from diotrans.intervals import Enclosure
@@ -257,6 +258,41 @@ def test_least_point_is_the_first_accepted_enumerated_point():
             want = min(accepted, key=walk_order, default=None)
             got = least_point(system, side, hbounds, rbounds, accept=accept)
             assert got == want, (system, side, hbounds, rbounds, w, u)
+
+
+def test_least_multiple_is_the_walks_first_multiple():
+    rng = random.Random(12)
+    seen = {"point": 0, "none": 0, "zero bound": 0}
+    for trial in range(300):
+        d = 2 + trial % 3
+        m = rng.randint(1, d - 1)
+        n = d - m
+        theta = [
+            [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(m)] for _ in range(n)
+        ]
+        system = System(n, m, theta)
+        side = ("primal", "dual")[trial % 2]
+        hbounds = [_random_bound(rng) for _ in range(n)]
+        rbounds = [_random_bound(rng) for _ in range(m)]
+        if trial % 5 == 0:
+            hbounds[0] = Fraction(0)
+            seen["zero bound"] += 1
+        elif trial % 7 == 0:  # an empty box
+            rbounds[0] = Fraction(-1, 2)
+        w = [0] * d
+        while not any(w):
+            w = [rng.randint(-3, 3) * (rng.random() < 0.7) for _ in range(d)]
+        a = next(i for i, v in enumerate(w) if v)
+
+        def multiple(z):
+            return z[a] % w[a] == 0 and all(v * (z[a] // w[a]) == zv for v, zv in zip(w, z))
+
+        want = least_point(system, side, hbounds, rbounds, accept=multiple)
+        assert least_multiple(system, side, w, hbounds, rbounds) == want, (system, side, w)
+        seen["point" if want else "none"] += 1
+    assert min(seen.values()) >= 30, seen
+    with pytest.raises(ValueError, match="nonzero"):
+        least_multiple(system, "dual", [0] * system.d, hbounds, rbounds)
 
 
 def test_dual_search_stops_at_its_first_outer_vector(monkeypatch):

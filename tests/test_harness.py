@@ -29,7 +29,7 @@ from diotrans.harness import (
     _lemma_grid_conditions,
     _witness_pair,
 )
-from diotrans.errors import DomainError
+from diotrans.errors import DomainError, PrecisionExhausted
 from diotrans.functions import FunctionSpec
 from diotrans.presets import get_preset, random_rational_system
 from diotrans.transfer import main_lemma_hypothesis
@@ -482,6 +482,40 @@ def test_row_wise_lemma_params_keep_the_first_of_tied_rows_and_exact_row_bounds(
                         and all(u * x + v * y >= e for u, v, e in conditions)
                         for x in _SCALE_EXPONENTS for y in _SCALE_EXPONENTS)
     assert found > 1000 and ties > 0
+
+
+def test_gap_campaign_reads_the_terms_once_an_instance(monkeypatch):
+    calls = {"terms": 0, "params": 0, "found": 0}
+    terms, params = harness.lemma_terms, harness._cheapest_lemma_params
+
+    def counted_terms(*args):
+        calls["terms"] += 1
+        return terms(*args)
+
+    def counted_params(*args):
+        calls["params"] += 1
+        found = params(*args)
+        calls["found"] += found is not None
+        return found
+
+    monkeypatch.setattr(harness, "lemma_terms", counted_terms)
+    monkeypatch.setattr(harness, "_cheapest_lemma_params", counted_params)
+    result = harness.campaign_main_lemma_gap(12, seed=3)
+    assert result.all_passed and result.trials == 12
+    # once in the grid conditions, and once more for the scaling steps
+    assert calls["terms"] == calls["params"] + calls["found"]
+
+
+def test_gap_campaign_records_why_the_sharpened_transfer_raised(monkeypatch):
+    def raising(*args):
+        raise PrecisionExhausted("no point")
+
+    monkeypatch.setattr(harness, "main_lemma_transfer_3d", raising)
+    result = harness.campaign_main_lemma_gap(3, seed=1)
+    assert result.passed == 0 and len(result.failures) == 3
+    for row in result.failures:
+        assert row["general_rejected"] is True
+        assert row["detail"] == "PrecisionExhausted('no point')"
 
 
 def test_lemma_grid_conditions_decide_the_product_bound():

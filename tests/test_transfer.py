@@ -2,19 +2,23 @@ import json
 import random
 import tracemalloc
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 
 import pytest
 
+from diotrans import transfer
 from diotrans.errors import (
     DioTransError,
     HypothesisViolated,
     NoWitnesses,
     NonCollinearRequired,
     Only3D,
+    PrecisionExhausted,
 )
+from diotrans.exactlinalg import gram_det
 from diotrans.functions import FunctionSpec, power_spec
-from diotrans.geometry import Box, System, best_approx_table, box_contains
+from diotrans.geometry import Box, System, best_approx_table, box_contains, least_point
 from diotrans.intervals import Enclosure
 from diotrans.presets import get_preset, random_rational_system, random_system
 from diotrans.radicals import Radical, exact_le, exact_max, exact_mul, exact_pow
@@ -24,6 +28,8 @@ from diotrans.transfer import (
     alphas_core,
     core_hypothesis_ok,
     core_parameters,
+    lemma_bound_holds,
+    lemma_terms,
     mahler_transfer,
     mahler_transfer_asymmetric,
     main_lemma_hypothesis,
@@ -510,3 +516,155 @@ def test_alphas_core_matches_snapshot():
         except DioTransError as exc:
             result = {"error": f"{type(exc).__name__}: {exc}"}
         assert json.loads(json.dumps(result)) == case["result"], case
+
+
+def _walked_lemma_point(system, v1, v2, h, r):
+    """The reference landing: the first point of the dual box's walk that is
+    orthogonal to v1 and v2, PrecisionExhausted when the box has none."""
+    out = least_point(system, "dual", *Box(system, h, r, "dual").bounds(),
+                      accept=lambda z: (sum(a * b for a, b in zip(z, v1)) == 0
+                                        and sum(a * b for a, b in zip(z, v2)) == 0))
+    if out is None:
+        raise PrecisionExhausted("no orthogonal point")
+    return out
+
+
+def _landed(fn, *args):
+    try:
+        return fn(*args)
+    except PrecisionExhausted:
+        return "empty"
+
+
+def test_3d_lemma_lands_on_the_walks_first_orthogonal_point():
+    rng = random.Random(28)
+    seen = {"point": 0, "empty": 0, "n=1": 0, "n=2": 0, "fraction": 0, "radical": 0,
+            "enclosure": 0}
+    for trial in range(1200):
+        n = 1 + trial % 2
+        system = random_rational_system(rng, n, 3 - n, max_den=rng.choice((8, 60)))
+        v1, v2 = ([rng.randint(-3, 3) for _ in range(3)] for _ in range(2))
+        if gram_det((v1, v2)) == 0:
+            continue
+        a, b = (Fraction(rng.randint(1, 30), rng.randint(1, 10)) for _ in range(2))
+        kind = rng.choice(("fraction", "radical", "enclosure"))
+        if kind == "radical":
+            h, r = Radical(a, rng.choice((1, 2, 3))), Radical(b * b, rng.choice((2, 3)))
+        elif kind == "enclosure":  # the box takes the lower end
+            h, r = Enclosure(a, a * 2), Enclosure(b, b + 1)
+        else:
+            h, r = a, b
+        # a constant large enough for the hypothesis to hold on these radii
+        landing = _landed(lambda: transfer._main_lemma(system, v1, v2, h, r, Fraction(10**40),
+                                                       10**6).output_point)
+        walk = _landed(_walked_lemma_point, system, v1, v2, h, r)
+        assert landing == walk, (system, v1, v2, h, r)
+        seen["empty" if walk == "empty" else "point"] += 1
+        seen[f"n={n}"] += 1
+        seen[kind] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+def _exact_le_form(system, v1, v2, h, r, constant_sq):
+    """The reference for ``lemma_bound_holds``: each term t of the table
+    compared with ``exact_le`` in the squares of h and r, as
+    t^2 (h^2)^(n-u/2) (r^2)^(m-v/2) <= constant_sq (h^2)^n (r^2)^m, through
+    ``exact_pow`` and ``exact_mul``."""
+    n, m = system.n, system.m
+    r1, h1 = system.primal_values(v1)
+    r2, h2 = system.primal_values(v2)
+    terms = ((r1 * r2, 2 * n, 2 * m - 4), (h1 * h2, 2 * n - 4, 2 * m),
+             (max(r1, r2) * max(h1, h2), 2 * n - 2, 2 * m - 2))
+    hh, rr = exact_pow(h, 2), exact_pow(r, 2)
+    hs, rs = (1, hh, exact_mul(hh, hh)), (1, rr, exact_mul(rr, rr))
+    rhs = exact_mul(exact_mul(exact_pow(hh, n), exact_pow(rr, m)), constant_sq)
+    return all(exact_le(exact_mul(exact_mul(t * t, hs[n - u // 2]), rs[m - v // 2]), rhs)
+               for t, u, v in terms)
+
+
+def _radius_operand(rng, kind):
+    a = _random_radius(rng)
+    if kind == "radical":
+        k = rng.choice((2, 3, 4, 5))
+        return Radical(a ** rng.randint(1, k - 1), k)
+    if kind == "enclosure":
+        return Enclosure(a, a * (1 + Fraction(rng.randint(0, 10), 100)))
+    return a
+
+
+def test_integer_lemma_bound_decides_as_the_exact_le_form():
+    rng = random.Random(280)
+    kinds = ("fraction", "radical", "enclosure")
+    verdicts = {}
+    for system, v1, v2, constants in _lemma_instances(rng, 150):
+        terms, details = lemma_terms(system, v1, v2)
+        assert main_lemma_hypothesis(system, v1, v2, 1, 1, constants[0])[1] == details
+        for c2 in constants:
+            for hk in kinds:
+                for rk in kinds:
+                    h, r = _radius_operand(rng, hk), _radius_operand(rng, rk)
+                    got = lemma_bound_holds(system, terms, h, r, c2)
+                    assert got == _exact_le_form(system, v1, v2, h, r, c2), (h, r, c2)
+                    verdicts.setdefault((system.d, hk, rk), set()).add(got)
+    assert len(verdicts) == 27 and all(v == {True, False} for v in verdicts.values()), verdicts
+
+
+def _tie_constant(system, term, h, r):
+    """constant_sq at which ``term`` holds with equality at rational (h, r):
+    t^2 / (h^u r^v)."""
+    t, k, u, v = term
+    return Fraction(t * t, system.integer_form.den ** (2 * k)) / (h**u * r**v)
+
+
+def test_integer_lemma_bound_at_exact_equality():
+    # t^2 = c h^u r^v on one term: the bound holds there (<=, not <), and a
+    # constant any smaller fails it; Fractions, point and wide enclosures
+    # (hi on the left, lo on the right) and radicals solved for the tie
+    rng = random.Random(281)
+    ties = {"fraction": 0, "enclosure": 0, "radical": 0}
+    for system, v1, v2, _ in _lemma_instances(rng, 120):
+        terms, _ = lemma_terms(system, v1, v2)
+        n, m = system.n, system.m
+        for term in terms:
+            t, k, u, v = term
+            if t == 0:
+                continue
+            a, b = _random_radius(rng), _random_radius(rng)
+            wa, wb = a * Fraction(rng.randint(100, 110), 100), b * Fraction(rng.randint(100, 110), 100)
+            # at the ends the interval product takes, the term is
+            # t^2 hi_h^(2n-u) hi_r^(2m-v) <= c lo_h^(2n) lo_r^(2m)
+            wide = Fraction(t * t, system.integer_form.den ** (2 * k)) * (
+                wa ** (2 * n - u) * wb ** (2 * m - v)) / (a ** (2 * n) * b ** (2 * m))
+            cases = [("fraction", a, b, _tie_constant(system, term, a, b)),
+                     ("enclosure", Enclosure(a), Enclosure(b), _tie_constant(system, term, a, b)),
+                     ("enclosure", Enclosure(a, wa), Enclosure(b, wb), wide)]
+            c = Fraction(1, 2 * system.d * (system.d - 1))
+            rad_b = Radical(b, rng.choice((2, 3)))
+            if u:  # h^u = t^2 / (c r^v)
+                tie = Radical.of(Fraction(t * t, system.integer_form.den ** (2 * k)) / c) / rad_b**v
+                cases.append(("radical", tie ** Fraction(1, u), rad_b, c))
+            for kind, h, r, c2 in cases:
+                exact = lemma_bound_holds(system, terms, h, r, c2)
+                assert exact == _exact_le_form(system, v1, v2, h, r, c2), (kind, h, r, c2)
+                smaller = c2 * (1 - Fraction(1, 10**30))
+                assert not lemma_bound_holds(system, terms, h, r, smaller)
+                assert not _exact_le_form(system, v1, v2, h, r, smaller)
+                ties[kind] += exact
+    assert min(ties.values()) >= 20, ties
+
+
+def test_integer_lemma_bound_reads_a_radical_exactly_beside_an_enclosure():
+    # The exact_le form encloses a radical that meets an enclosure at 160
+    # bits.  Ties need a rational h^2 there, so they decide alike; a constant
+    # within 2^-190 above the tie 1/sqrt(3) of 1 <= c sqrt(3) r^4 / r^4 is
+    # what only the integer form, which keeps the radical exact, accepts.
+    system = System(1, 2, ((Fraction(0), Fraction(0)),))
+    v1, v2 = (1, 0, 0), (0, 1, 0)
+    terms, _ = lemma_terms(system, v1, v2)  # t = 1, 0, 0
+    h = Radical(3, 4)  # h^2 = sqrt(3)
+    c2 = Fraction(2**200, isqrt(3 * 4**200))  # above 1/sqrt(3) by less than 2^-190
+    for r in (Fraction(1), Enclosure(1)):
+        assert lemma_bound_holds(system, terms, h, r, c2)
+        assert not lemma_bound_holds(system, terms, h, r, c2 * (1 - Fraction(1, 2**190)))
+    assert _exact_le_form(system, v1, v2, h, Fraction(1), c2)
+    assert not _exact_le_form(system, v1, v2, h, Enclosure(1), c2)
