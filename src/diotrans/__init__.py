@@ -37,15 +37,14 @@ from .presets import PRESETS, get_preset, random_system
 from .radicals import Radical
 from .sectiondual import cube_section_volume_squared, delta_d, improved_mahler_factor
 from .transfer import (
-    Certificate,
     alphas_core,
     mahler_transfer,
     mahler_transfer_asymmetric,
     main_lemma_transfer,
     main_lemma_transfer_3d,
     semicore,
-    verify_certificate,
 )
+from .verify import Certificate, verify_certificate
 
 __version__ = "1.0.0"
 

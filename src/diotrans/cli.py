@@ -38,15 +38,14 @@ from .geometry import DEFAULT_ENUM_BUDGET, System, best_approx_table
 from .presets import PRESETS, get_preset, random_system
 from .sectiondual import delta_bounds_ok, delta_d
 from .transfer import (
-    Certificate,
     alphas_core,
     mahler_transfer,
     mahler_transfer_asymmetric,
     main_lemma_transfer,
     main_lemma_transfer_3d,
     semicore,
-    verify_certificate,
 )
+from .verify import Certificate, verify_certificate
 
 # ---------------------------------------------------------------------------
 # parsing helpers
@@ -257,7 +256,6 @@ def _cmd_verify_certificate(args) -> int:
     try:
         with open(args.file, encoding="utf-8") as fh:
             cert = Certificate.from_json(fh.read())  # decode errors are ValueErrors
-        System(cert.n, cert.m, cert.theta)  # the system it describes
     except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise DioTransError(f"malformed certificate: {exc}") from exc
     ok, results = verify_certificate(cert)

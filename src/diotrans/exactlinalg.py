@@ -1,9 +1,9 @@
 """Exact integer/rational linear algebra.
 
 Hermite normal form over the columns, integer kernels, lattice saturation,
-orthogonal integer lattices, one fraction-free determinant for Gram
-determinants and wedge norms, and LLL reduction: float-guided with exact
-integer updates, and integral.
+orthogonal integer lattices, one fraction-free determinant behind the Gram
+determinant, and LLL reduction: float-guided with exact integer updates,
+and integral.
 Matrices are plain lists of rows; lattice bases are tuples of vectors.
 """
 from __future__ import annotations

@@ -31,8 +31,8 @@ from .transfer import (
     mahler_transfer_asymmetric,
     main_lemma_transfer,
     main_lemma_transfer_3d,
-    verify_certificate,
 )
+from .verify import verify_certificate
 
 MAX_EXP = Fraction(50)
 DEFAULT_TOL = 0.1

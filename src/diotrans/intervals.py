@@ -173,14 +173,6 @@ class Enclosure:
 
     # -- queries ----------------------------------------------------------
 
-    def surely_le(self, other) -> bool:
-        other = Enclosure.of(other)
-        return self.hi <= other.lo
-
-    def surely_lt(self, other) -> bool:
-        other = Enclosure.of(other)
-        return self.hi < other.lo
-
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 

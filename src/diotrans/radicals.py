@@ -8,7 +8,7 @@ raising both to the lcm of their root indices, which lands in Q.
 
 The exact_* functions are the one mixed-type arithmetic: they take int,
 Fraction, Radical and Enclosure operands, keep rational results in Fraction,
-and turn an Enclosure operand into an Enclosure result or an endpoint test.
+and turn an Enclosure operand into an Enclosure result or an exact test of an end.
 """
 from __future__ import annotations
 
@@ -184,12 +184,17 @@ def _rational_if_possible(r: Radical):
     return r.as_fraction() if r.is_rational() else r
 
 
+def _ends(x) -> tuple:
+    """(lo, hi): an Enclosure's ends, or an exact value twice."""
+    return (x.lo, x.hi) if isinstance(x, Enclosure) else (x, x)
+
+
 def exact_le(a, b) -> bool:
-    """a <= b; with an enclosure "surely <=", so False when undecided."""
+    """a <= b, exact; an Enclosure is read at its end on its side, hi on the
+    left and lo on the right: "surely <=", so False when undecided."""
     if type(a) in _RATIONAL and type(b) in _RATIONAL:
         return a <= b
-    if isinstance(a, Enclosure) or isinstance(b, Enclosure):
-        return Enclosure.of(a).surely_le(b)
+    a, b = _ends(a)[1], _ends(b)[0]
     if isinstance(a, Radical):
         return a <= b
     if isinstance(b, Radical):
@@ -198,22 +203,23 @@ def exact_le(a, b) -> bool:
 
 
 def exact_lt(a, b) -> bool:
-    """a < b; raises PrecisionExhausted when enclosures cannot decide."""
+    """a < b; with an Enclosure operand "surely <", read at its ends as in
+    ``exact_le``, raising PrecisionExhausted when they cannot decide."""
     if isinstance(a, Enclosure) or isinstance(b, Enclosure):
-        a, b = Enclosure.of(a), Enclosure.of(b)
-        if a.surely_lt(b):
+        (a_lo, a_hi), (b_lo, b_hi) = _ends(a), _ends(b)
+        if not exact_le(b_lo, a_hi):
             return True
-        if b.surely_le(a):
+        if exact_le(b_hi, a_lo):
             return False
         raise PrecisionExhausted("enclosures too wide to order")
     return not exact_le(b, a)
 
 
 def exact_eq(a, b) -> bool:
-    """a == b; enclosures count as equal when they overlap."""
+    """a == b; enclosures count as equal when they overlap, compared exactly."""
     if isinstance(a, Enclosure) or isinstance(b, Enclosure):
-        a, b = Enclosure.of(a), Enclosure.of(b)
-        return a.lo <= b.hi and b.lo <= a.hi
+        (a_lo, a_hi), (b_lo, b_hi) = _ends(a), _ends(b)
+        return exact_le(a_lo, b_hi) and exact_le(b_lo, a_hi)
     return a == b
 
 

@@ -6,13 +6,11 @@ in it by an exact box walk (``geometry.least_point``; the d = 3 lemma by
 ``geometry.least_multiple``, without a walk), and returns a
 ``Certificate`` recording inputs, parameters, the witness and the target.
 A condition that fails during a construction raises.  A certificate can be
-serialized to JSON and re-verified independently with plain rational
-arithmetic (``verify_certificate``).
+serialized to JSON and re-verified independently in integers
+(``verify.verify_certificate``).
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -29,14 +27,14 @@ from .errors import (
 )
 from .exactlinalg import gram_det
 from .functions import FunctionSpec
-from .geometry import (
-    DEFAULT_ENUM_BUDGET, Box, System, _walk, in_box, least_multiple, least_point,
-)
+from .geometry import DEFAULT_ENUM_BUDGET, Box, System, _walk, least_multiple, least_point
 from .intervals import Enclosure
 from .radicals import (
     Radical, exact_div, exact_eq, exact_le, exact_lt, exact_max, exact_mul, exact_pow,
 )
 from .sectiondual import delta_d, improved_mahler_factor
+# unused here, verify_certificate stays importable as the benchmark reads it
+from .verify import Certificate, verify_certificate  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -62,121 +60,6 @@ def _fmt(value) -> str:
             return str(value.radicand)
         return f"({value.radicand})^(1/{value.index})"
     return str(Fraction(value))
-
-
-# ---------------------------------------------------------------------------
-# certificates
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class Certificate:
-    """A re-checkable record of one constructive transference step."""
-
-    kind: str
-    n: int
-    m: int
-    theta: tuple
-    params: dict
-    inputs: dict
-    output_point: tuple
-    target: dict  # side + rational bound strings (scalar or per-coordinate)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "m": self.m,
-            "theta": [[str(v) for v in row] for row in self.theta],
-            "params": self.params,
-            "inputs": {k: list(v) for k, v in self.inputs.items()},
-            "output_point": list(self.output_point),
-            "target": self.target,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @staticmethod
-    def from_dict(data: dict) -> "Certificate":
-        """The certificate ``to_dict`` wrote.  A missing field raises KeyError;
-        a field of the wrong type or value TypeError or ValueError.  Other
-        keys, such as the ``checks`` list of older certificates, are ignored."""
-        n, m = data["n"], data["m"]
-        if type(n) is not int or type(m) is not int:
-            raise ValueError(f"n and m must be integers, not {n!r} and {m!r}")
-        return Certificate(
-            kind=data["kind"],
-            n=n,
-            m=m,
-            theta=tuple(tuple(_rational(v) for v in row) for row in data["theta"]),
-            params=dict(data["params"]),
-            inputs={k: _integer_vector(v) for k, v in data["inputs"].items()},
-            output_point=_integer_vector(data["output_point"]),
-            target=_checked_target(dict(data["target"]), n, m),
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "Certificate":
-        return Certificate.from_dict(json.loads(text))
-
-
-def _rational(v) -> Fraction:
-    """A theta entry or target bound as ``to_dict`` writes it: a JSON integer
-    or a string p or p/q, not a float, a boolean, "0.5" or "1e9"."""
-    if type(v) is not int and not (type(v) is str and set(v) <= set("-/0123456789")):
-        raise ValueError(f"rationals must be integers or strings p/q, not {v!r}")
-    return Fraction(v)
-
-
-def _integer_vector(v) -> tuple:
-    if not isinstance(v, list) or not all(type(a) is int for a in v):
-        raise ValueError(f"vectors must be lists of integers, not {v!r}")
-    return tuple(v)
-
-
-def _checked_target(target: dict, n: int, m: int) -> dict:
-    """``target`` itself, once it names a side and rational bounds: scalars
-    h and r, or n per-coordinate hbounds and m rbounds."""
-    if target.get("side") not in ("primal", "dual"):
-        raise ValueError(f"target side must be 'primal' or 'dual', not {target.get('side')!r}")
-    bounds = _target_bounds(target, n, m)
-    if not all(isinstance(b, list) for b in bounds) or list(map(len, bounds)) != [n, m]:
-        raise ValueError(f"target hbounds and rbounds must be lists of {n} and {m} bounds")
-    for value in bounds[0] + bounds[1]:
-        _rational(value)
-    return target
-
-
-def _target_bounds(target: dict, n: int, m: int) -> tuple:
-    """(hbounds, rbounds) of a target as written: scalar h and r repeated."""
-    if "h" in target:
-        return [target["h"]] * n, [target["r"]] * m
-    return target["hbounds"], target["rbounds"]
-
-
-def verify_certificate(cert: Certificate) -> tuple[bool, list]:
-    """Re-verify a certificate from scratch with rational arithmetic only."""
-    results = []
-    system = System(cert.n, cert.m, cert.theta)
-    z = cert.output_point
-    fits = len(z) == system.d  # a vector of another length fails every check on it
-    results.append(("output_nonzero", any(v != 0 for v in z)))
-    results.append(("output_dimension", fits))
-    bounds = _target_bounds(cert.target, cert.n, cert.m)
-    hbounds, rbounds = ([Fraction(v) for v in b] for b in bounds)
-    results.append(("output_in_target_box",
-                    fits and in_box(system, cert.target["side"], z, hbounds, rbounds)))
-    for key in ("v1", "v2"):
-        if key in cert.inputs:
-            v = cert.inputs[key]
-            dot = sum(int(a) * int(b) for a, b in zip(v, z))
-            results.append((f"orthogonal_to_{key}", fits and len(v) == system.d and dot == 0))
-    if "v1" in cert.inputs and "v2" in cert.inputs:
-        v1, v2 = cert.inputs["v1"], cert.inputs["v2"]
-        results.append(("inputs_non_collinear", len(v1) == len(v2) == system.d
-                        and gram_det((v1, v2)) != 0))
-    return all(ok for _, ok in results), results
 
 
 # ---------------------------------------------------------------------------
@@ -511,19 +394,20 @@ def core_hypothesis_ok(system: System, phi: FunctionSpec, psi: FunctionSpec, t) 
     """Which growth condition holds at t: 1, 2, or None.
 
     Condition 1: t*psi(t) non-increasing and
-    psi(Delta t^n phi(t)^{m-1}) <= 1/(c Delta t).
+    t psi(Delta t^n phi(t)^{m-1}) <= 1/(c Delta).
     Condition 2: t*psi(t) non-decreasing and
-    psi^-(Delta t^{n-1} phi(t)^m) <= 1/(c Delta phi(t)).
-    Monotonicity of t*psi(t) is decided from the family shape.
+    phi(t) psi^-(Delta t^{n-1} phi(t)^m) <= 1/(c Delta).
+    1/(c Delta) is a Radical, which meets an enclosed left side only inside
+    ``exact_le``.  Monotonicity of t*psi(t) is decided from the family shape.
     """
     d = system.d
-    c_delta = exact_mul(Radical(1 / lemma_constant_sq(d), 2), delta_d(d))
+    bound = exact_div(1, exact_mul(Radical(1 / lemma_constant_sq(d), 2), delta_d(d)))
     # The core parameters at h = t are phi(t) and the two arguments of psi.
     phit, arg2, arg1 = core_parameters(system, phi, t)
     noninc, nondec = _t_times_monotonicity(psi)
-    if noninc and exact_le(psi.value(arg1), exact_div(1, exact_mul(c_delta, t))):
+    if noninc and exact_le(exact_mul(t, psi.value(arg1)), bound):
         return 1
-    if nondec and exact_le(psi.inverse_at(arg2), exact_div(1, exact_mul(c_delta, phit))):
+    if nondec and exact_le(exact_mul(phit, psi.inverse_at(arg2)), bound):
         return 2
     return None
 
@@ -582,11 +466,11 @@ def alphas_core(
     improved Mahler step with X = r*, U = h* lands exactly on the dual
     (h, r)-box.  Route 2 (dilation): find the minimal dilation mu of
     (h*, r*) containing a point, classify it, find the companion point at
-    the secondary minimal dilation, check lambda_1 lambda_2 <=
-    r^{m-1} h^{n-1} / c, and finish through the section lemma.  With an
+    the secondary minimal dilation, check lambda_1 lambda_2 c <=
+    r^{m-1} h^{n-1}, and finish through the section lemma.  With an
     enclosed phi or psi, mu and mu' are minimal up to the enclosure width
-    (see ``_least_dilation``); the certificate stays sound, since the
-    lambda bound and the lemma hypothesis are checked with ``exact_le``.
+    (see ``_least_dilation``); the certificate stays sound, since the lambda
+    bound and the lemma hypothesis read an enclosure at its pessimistic end.
     """
     n, m, d = system.n, system.m, system.d
     c = Radical(1 / lemma_constant_sq(d), 2)
@@ -648,8 +532,7 @@ def alphas_core(
             lambda rv, hv: exact_le(rv, below) and not exact_eq(rv, below), budget)
     _, lam1 = system.primal_values(v1)
     lam2, _ = system.primal_values(v2)
-    lam_bound = exact_div(exact_mul(exact_pow(r, m - 1), exact_pow(h, n - 1)), c)
-    if not exact_le(exact_mul(lam1, lam2), lam_bound):
+    if not exact_le(exact_mul(lam1 * lam2, c), exact_mul(exact_pow(r, m - 1), exact_pow(h, n - 1))):
         raise HypothesisViolated("lambda_1 lambda_2 exceeds r^{m-1} h^{n-1} / c")
 
     params.update({"route": "dilation", "mu": _fmt(mu), "mu_prime": _fmt(mu2),

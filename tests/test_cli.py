@@ -357,12 +357,15 @@ MAHLER_FIELDS = {"kind": "mahler", "n": 1, "m": 1, "theta": [["1/2"]], "params":
         json.dumps({**MAHLER_FIELDS, "target": {"side": "dual", "h": "1e5", "r": "1"}}),
         json.dumps({**MAHLER_FIELDS, "target": {"side": "dual", "hbounds": [True],
                                                  "rbounds": ["1"]}}),
+        json.dumps({**MAHLER_FIELDS, "n": 0}),
+        json.dumps({**MAHLER_FIELDS, "theta": [["1/2"], ["1/3"]]}),
     ],
     ids=["empty", "no-fields", "theta-shape", "theta-zero-denominator", "inputs-not-object",
          "input-entry-not-integer", "target-without-side", "target-bound-not-rational", "target-side-unknown",
          "target-bounds-wrong-length", "output-point-not-integer", "n-not-integer", "not-utf-8",
          "theta-infinity", "theta-float", "theta-boolean", "target-bound-infinity",
-         "target-bound-float", "target-bound-exponent", "target-bound-boolean"],
+         "target-bound-float", "target-bound-exponent", "target-bound-boolean", "n-zero",
+         "theta-rows"],
 )
 def test_malformed_certificate_is_an_error(tmp_path, capsys, text):
     cert_file = tmp_path / "cert.json"

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import diotrans
+from diotrans import transfer, verify
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -41,6 +42,26 @@ def test_test_extra_declares_every_import_of_the_tests():
     imported = _imported_distributions(ROOT / "tests")
     assert {"mpmath", "pytest", "hypothesis"} <= imported
     assert _declared(project["optional-dependencies"]["test"]) == imported
+
+
+def test_the_verifier_stands_on_the_standard_library():
+    # a verdict rests on verify.py alone: its imports are the standard
+    # library and the exceptions module, and it alone defines the
+    # certificate and its check, which the benchmark reads from transfer
+    imported = set()
+    for node in ast.walk(ast.parse((ROOT / "src" / "diotrans" / "verify.py").read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            imported.add("." * node.level + module if node.level else module.split(".")[0])
+    assert imported and imported - set(sys.stdlib_module_names) <= {".errors"}, imported
+    defining = {path.stem for path in (ROOT / "src" / "diotrans").glob("*.py")
+                for node in ast.parse(path.read_text()).body
+                if getattr(node, "name", None) in ("Certificate", "verify_certificate")}
+    assert defining == {"verify"}
+    assert transfer.Certificate is verify.Certificate is diotrans.Certificate
+    assert transfer.verify_certificate is verify.verify_certificate is diotrans.verify_certificate
 
 
 # Module-level names and class methods in src/ that nothing in src/

@@ -12,7 +12,7 @@ from mpmath.ctx_iv import MPIntervalContext
 
 import diotrans
 from diotrans.intervals import DEFAULT_PREC, Enclosure
-from diotrans.radicals import Radical
+from diotrans.radicals import Radical, exact_le, exact_lt
 
 
 def test_point_enclosure_arithmetic_is_exact():
@@ -246,8 +246,8 @@ def test_rational_pow_of_a_nonpositive_enclosure_raises():
 def test_ordering_queries():
     a = Enclosure(1, 2)
     b = Enclosure(3, 4)
-    assert a.surely_le(b) and a.surely_lt(b)
-    assert a.lo <= b.hi and not b.surely_le(a)
+    assert exact_le(a, b) and exact_lt(a, b)
+    assert a.lo <= b.hi and not exact_le(b, a) and not exact_lt(b, a)
 
 
 def test_empty_enclosure_rejected():

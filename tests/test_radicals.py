@@ -3,6 +3,7 @@ import signal
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, strategies as st
@@ -136,8 +137,8 @@ def test_exact_div_and_pow_on_mixed_operands_and_zeros():
 # The generic dispatch of exact_le, exact_mul, exact_div and exact_pow, as it
 # stands without their rational short-circuit: the reference for that path.
 def _generic_le(a, b):
-    if isinstance(a, Enclosure) or isinstance(b, Enclosure):
-        return Enclosure.of(a).surely_le(b)
+    a = a.hi if isinstance(a, Enclosure) else a
+    b = b.lo if isinstance(b, Enclosure) else b
     if isinstance(a, Radical):
         return a <= b
     if isinstance(b, Radical):
@@ -231,6 +232,20 @@ def test_exact_eq_is_overlap_on_enclosures():
     assert exact_eq(Enclosure(1, 2), SQRT2)
     assert exact_eq(exact_mul(SQRT2, SQRT2), 2)
     assert not exact_eq(0, SQRT2) and exact_eq(0, Fraction(0))
+
+
+def test_enclosure_ends_meet_a_radical_exactly():
+    # q and p lie within 2^-200 above and below sqrt(2), closer than its
+    # 160-bit enclosure can tell; an enclosure's end is compared exactly
+    p = Fraction(isqrt(2 * 4**200), 2**200)
+    q = p + Fraction(1, 2**200)
+    assert p * p < 2 < q * q
+    above, below = Enclosure(q, q + 1), Enclosure(p - 1, p)
+    assert exact_le(SQRT2, above) and exact_lt(SQRT2, above)
+    assert exact_le(below, SQRT2) and exact_lt(below, SQRT2)
+    assert not exact_le(above, SQRT2) and not exact_lt(SQRT2, below)
+    assert not exact_eq(SQRT2, above) and not exact_eq(below, SQRT2)
+    assert exact_eq(Enclosure(p, q), SQRT2)
 
 
 def test_exact_max_is_interval_max_on_enclosures():
