@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import random
@@ -350,7 +351,10 @@ def _add_common(p, *, formats: bool):
     p.add_argument("--output", help="write the report here instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The diotrans parser, built once per process: parsing leaves it as it
+    was, so every ``run`` call in a process shares it."""
     parser = _Parser(prog="diotrans", description=__doc__.splitlines()[0])
     parser.add_argument("--config", help="key=value file supplying flag defaults")
     sub = parser.add_subparsers(dest="command", required=True)

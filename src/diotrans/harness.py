@@ -88,20 +88,32 @@ def _trend_slope(pts: Sequence[tuple[float, float]]) -> float:
     return slopes[mid] if k % 2 else (slopes[mid - 1] + slopes[mid]) / 2
 
 
-def _certify_record_exponent(psi: Fraction, t: int, start: float) -> Fraction:
-    """Largest gamma = p/64 <= min(start, MAX_EXP) with psi <= t^-gamma, exact
-    (0 when there is none).  psi > 0 and t >= 2.
+def _certified_p(psi: Fraction, t: int, log_t: float, neg_log_psi: float, start: float) -> int:
+    """Largest p <= 64 min(start, MAX_EXP) with psi <= t^(-p/64), exact (0
+    when there is none); log_t and neg_log_psi are the floats log t and
+    -log psi, which only guess p.
 
-    A float guess of p is corrected one step at a time; each step is decided
-    in integers by ``radicals.power_le``, on the 64-bit heads of psi first
-    and on the full 64th powers only when the heads cannot decide."""
+    The guess floor(64 (-log psi) / log t) is corrected one step at a time,
+    and each step is decided in integers by ``radicals.power_le``."""
     top = math.floor(64 * min(start, float(MAX_EXP)))
-    p = max(0, min(top, math.floor(-64 * _log_fraction(psi) / math.log(t))))
+    p = max(0, min(top, math.floor(64 * neg_log_psi / log_t)))
     while p > 0 and not power_le(psi, t, p):
         p -= 1
     while p < top and power_le(psi, t, p + 1):
         p += 1
-    return Fraction(p, 64)
+    return p
+
+
+def _certify_record_exponent(psi: Fraction, t: int, start: float) -> Fraction:
+    """Largest gamma = p/64 <= min(start, MAX_EXP) with psi <= t^-gamma, exact
+    (0 when there is none).  psi > 0 and t >= 2.
+
+    ``_certified_p`` finds p.  Each of its steps compares psi_num^64 t^p
+    with psi_den^64 in integers (``radicals.power_le``): first on 64-bit
+    interval heads of the two 64th powers, squared up from the top 64 bits
+    of psi_num and psi_den, and on the full powers only when those bounds
+    cannot decide.  No float decides the certified value."""
+    return Fraction(_certified_p(psi, t, math.log(t), -_log_fraction(psi), start), 64)
 
 
 def estimate_exponents(system: System, side: str, t_max: int) -> ExponentEstimate:
@@ -120,14 +132,16 @@ def estimate_exponents(system: System, side: str, t_max: int) -> ExponentEstimat
     """
     records = best_approx_table(system, side, t_max).records
     capped = any(rec.psi == 0 for rec in records)
+    # -log psi of every record, computed once for the fits and the certificates
+    neg_logs = [-_log_fraction(rec.psi) if rec.psi > 0 else 0.0 for rec in records]
 
     # Working points: (log t, -log psi).  The plain ratio -log psi / log t
     # carries an O(1/log t) bias from the multiplicative constant of psi, so
     # the slope estimates below come from least-squares fits, which cancel
     # that constant; raw ratios are kept as exact-data fallbacks.
     pts = [
-        (math.log(rec.t), -_log_fraction(rec.psi))
-        for rec in records
+        (math.log(rec.t), y)
+        for rec, y in zip(records, neg_logs)
         if rec.t >= 2 and rec.psi > 0
     ]
 
@@ -152,22 +166,25 @@ def estimate_exponents(system: System, side: str, t_max: int) -> ExponentEstimat
 
     # alpha: the value held just before each new record arrives, i.e. the
     # pairs (log t_{k+1}, -log psi_k); slope fit over all pairs, floored by
-    # the raw minimum over the last decade of the scan.
+    # the raw minimum over the last decade of the scan, and certified on
+    # the 64ths grid at each record of that window.
     window_lo = max(2, t_max // 10)
     jump_pts = []
     raw_window = []
-    alpha_lower = MAX_EXP
+    alpha_p = math.floor(64 * MAX_EXP)
     for i, rec in enumerate(records):
         t_end = records[i + 1].t if i + 1 < len(records) else t_max
         if rec.t < 2 or t_end < 2:
             continue
         if rec.psi == 0:
             continue
-        val = -_log_fraction(rec.psi) / math.log(t_end)
-        jump_pts.append((math.log(t_end), -_log_fraction(rec.psi)))
+        y, log_t = neg_logs[i], math.log(t_end)
+        val = y / log_t
+        jump_pts.append((log_t, y))
         if t_end >= window_lo:
             raw_window.append(val)
-            alpha_lower = min(alpha_lower, _certify_record_exponent(rec.psi, t_end, val))
+            alpha_p = min(alpha_p, _certified_p(rec.psi, t_end, log_t, y, val))
+    alpha_lower = Fraction(alpha_p, 64)
     alpha_fit = float(MAX_EXP)
     if raw_window:
         alpha_fit = min(raw_window)

@@ -276,29 +276,44 @@ def exact_pow(a, exponent):
     return _rational_if_possible(Radical.of(a) ** e)
 
 
-def _head(n: int) -> tuple[int, int, int]:
-    """(lo, hi, s) with lo * 2**s <= n <= hi * 2**s, read from the top 64
-    bits of n >= 0; lo == hi when n has at most 64 bits."""
+def _power64_bounds(n: int) -> tuple[int, int, int]:
+    """(lo, hi, s) with lo * 2**s <= n**64 <= hi * 2**s, for n >= 1.
+
+    The top 64 bits of n bound it from both sides, and the bounds are
+    squared six times; after each squaring they are cut back to 64 bits,
+    the low end floored and the high end ceiled.  hi / lo stays below
+    1 + 2**-55, and lo == hi while the powers fit in 64 bits."""
     s = max(n.bit_length() - 64, 0)
-    head = n >> s
-    return head, head + (s > 0), s
+    lo = n >> s
+    hi = lo + (s > 0)
+    for _ in range(6):
+        hi *= hi
+        k = hi.bit_length() - 64
+        if k > 0:
+            lo, hi, s = lo * lo >> k, -(-hi >> k), 2 * s + k
+        else:  # still exact: s == 0 and lo == hi
+            lo *= lo
+    return lo, hi, s
 
 
 def power_le(psi: Fraction, t: int, p: int) -> bool:
     """psi <= t**(-p/64), that is psi_num**64 * t**p <= psi_den**64, exact.
 
-    psi > 0, t >= 1, p >= 0.  The 64-bit heads of the numerator and the
-    denominator bound both sides of the inequality; only when those bounds
-    straddle it are the full 64th powers compared.  Below 2**64 the heads
-    are the numbers themselves, so the head test is the exact one."""
-    n_lo, n_hi, a = _head(psi.numerator)
-    d_lo, d_hi, b = _head(psi.denominator)
+    psi > 0, t >= 1, p >= 0.  psi_num**64 and psi_den**64 are first bounded
+    by 64-bit interval heads carried through six truncating squarings
+    (``_power64_bounds``).  Those bounds, times the exact t**p, decide the
+    inequality across one shift unless they straddle it, which needs
+    psi**64 * t**p within a factor 1 + 2**-54 of 1; only then are the full
+    64th powers compared.  No float enters."""
+    n_lo, n_hi, a = _power64_bounds(psi.numerator)
+    d_lo, d_hi, b = _power64_bounds(psi.denominator)
     tp = t**p
-    # psi**64 t**p <= 1  <=>  num**64 t**p 2**(64a) <= den**64 2**(64b)
-    ls, rs = 64 * max(a - b, 0), 64 * max(b - a, 0)
-    if (n_hi**64 * tp) << ls <= d_lo**64 << rs:
+    # num**64 t**p <= den**64, with num**64 in [n_lo, n_hi] * 2**a and
+    # den**64 in [d_lo, d_hi] * 2**b
+    ls, rs = max(a - b, 0), max(b - a, 0)
+    if (n_hi * tp) << ls <= d_lo << rs:
         return True
-    if (n_lo**64 * tp) << ls > d_hi**64 << rs:
+    if (n_lo * tp) << ls > d_hi << rs:
         return False
     return psi.numerator**64 * tp <= psi.denominator**64
 

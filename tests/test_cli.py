@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from diotrans import harness
+from diotrans import cli, harness
 from diotrans.cli import build_parser, run
 from diotrans.geometry import DEFAULT_ENUM_BUDGET, Box, in_box
 from diotrans.presets import get_preset, random_system
@@ -215,6 +215,26 @@ def test_config_file_supplies_defaults(tmp_path, capsys):
     code, out, _ = _run(capsys, "delta", "--config", str(cfg), "--format", "json")
     assert code == 0
     assert json.loads(out)[0]["d"] == 2
+
+
+def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys, monkeypatch):
+    # build_parser is cached: a run, a usage error and a config file leave
+    # the shared parser as a freshly built one would be
+    assert build_parser() is build_parser()
+    cfg = tmp_path / "diotrans.cfg"
+    cfg.write_text("preset = golden\nt_max = 300\nside = dual\n")
+    calls = [
+        ("best-approx", "--preset", "sqrt2", "--t-max", "500", "--format", "csv"),
+        ("delta", "--dmax"),  # missing value
+        ("estimate", "--config", str(cfg)),
+        ("best-approx", "--preset", "sqrt2", "--t-max", "500", "--format", "csv"),
+    ]
+    shared = [_run(capsys, *argv) for argv in calls]
+    monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+    fresh = [_run(capsys, *argv) for argv in calls]
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 1, 0, 0]
+    assert shared[0] == shared[3] and shared[1][2].startswith("usage error:")
 
 
 def test_unreadable_config_is_usage_error(capsys):

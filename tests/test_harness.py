@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from diotrans import harness
-from diotrans.geometry import System
+from diotrans.geometry import System, best_approx_table
 from diotrans.harness import (
     CORE_FAMILIES,
     FAMILIES,
@@ -25,13 +25,15 @@ from diotrans.harness import (
     uniform_bound_comparison,
     _SCALE_EXPONENTS,
     _certify_record_exponent,
+    _log_fraction,
+    _trend_slope,
     _cheapest_lemma_params,
     _lemma_grid_conditions,
     _witness_pair,
 )
 from diotrans.errors import DomainError, PrecisionExhausted
 from diotrans.functions import FunctionSpec
-from diotrans.presets import get_preset, random_rational_system
+from diotrans.presets import PRESETS, get_preset, random_rational_system, random_system
 from diotrans.transfer import main_lemma_hypothesis
 
 # the (h, r) values of the lemma grid, built here for the reference searches
@@ -90,6 +92,60 @@ def test_estimate_invariants():
 def test_estimate_refuses_an_invalid_side():
     with pytest.raises(ValueError, match="side must be 'primal' or 'dual'"):
         estimate_exponents(get_preset("plastic").build(), "bogus", 100)
+
+
+def _reference_estimate(system, side, t_max):
+    """estimate_exponents with one ``_certify_record_exponent`` Fraction per
+    record of the last-decade window and their min: the reference loop."""
+    records = best_approx_table(system, side, t_max).records
+    capped = any(rec.psi == 0 for rec in records)
+    pts = [(math.log(rec.t), -_log_fraction(rec.psi)) for rec in records
+           if rec.t >= 2 and rec.psi > 0]
+    beta_fit, beta_lower = 0.0, Fraction(0)
+    if capped:
+        beta_fit, beta_lower = float(MAX_EXP), MAX_EXP
+    elif len(pts) >= 5:
+        beta_fit = _trend_slope(pts)
+    elif pts:
+        beta_fit = pts[-1][1] / math.log(t_max)
+    beta_fit = max(0.0, min(beta_fit, float(MAX_EXP)))
+    if pts and not capped:
+        x, y = pts[-1]
+        rec = next(r for r in reversed(records) if r.psi > 0 and r.t >= 2)
+        beta_lower = _certify_record_exponent(rec.psi, rec.t, y / x)
+    window_lo = max(2, t_max // 10)
+    jump_pts, raw_window, alpha_lower = [], [], MAX_EXP
+    for i, rec in enumerate(records):
+        t_end = records[i + 1].t if i + 1 < len(records) else t_max
+        if rec.t < 2 or t_end < 2 or rec.psi == 0:
+            continue
+        val = -_log_fraction(rec.psi) / math.log(t_end)
+        jump_pts.append((math.log(t_end), -_log_fraction(rec.psi)))
+        if t_end >= window_lo:
+            raw_window.append(val)
+            alpha_lower = min(alpha_lower, _certify_record_exponent(rec.psi, t_end, val))
+    alpha_fit = min(raw_window) if raw_window else float(MAX_EXP)
+    if len(jump_pts) >= 5:
+        alpha_fit = min(alpha_fit, max(_trend_slope(jump_pts), 0.0))
+    return harness.ExponentEstimate(
+        side=side, t_max=t_max, alpha_fit=min(alpha_fit, beta_fit), beta_fit=beta_fit,
+        alpha_lower=min(alpha_lower, beta_lower), beta_lower=beta_lower, capped=capped,
+        n_records=len(records),
+    )
+
+
+@pytest.mark.parametrize("tier", ["fast", "standard"])
+def test_estimates_match_the_per_record_certification(tier):
+    # every field, on random 400-bit systems of every shape with d <= 4 and
+    # on every preset, both sides, at the tier's scan depths
+    rng = random.Random(5)
+    systems = [random_system(rng, n, m) for n, m in ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2))
+               for _ in range(2)]
+    systems += [preset.build() for preset in PRESETS.values()]
+    for system in systems:
+        for side, free in (("primal", system.m), ("dual", system.n)):
+            t_max = harness.t_max_for(free, tier)
+            assert estimate_exponents(system, side, t_max) == _reference_estimate(system, side, t_max)
 
 
 def test_certified_record_exponents_lie_on_the_64ths_grid():

@@ -3,10 +3,10 @@ import signal
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from diotrans.errors import PrecisionExhausted
 from diotrans.intervals import Enclosure
@@ -23,6 +23,7 @@ from diotrans.radicals import (
     floor_within,
     power_le,
     _int_nth_root,
+    _power64_bounds,
     _rational_if_possible,
 )
 
@@ -470,3 +471,74 @@ def test_power_le_heads_are_exact_below_2_to_the_64(num, den, t, p):
     psi = Fraction(num, den)
     assert _head_verdict(psi, t, p) is not None
     assert power_le(psi, t, p) == (psi.numerator**64 * t**p <= psi.denominator**64)
+
+
+def _bits(draw, most=10**4):
+    # one of a spread of sizes from 1 bit to `most`, each as likely
+    sizes = (1, 2, 10, 32, 63, 64, 65, 100, 400, 1000, 4000, 10**4)
+    return min(most, draw(st.sampled_from(sizes)) + draw(st.integers(0, 3)))
+
+
+def _odd_or_power_of_two(draw, bits, odd):
+    # a number of exactly `bits` bits: odd, or 2**(bits - 1)
+    return draw(st.integers(0, 2 ** (bits - 1) - 1)) | 2 ** (bits - 1) | 1 if odd else 2 ** (bits - 1)
+
+
+@st.composite
+def _power_le_triples(draw):
+    """A batch of (psi, t, p), psi of 1 to 10**4 bits over a 2**k or an odd
+    denominator, t <= 10**12, p <= 3200: a random psi, or an exact tie
+    psi = c / (c N) with N = t**(p/64) and its four +-1 neighbours."""
+    p = draw(st.integers(0, 3200))
+    odd = draw(st.booleans())
+    if draw(st.booleans()):
+        t = draw(st.integers(1, 10**12))
+        nbits, dbits = _bits(draw), _bits(draw)
+        num = draw(st.integers(1, 2**nbits - 1))
+        den = _odd_or_power_of_two(draw, dbits, odd)
+        return [(Fraction(num, den), t, p)]
+    # t = u**g with g = 64 / gcd(p, 64), so that t**(p/64) = u**(g p / 64) is an integer
+    g = 64 // gcd(p, 64)
+    if odd:
+        u = 2 * draw(st.integers(0, (_int_nth_root(10**12, g)[0] - 1) // 2)) + 1
+    else:
+        u = 2 ** draw(st.integers(0, 39 // g))
+    t, big_n = u**g, u ** (g * p // 64)
+    cbits = _bits(draw, max(1, 10**4 - big_n.bit_length()))
+    c = _odd_or_power_of_two(draw, cbits, odd)
+    triples = [(Fraction(c, c * big_n), t, p), (Fraction(c + 1, c * big_n), t, p),
+               (Fraction(c, c * big_n + 1), t, p)]
+    if c > 1:
+        triples.append((Fraction(c - 1, c * big_n), t, p))
+    if c * big_n > 1:
+        triples.append((Fraction(c, c * big_n - 1), t, p))
+    return triples
+
+
+def test_power_le_squared_heads_decide_or_fall_back_exactly():
+    # psi_num**64 and psi_den**64 are bounded by squared 64-bit heads; the
+    # bounds decide when they do not straddle the inequality, and the full
+    # powers decide the rest.  Every path is reached.
+    paths = Counter()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_power_le_triples())
+    def check(triples):
+        for psi, t, p in triples:
+            tp = t**p
+            full = [n**64 for n in (psi.numerator, psi.denominator)]
+            bounds = []
+            for n, power in zip((psi.numerator, psi.denominator), full):
+                lo, hi, s = _power64_bounds(n)
+                assert lo << s <= power <= hi << s and hi.bit_length() <= 65
+                assert (hi - lo) << 55 < lo  # hi / lo < 1 + 2**-55
+                bounds.append((lo << s, hi << s))
+            (n_lo, n_hi), (d_lo, d_hi) = bounds
+            expected = full[0] * tp <= full[1]
+            assert power_le(psi, t, p) == expected, (psi, t, p)
+            fast = True if n_hi * tp <= d_lo else False if n_lo * tp > d_hi else None
+            assert fast in (None, expected)
+            paths[fast] += 1
+
+    check()
+    assert paths[True] > 10 and paths[False] > 10 and paths[None] > 10, paths
