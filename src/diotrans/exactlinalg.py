@@ -16,6 +16,7 @@ from operator import mul
 from typing import Sequence
 
 from .errors import DependentInput, NotSaturated
+from .verify import dot
 
 Vec = tuple[int, ...]
 
@@ -127,7 +128,7 @@ def gram_det(vectors: Sequence[Sequence]) -> Fraction:
     """det(<v_i, v_j>) computed exactly for integer or rational entries: the
     squared Euclidean norm of the wedge v_1 ^ ... ^ v_k, 0 for dependent
     inputs."""
-    return det([[sum(map(mul, vi, vj)) for vj in vectors] for vi in vectors])
+    return det([[dot(vi, vj) for vj in vectors] for vi in vectors])
 
 
 @dataclass(frozen=True)
@@ -325,7 +326,7 @@ def _guided_steps(basis, weights, dual, diag, unit, steps):
         weighted = list(map(mul, weights, b))
         gram[i][i] = diag[i]
         for j in range(i):
-            gram[i][j] = gram[j][i] = sum(map(mul, weighted, basis[j]))
+            gram[i][j] = gram[j][i] = dot(weighted, basis[j])
     rdiag = [0.0] * d
     r = [[0.0] * d for _ in range(d)]  # r[k][j] = <b_k, b_j*> for j < k
     mu = [[0.0] * d for _ in range(d)]

@@ -13,14 +13,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product, repeat
-from math import inf, lcm
-from operator import mul
-from typing import NamedTuple, Optional, Sequence
+from math import inf
+from typing import Optional, Sequence
 
 from .errors import BudgetExceeded
 from .exactlinalg import lll_guided
 from .intervals import Enclosure
-from .radicals import _int_nth_root, exact_le, exact_mul, floor_within
+from .radicals import _int_nth_root, exact_mul, floor_within
+from .verify import IntegerForm, dot, residual_numerators, theta_integer_form
 
 DEFAULT_ENUM_BUDGET = 10**7  # outer candidates of one box search
 
@@ -30,14 +30,6 @@ def _frac_matrix(theta, n, m):
     if len(rows) != n or any(len(r) != m for r in rows):
         raise ValueError(f"theta must be {n}x{m}")
     return rows
-
-
-class IntegerForm(NamedTuple):
-    """Theta = rows / den with an integer matrix; cols is its transpose."""
-
-    rows: tuple[tuple[int, ...], ...]
-    cols: tuple[tuple[int, ...], ...]
-    den: int
 
 
 @dataclass(frozen=True)
@@ -59,11 +51,8 @@ class System:
 
     @cached_property
     def integer_form(self) -> IntegerForm:
-        """Theta = A / D with A an integer matrix and D the lcm of the
-        denominators, so every residual is an integer numerator over D."""
-        den = lcm(*(v.denominator for row in self.theta for v in row))
-        rows = tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in self.theta)
-        return IntegerForm(rows, tuple(zip(*rows)), den)
+        """Theta = A / D (``verify.theta_integer_form``), computed once."""
+        return theta_integer_form(self.theta)
 
     def transposed(self) -> "System":
         tt = tuple(tuple(self.theta[i][j] for i in range(self.n)) for j in range(self.m))
@@ -78,31 +67,23 @@ class System:
 
     def primal_numerators(self, z: Sequence[int]) -> list[int]:
         """D * (Theta x + y) for z = (x, y)."""
-        x, y = self.split(z)
-        form = self.integer_form
-        return [_dot(row, x) + form.den * yi for row, yi in zip(form.rows, y)]
+        return residual_numerators(self.integer_form, "primal", *self.split(z))[1]
 
     def dual_numerators(self, z: Sequence[int]) -> list[int]:
         """D * (tTheta y - x) for z = (x, y)."""
-        x, y = self.split(z)
-        form = self.integer_form
-        return [_dot(col, y) - form.den * xj for col, xj in zip(form.cols, x)]
+        return residual_numerators(self.integer_form, "dual", *self.split(z))[1]
 
     def primal_values(self, z: Sequence[int]) -> tuple[int, Fraction]:
         """(|x|_inf, |Theta x + y|_inf) for z = (x, y)."""
-        resid = max(abs(v) for v in self.primal_numerators(z))  # split checks len(z)
-        xinf = max(abs(int(v)) for v in z[: self.m])
+        resid = max(map(abs, self.primal_numerators(z)))  # split checks len(z)
+        xinf = max(map(abs, map(int, z[: self.m])))
         return xinf, Fraction(resid, self.integer_form.den)
 
     def dual_values(self, z: Sequence[int]) -> tuple[int, Fraction]:
         """(|y|_inf, |tTheta y - x|_inf) for z = (x, y)."""
-        resid = max(abs(v) for v in self.dual_numerators(z))  # split checks len(z)
-        yinf = max(abs(int(v)) for v in z[self.m :])
+        resid = max(map(abs, self.dual_numerators(z)))  # split checks len(z)
+        yinf = max(map(abs, map(int, z[self.m :])))
         return yinf, Fraction(resid, self.integer_form.den)
-
-
-def _dot(row: Sequence[int], v: Sequence[int]) -> int:
-    return sum(map(mul, row, v))
 
 
 def _check_side(side: str) -> None:
@@ -128,24 +109,18 @@ class Box:
         _check_side(self.side)
 
     def bounds(self) -> tuple[list, list]:
-        """Per-coordinate (hbounds, rbounds), exact: enclosures by their lo."""
-        h, r = (b.lo if isinstance(b, Enclosure) else b for b in (self.h, self.r))
-        return [h] * self.system.n, [r] * self.system.m
+        """Per-coordinate (hbounds, rbounds)."""
+        return [self.h] * self.system.n, [self.r] * self.system.m
 
 
 def in_box(system: System, side: str, z: Sequence[int], hbounds: Sequence,
            rbounds: Sequence) -> bool:
     """Exact membership of z in the per-coordinate-bounded parallelepiped of
-    ``enumerate_nonzero_general``; ValueError unless z has d coordinates."""
-    _check_side(side)
-    x, y = system.split(z)
-    if side == "primal":
-        coords, nums = zip(x, rbounds), zip(system.primal_numerators(z), hbounds)
-    else:
-        coords, nums = zip(y, hbounds), zip(system.dual_numerators(z), rbounds)
-    den = system.integer_form.den
-    return all(exact_le(abs(v), b) for v, b in coords) and all(
-        exact_le(Fraction(abs(v), den), b) for v, b in nums)
+    ``enumerate_nonzero_general``, decided in integers on the bounds that the
+    walk reads (``_integer_bounds``); ValueError unless z has d coordinates."""
+    outer, nums = residual_numerators(system.integer_form, side, *system.split(z))
+    outer_bounds, thresholds = _integer_bounds(system, side, hbounds, rbounds)
+    return all(abs(c) <= b for c, b in zip(outer + tuple(nums), outer_bounds + thresholds))
 
 
 def box_contains(box: Box, z: Sequence[int]) -> bool:
@@ -187,35 +162,35 @@ def least_multiple(system: System, side: str, w: Sequence[int], hbounds: Sequenc
     it meets first the one whose first nonzero coordinate in that order is
     the most negative: -K w or K w.  None when K = 0.
     """
-    _check_side(side)
     x, y = system.split(w)
-    if side == "primal":
-        coords, order = x + tuple(system.primal_numerators(w)), x + y
-    else:
-        coords, order = y + tuple(system.dual_numerators(w)), y + x
-    if not any(order):
+    outer, nums = residual_numerators(system.integer_form, side, x, y)
+    if not any(x + y):
         raise ValueError("w must be nonzero")
     outer_bounds, thresholds = _integer_bounds(system, side, hbounds, rbounds)
     bounds = outer_bounds + thresholds
     if min(bounds) < 0:
         return None
-    k = min(b // abs(c) for b, c in zip(bounds, coords) if c)
+    k = min(b // abs(c) for b, c in zip(bounds, outer + tuple(nums)) if c)
     if k == 0:
         return None
-    if next(v for v in order if v) > 0:
+    # the first nonzero in walk order is in outer, or else in x + y, whose nonzeros are then inner
+    if next(v for v in outer + x + y if v) > 0:
         k = -k
     return tuple(k * v for v in x + y)
 
 
 def _integer_bounds(system, side, hbounds, rbounds):
     """The box as ``_walk`` reads it: (outer, inner) lists of integer bounds,
-    |outer coordinate| <= floor(b) and |inner numerator| <= floor(D b).
+    |outer coordinate| <= floor(b) and |inner numerator| <= floor(D b), an
+    Enclosure b read at its lower end (``Box``).
 
     The outer coordinates are x on the primal side and y on the dual side;
-    the inner numerators are ``primal_numerators`` resp. ``dual_numerators``.
+    the inner numerators are those of ``verify.residual_numerators``.
     """
     den = system.integer_form.den
     outer, inner = (rbounds, hbounds) if side == "primal" else (hbounds, rbounds)
+    outer, inner = ([b.lo if isinstance(b, Enclosure) else b for b in bounds]
+                    for bounds in (outer, inner))
     return [floor_within(b) for b in outer], [floor_within(exact_mul(den, b)) for b in inner]
 
 
@@ -245,7 +220,7 @@ def _walk(system, side, hbounds, rbounds, budget):
         inner_ranges = []
         for row, B in zip(forms, thresholds):
             # primal: |D y_i + (A x)_i| <= B;  dual: |D x_j - (tA y)_j| <= B
-            N = sign * _dot(row, outer)
+            N = sign * dot(row, outer)
             lo, hi = -((B + N) // den), (B - N) // den
             if lo > hi:
                 break
@@ -389,7 +364,7 @@ def _records(rows, den, t_max):
         if point is None:
             return
         s, e, x, r = point
-        yield s, e, x, tuple((ri - _dot(row, x)) // den for row, ri in zip(rows, r))
+        yield s, e, x, tuple((ri - dot(row, x)) // den for row, ri in zip(rows, r))
 
 
 _WIDE = "wide"  # _least_point's answer for a walk wider than its limit
@@ -471,7 +446,7 @@ def _nearest(rows, den, x):
     """(e, y): y_i nearest to -A_i x / den (-floor on a half tie), e = max_i |A_i x + den y_i|."""
     e, y = 0, []
     for row in rows:
-        q, r = divmod(_dot(row, x), den)
+        q, r = divmod(dot(row, x), den)
         up = r > den - r
         y.append(-q - up)
         e = max(e, den - r if up else r)

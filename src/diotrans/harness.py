@@ -17,7 +17,7 @@ from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from .errors import DomainError, HypothesisViolated
-from .exactlinalg import gram_det, orthogonal_lattice, saturate
+from .exactlinalg import orthogonal_lattice, saturate
 from .functions import FunctionSpec
 from .geometry import System, best_approx_table
 from .presets import PRESETS, cubic_pair_family, random_rational_system, random_system
@@ -32,7 +32,7 @@ from .transfer import (
     main_lemma_transfer,
     main_lemma_transfer_3d,
 )
-from .verify import verify_certificate
+from .verify import non_collinear, verify_certificate
 
 MAX_EXP = Fraction(50)
 DEFAULT_TOL = 0.1
@@ -695,7 +695,7 @@ def _witness_pair(system):
     ws = [rec.witness for rec in tab.records]
     for i in range(len(ws)):
         for j in range(i + 1, len(ws)):
-            if gram_det((ws[i], ws[j])) != 0:
+            if non_collinear(ws[i], ws[j]):
                 return ws[i], ws[j]
     return None
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
 from typing import Optional, Sequence
 
 from .errors import (
@@ -25,7 +24,6 @@ from .errors import (
     OnlyDimAtLeast3,
     PrecisionExhausted,
 )
-from .exactlinalg import gram_det
 from .functions import FunctionSpec
 from .geometry import DEFAULT_ENUM_BUDGET, Box, System, _walk, least_multiple, least_point
 from .intervals import Enclosure
@@ -33,8 +31,8 @@ from .radicals import (
     Radical, exact_div, exact_eq, exact_le, exact_lt, exact_max, exact_mul, exact_pow,
 )
 from .sectiondual import delta_d, improved_mahler_factor
-# unused here, verify_certificate stays importable as the benchmark reads it
-from .verify import Certificate, verify_certificate  # noqa: F401
+# verify_certificate is unused here; the benchmark reads it from this module
+from .verify import Certificate, dot, non_collinear, verify_certificate  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +270,7 @@ def _main_lemma(system, v1, v2, h, r, constant_sq, budget) -> Certificate:
     the orthogonal lattice has rank 1 and ``least_multiple`` finds that point
     without a walk, so the budget bounds the walk at d >= 4 only."""
     v1, v2 = (x + y for x, y in map(system.split, (v1, v2)))  # ValueError unless d long
-    if gram_det((v1, v2)) == 0:
+    if not non_collinear(v1, v2):
         raise NonCollinearRequired("v1 and v2 are collinear")
     if not (exact_lt(0, h) and exact_lt(0, r)):
         raise HypothesisViolated("the lemma needs h > 0 and r > 0")
@@ -300,8 +298,8 @@ def _main_lemma(system, v1, v2, h, r, constant_sq, budget) -> Certificate:
     if system.d == 3:  # the points orthogonal to both are the multiples of one vector
         out = least_multiple(system, "dual", _primitive_cross(v1, v2), *bounds)
     else:
-        out = least_point(system, "dual", *bounds, budget=budget, accept=lambda z: (
-            sum(map(mul, z, v1)) == 0 and sum(map(mul, z, v2)) == 0))
+        out = least_point(system, "dual", *bounds, budget=budget,
+                          accept=lambda z: dot(z, v1) == 0 and dot(z, v2) == 0)
     h_lo, r_lo = _land_in_dual_box(cert, system, *bounds, out)
     cert.target = {"side": "dual", "h": str(max(h_lo)), "r": str(max(r_lo))}
     return cert
@@ -340,7 +338,7 @@ def _semicore_witnesses(system, wide, narrow, budget):
     if v2 is None:
         raise NoWitnesses("no nonzero point in the narrow box")
     v1 = least_point(system, "primal", *wide.bounds(),
-                     accept=lambda z: gram_det((z, v2)) != 0, budget=budget)
+                     accept=lambda z: non_collinear(z, v2), budget=budget)
     if v1 is None:
         raise NoWitnesses("all points of the wide box are collinear with the narrow one")
     return v1, v2

@@ -1,4 +1,4 @@
-"""Certificates and their verifier, on the standard library alone.
+"""Certificates, their verifier and the library's exact kernel, on the standard library alone.
 
 A ``Certificate`` records one constructive transference step: the rational
 system Theta, the step's parameters and integer inputs, the point it built
@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
+from typing import NamedTuple
 
 
 @dataclass
@@ -92,34 +93,59 @@ def _target_bounds(target: dict, n: int, m: int) -> tuple:
     return target["hbounds"], target["rbounds"]
 
 
-def _dot(u, v) -> int:
+def dot(u, v) -> int:
+    """<u, v>, the library's one dot product, on integer or rational entries."""
     return sum(map(mul, u, v))
+
+
+class IntegerForm(NamedTuple):
+    """Theta = rows / den with an integer matrix; cols is its transpose."""
+
+    rows: tuple[tuple[int, ...], ...]
+    cols: tuple[tuple[int, ...], ...]
+    den: int
+
+
+def theta_integer_form(theta) -> IntegerForm:
+    """Theta = A / D, D the lcm of the denominators: each residual is an integer over D."""
+    den = lcm(*(v.denominator for row in theta for v in row))
+    rows = tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in theta)
+    return IntegerForm(rows, tuple(zip(*rows)), den)
+
+
+def residual_numerators(form: IntegerForm, side, x, y) -> tuple:
+    """(outer, numerators) of z = (x, y) for Theta = A / D: x and A x + D y
+    = D (Theta x + y) on the primal side, y and tA y - D x = D (tTheta y - x)
+    on the dual side, bounded in a box by r and D h resp. h and D r."""
+    rows, cols, den = form
+    if side == "primal":
+        return x, [dot(row, x) + den * yi for row, yi in zip(rows, y)]
+    if side == "dual":
+        return y, [dot(col, y) - den * xj for col, xj in zip(cols, x)]
+    raise ValueError(f"side must be 'primal' or 'dual', not {side!r}")
+
+
+def non_collinear(v1, v2) -> bool:
+    """Are v1 and v2 not collinear?  Their 2 x 2 Gram determinant
+    |v1|^2 |v2|^2 - <v1, v2>^2 is nonzero (Cauchy-Schwarz)."""
+    return dot(v1, v1) * dot(v2, v2) != dot(v1, v2) ** 2
 
 
 def _in_target_box(cert: Certificate) -> bool:
     """Is the output point z = (x, y), d long, in the target box?
 
-    Theta = A / D with D the lcm of its denominators, so each residual of z
-    is an integer numerator over D: A x + D y on the primal side and
-    tA y - D x on the dual side.  A bound p/q holds for an integer
-    coordinate c iff |c| q <= p, and for a residual v / D iff |v| q <= p D.
+    A bound p/q holds for an integer coordinate c iff |c| q <= p, and for a
+    residual v / D (``residual_numerators``) iff |v| q <= p D.
     """
-    den = lcm(*(v.denominator for row in cert.theta for v in row))
-    rows = [[v.numerator * (den // v.denominator) for v in row] for row in cert.theta]
-    x, y = cert.output_point[:cert.m], cert.output_point[cert.m:]
+    form = theta_integer_form(cert.theta)
+    side = cert.target["side"]
+    outer, nums = residual_numerators(form, side, cert.output_point[:cert.m],
+                                      cert.output_point[cert.m:])
     hbounds, rbounds = ([Fraction(b) for b in bounds]
                         for bounds in _target_bounds(cert.target, cert.n, cert.m))
-    side = cert.target["side"]
-    if side == "primal":
-        coords = zip(x, rbounds)
-        nums = zip([_dot(row, x) + den * yi for row, yi in zip(rows, y)], hbounds)
-    elif side == "dual":
-        coords = zip(y, hbounds)
-        nums = zip([_dot(col, y) - den * xj for col, xj in zip(zip(*rows), x)], rbounds)
-    else:
-        raise ValueError(f"target side must be 'primal' or 'dual', not {side!r}")
-    return all(abs(c) * b.denominator <= b.numerator for c, b in coords) and all(
-        abs(v) * b.denominator <= b.numerator * den for v, b in nums)
+    outer_bounds, inner_bounds = (rbounds, hbounds) if side == "primal" else (hbounds, rbounds)
+    return all(abs(c) * b.denominator <= b.numerator for c, b in zip(outer, outer_bounds)) and all(
+        abs(v) * b.denominator <= b.numerator * form.den for v, b in zip(nums, inner_bounds))
 
 
 def verify_certificate(cert: Certificate) -> tuple[bool, list]:
@@ -134,9 +160,8 @@ def verify_certificate(cert: Certificate) -> tuple[bool, list]:
     for key in ("v1", "v2"):
         if key in inputs:
             v = inputs[key]
-            results.append((f"orthogonal_to_{key}", fits and len(v) == d and _dot(v, z) == 0))
+            results.append((f"orthogonal_to_{key}", fits and len(v) == d and dot(v, z) == 0))
     if "v1" in inputs and "v2" in inputs:
         v1, v2 = inputs["v1"], inputs["v2"]
-        results.append(("inputs_non_collinear", len(v1) == len(v2) == d
-                        and _dot(v1, v1) * _dot(v2, v2) != _dot(v1, v2) ** 2))
+        results.append(("inputs_non_collinear", len(v1) == len(v2) == d and non_collinear(v1, v2)))
     return all(ok for _, ok in results), results

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import diotrans
-from diotrans import transfer, verify
+from diotrans import geometry, harness, transfer, verify
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -62,6 +62,50 @@ def test_the_verifier_stands_on_the_standard_library():
     assert defining == {"verify"}
     assert transfer.Certificate is verify.Certificate is diotrans.Certificate
     assert transfer.verify_certificate is verify.verify_certificate is diotrans.verify_certificate
+
+
+def _written_out_dot(node):
+    """Is node sum(map(mul, u, v)), the inner product of two vectors?  A
+    weighted product, sum(map(mul, w, map(mul, u, v))), is not one."""
+    if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sum"
+            and len(node.args) == 1 and isinstance(node.args[0], ast.Call)):
+        return False
+    inner = node.args[0]
+    return (getattr(inner.func, "id", None) == "map" and len(inner.args) == 3
+            and getattr(inner.args[0], "id", None) == "mul"
+            and not any(isinstance(a, ast.Call) for a in inner.args[1:]))
+
+
+def _matrix_lcm(node):
+    """Is node lcm(... for row in ... for v in row), a common denominator of
+    a matrix such as Theta's?"""
+    return (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "lcm"
+            and any(isinstance(a, ast.Starred) and isinstance(a.value, ast.GeneratorExp)
+                    and len(a.value.generators) == 2 for a in node.args))
+
+
+def test_only_the_verifier_defines_the_exact_kernel():
+    # the library takes its dot product, Theta's integer form, the residual
+    # numerators and the collinearity test from verify.py, so that a copy
+    # elsewhere cannot drift from what the verifier checks
+    kernel = {"dot", "IntegerForm", "theta_integer_form", "residual_numerators", "non_collinear"}
+    found = []
+    for path in sorted((ROOT / "src" / "diotrans").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {name.split(".")[-1].lstrip("_") for name, _, _ in _definitions(tree)}
+        if path.stem == "verify":
+            assert kernel <= names
+            continue
+        found += [f"{path.stem}.{name}" for name in sorted(kernel & names)]
+        found += [f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
+                  if _written_out_dot(node) or _matrix_lcm(node)]
+        if path.stem in ("transfer", "harness"):
+            found += [f"{path.stem} imports gram_det" for node in ast.walk(tree)
+                      if isinstance(node, ast.ImportFrom)
+                      and "gram_det" in {alias.name for alias in node.names}]
+    assert found == []
+    assert geometry.dot is transfer.dot is verify.dot
+    assert transfer.non_collinear is harness.non_collinear is verify.non_collinear
 
 
 # Module-level names and class methods in src/ that nothing in src/

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import diotrans
-from diotrans import exactlinalg, geometry
+from diotrans import exactlinalg, geometry, verify
 from diotrans.errors import BudgetExceeded
 from diotrans.exactlinalg import gram_det, lll_reduce
 from diotrans.geometry import (
@@ -148,6 +148,32 @@ def test_integer_form_residuals_match_rational_definition():
     # the cached form leaves equality, hashing and repr alone
     twin = System(2, 2, system.theta)
     assert twin == system and hash(twin) == hash(system) and repr(twin) == repr(system)
+    # the kernel, directly and through System, on random systems of every
+    # shape with d <= 5, both sides, at small and large magnitudes
+    rng = random.Random(32)
+    for n, m in [(n, d - n) for d in range(2, 6) for n in range(1, d)]:
+        for _ in range(20):
+            theta = tuple(tuple(Fraction(rng.randint(-60, 60), rng.randint(1, 40))
+                                for _ in range(m)) for _ in range(n))
+            system = System(n, m, theta)
+            form = verify.theta_integer_form(theta)
+            A, At, D = form
+            assert form == tuple(system.integer_form) and At == tuple(zip(*A))
+            assert D == math.lcm(*(t.denominator for row in theta for t in row))
+            assert all(Fraction(a, D) == t for ra, rt in zip(A, theta) for a, t in zip(ra, rt))
+            scale = rng.choice((5, 2**70))
+            x = tuple(rng.randint(-scale, scale) for _ in range(m))
+            y = tuple(rng.randint(-scale, scale) for _ in range(n))
+            primal = [sum(t * v for t, v in zip(row, x)) + yi for row, yi in zip(theta, y)]
+            dual = [sum(theta[i][j] * y[i] for i in range(n)) - x[j] for j in range(m)]
+            assert verify.residual_numerators(form, "primal", x, y) == (x, [D * v for v in primal])
+            assert verify.residual_numerators(form, "dual", x, y) == (y, [D * v for v in dual])
+            assert system.primal_numerators(x + y) == [D * v for v in primal]
+            assert system.dual_numerators(x + y) == [D * v for v in dual]
+            assert system.primal_values(x + y) == (max(map(abs, x)), max(map(abs, primal)))
+            assert system.dual_values(x + y) == (max(map(abs, y)), max(map(abs, dual)))
+            with pytest.raises(ValueError, match="side must be 'primal' or 'dual'"):
+                verify.residual_numerators(form, "bogus", x, y)
 
 
 def _random_bound(rng):
@@ -300,14 +326,14 @@ def test_dual_search_stops_at_its_first_outer_vector(monkeypatch):
     # walk computes one center numerator, not one for each of 101^2 vectors
     system = System(2, 1, ((Fraction(1, 3),), (Fraction(2, 7),)))
     calls = 0
-    dot = geometry._dot
+    dot = geometry.dot
 
     def counted(row, v):
         nonlocal calls
         calls += 1
         return dot(row, v)
 
-    monkeypatch.setattr(geometry, "_dot", counted)
+    monkeypatch.setattr(geometry, "dot", counted)
     got = least_point(system, "dual", [Fraction(50)] * 2, [Fraction(1, 2)])
     assert got == (-31, -50, -50)
     assert calls == 1

@@ -18,7 +18,7 @@ from diotrans.errors import (
 )
 from diotrans.exactlinalg import gram_det
 from diotrans.functions import FunctionSpec, power_spec
-from diotrans.geometry import Box, System, best_approx_table, box_contains, least_point
+from diotrans.geometry import Box, System, best_approx_table, box_contains, in_box, least_point
 from diotrans.intervals import Enclosure
 from diotrans.presets import get_preset, random_rational_system, random_system
 from diotrans.radicals import Radical, exact_le, exact_max, exact_mul, exact_pow
@@ -167,6 +167,24 @@ def test_asymmetric_every_coordinate():
 def test_asymmetric_k_out_of_range():
     with pytest.raises(ValueError):
         mahler_transfer_asymmetric(_half(), 2, Fraction(1, 2), 5)
+
+
+def test_asymmetric_transfer_reads_enclosed_radii_at_their_lower_end():
+    # the box searches read an enclosed bound at its lower end, so the
+    # landing is in the dual box of the enclosed bounds' lower ends
+    system = get_preset("plastic").build()
+    n, m, d = system.n, system.m, system.d
+    X, U = Enclosure(Fraction(3, 2), Fraction(8, 5)), Fraction(1, 2)
+    ybase, vbase = transfer._base_radii(system, X, U)
+    assert isinstance(ybase, Enclosure) and isinstance(vbase, Enclosure)
+    for k in range(d):
+        cert = mahler_transfer_asymmetric(system, X, U, k)
+        assert verify_certificate(cert)[0]
+        lower = [(d - 1 if j == k else 1) * base.lo
+                 for j, base in enumerate([vbase] * m + [ybase] * n)]
+        assert in_box(system, "dual", cert.output_point, lower[m:], lower[:m])
+        assert [Fraction(b) for b in cert.target["hbounds"]] == lower[m:]
+        assert [Fraction(b) for b in cert.target["rbounds"]] == lower[:m]
 
 
 def test_certificate_json_roundtrip():

@@ -28,7 +28,7 @@ from diotrans.transfer import (
     main_lemma_transfer_3d,
     semicore,
 )
-from diotrans.verify import Certificate, verify_certificate
+from diotrans.verify import Certificate, non_collinear, verify_certificate
 
 CORE_SNAPSHOT = Path(__file__).with_name("alphas_core_snapshot.json")
 
@@ -182,3 +182,28 @@ def test_from_dict_rejects_a_system_that_is_not_n_by_m(fields):
     assert verify_certificate(Certificate.from_dict(MAHLER_FIELDS))[0]
     with pytest.raises(ValueError):
         Certificate.from_dict({**MAHLER_FIELDS, **fields})
+
+
+def test_non_collinear_matches_the_gram_determinant():
+    # the 2 x 2 test against gram_det on independent draws, on multiples
+    # (v, k v) with k != 0, and on pairs with the zero vector, at d = 2..5
+    rng = random.Random(32)
+    verdicts = set()
+    for d in range(2, 6):
+        for _ in range(200):
+            scale = rng.choice((9, 2**80))
+            v = tuple(rng.randint(-scale, scale) for _ in range(d))
+            kind = rng.choice(("draw", "multiple", "zero"))
+            if kind == "draw":
+                w = tuple(rng.randint(-scale, scale) for _ in range(d))
+            elif kind == "multiple":
+                k = rng.choice((-1, 1)) * rng.randint(1, scale)
+                w = tuple(k * a for a in v)
+            else:
+                w = (0,) * d
+            for pair in ((v, w), (w, v)):
+                got = non_collinear(*pair)
+                assert got == (gram_det(pair) != 0), pair
+                assert kind == "draw" or got is False, pair
+                verdicts.add((kind, got))
+    assert verdicts >= {("draw", True), ("multiple", False), ("zero", False)}
