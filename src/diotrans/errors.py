@@ -38,7 +38,9 @@ class NoWitnesses(DioTransError):
 
 
 class PrecisionExhausted(DioTransError):
-    """Enclosure refinement exceeded its budget (implementation bug)."""
+    """An exact step found no answer: ``exact_lt`` cannot order two
+    enclosures, the ``functions`` bisection finds no upper end for an
+    inverse, or a guaranteed dual box holds no accepted point."""
 
 
 class DomainError(DioTransError):

@@ -24,6 +24,7 @@ from .presets import PRESETS, cubic_pair_family, random_rational_system, random_
 from .radicals import exact_div, exact_le, exact_mul, power_le
 from .sectiondual import cube_section_volume_squared, delta_d
 from .transfer import (
+    SHARP_3D_CONSTANT_SQ,
     lemma_bound_holds,
     lemma_constant_sq,
     lemma_terms,
@@ -790,7 +791,7 @@ def campaign_main_lemma_gap(trials: int = 100, seed: int = 1) -> CampaignResult:
     result = CampaignResult("main_lemma_gap")
     rng = random.Random(seed)
     attempts = 0
-    c2_general, c2_sharp = lemma_constant_sq(3), Fraction(1, 4)
+    c2_general, c2_sharp = lemma_constant_sq(3), SHARP_3D_CONSTANT_SQ
     while result.trials < trials and attempts < 100 * trials:
         attempts += 1
         n = 1 + attempts % 2

@@ -1,10 +1,12 @@
 """Constructive transference operations with machine-checkable certificates.
 
 Each operation takes exact inputs, checks its hypothesis pessimistically,
-derives the guaranteed target parallelepiped, finds a nonzero integer point
-in it by an exact box walk (``geometry.least_point``; the d = 3 lemma by
-``geometry.least_multiple``, without a walk), and returns a
-``Certificate`` recording inputs, parameters, the witness and the target.
+finds a nonzero integer point of the theorem's box by an exact box walk
+(``geometry.least_point``; the d = 3 lemma by ``geometry.least_multiple``,
+without a walk), and returns a ``Certificate`` recording inputs,
+parameters, the witness and, as the target, the box the walk read: each
+bound b as floor(b) on an integer coordinate and floor(D b) / D on a
+residual, which holds the same lattice points as the theorem's box.
 A condition that fails during a construction raises.  A certificate can be
 serialized to JSON and re-verified independently in integers
 (``verify.verify_certificate``).
@@ -25,7 +27,9 @@ from .errors import (
     PrecisionExhausted,
 )
 from .functions import FunctionSpec
-from .geometry import DEFAULT_ENUM_BUDGET, Box, System, _walk, least_multiple, least_point
+from .geometry import (
+    DEFAULT_ENUM_BUDGET, Box, System, _integer_bounds, _walk, least_multiple, least_point,
+)
 from .intervals import Enclosure
 from .radicals import (
     Radical, exact_div, exact_eq, exact_le, exact_lt, exact_max, exact_mul, exact_pow,
@@ -33,21 +37,6 @@ from .radicals import (
 from .sectiondual import delta_d, improved_mahler_factor
 # verify_certificate is unused here; the benchmark reads it from this module
 from .verify import Certificate, dot, non_collinear, verify_certificate  # noqa: F401
-
-
-# ---------------------------------------------------------------------------
-# exact-value plumbing
-# ---------------------------------------------------------------------------
-
-
-def _rat_lower(value, floor_at) -> Fraction:
-    """A rational lower bound of an exact/enclosed positive value, at least
-    ``floor_at`` (a rational known to be <= value, or <= its enclosure's lo).
-
-    The found witness gives floor_at, so conservative target boxes never
-    exclude it.
-    """
-    return max(floor_at, Enclosure.of(value).lo)
 
 
 def _fmt(value) -> str:
@@ -107,25 +96,25 @@ def mahler_transfer(system: System, X, U, budget: int = DEFAULT_ENUM_BUDGET) -> 
     Y, V = transference_parameters(system, X, U)
     cert.params.update({"Y": _fmt(Y), "V": _fmt(V)})
     bounds = Box(system, Y, V, "dual").bounds()
-    h_lo, r_lo = _land_in_dual_box(cert, system, *bounds,
-                                   least_point(system, "dual", *bounds, budget=budget))
-    cert.target = {"side": "dual", "h": str(max(h_lo)), "r": str(max(r_lo))}
+    h, r = _land_in_dual_box(cert, system, *bounds,
+                             least_point(system, "dual", *bounds, budget=budget))
+    cert.target = {"side": "dual", "h": str(max(h)), "r": str(max(r))}
     return cert
 
 
 def _land_in_dual_box(cert, system, hbounds, rbounds, out) -> tuple:
     """Set ``cert``'s output to ``out``, the point found in the dual box with
-    these per-coordinate bounds (None if there is none).  Returns rational
-    lower bounds of the bounds, each at least the point's own value on that
-    coordinate, as (hbounds, rbounds)."""
+    these per-coordinate bounds (None if there is none).  Returns the box as
+    the walk read it (``geometry._integer_bounds``), in rationals: floor(b)
+    on each y_i and floor(D b) / D on each residual.  A y_i is an integer and
+    a residual an integer over D, so this box holds exactly the lattice
+    points of the theorem's box, ``out`` among them."""
     if out is None:
         raise PrecisionExhausted("guaranteed dual box holds no accepted point")
-    yvals = [Fraction(abs(v)) for v in system.split(out)[1]]
-    rvals = [Fraction(abs(v), system.integer_form.den) for v in system.dual_numerators(out)]
-    h_lo = [_rat_lower(b, floor_at=v) for b, v in zip(hbounds, yvals)]
-    r_lo = [_rat_lower(b, floor_at=v) for b, v in zip(rbounds, rvals)]
+    den = system.integer_form.den
+    h, thresholds = _integer_bounds(system, "dual", hbounds, rbounds)
     cert.output_point = out
-    return h_lo, r_lo
+    return h, [Fraction(t, den) for t in thresholds]
 
 
 def mahler_transfer_asymmetric(
@@ -150,10 +139,9 @@ def mahler_transfer_asymmetric(
     bounds = [exact_mul(Fraction(d - 1) if j == k else Fraction(1), base)
               for j, base in enumerate([vbase] * m + [ybase] * n)]
     hbounds, rbounds = bounds[m:], bounds[:m]
-    h_lo, r_lo = _land_in_dual_box(cert, system, hbounds, rbounds,
-                                   least_point(system, "dual", hbounds, rbounds, budget=budget))
-    cert.target = {"side": "dual", "hbounds": list(map(str, h_lo)),
-                   "rbounds": list(map(str, r_lo))}
+    h, r = _land_in_dual_box(cert, system, hbounds, rbounds,
+                             least_point(system, "dual", hbounds, rbounds, budget=budget))
+    cert.target = {"side": "dual", "hbounds": list(map(str, h)), "rbounds": list(map(str, r))}
     return cert
 
 
@@ -162,9 +150,17 @@ def mahler_transfer_asymmetric(
 # ---------------------------------------------------------------------------
 
 
+SHARP_3D_CONSTANT_SQ = Fraction(1, 4)  # the d = 3 lemma's sharpened constant 1/2, squared
+
+
 def lemma_constant_sq(d: int) -> Fraction:
     """1/(2d(d-1)), the square of the lemma's general constant 1/c."""
     return Fraction(1, 2 * d * (d - 1))
+
+
+def lemma_c(d: int) -> Radical:
+    """c = sqrt(2d(d-1)), the inverse of the lemma's general constant."""
+    return Radical(1 / lemma_constant_sq(d), 2)
 
 
 def lemma_terms(system: System, v1, v2):
@@ -228,9 +224,9 @@ def lemma_bound_holds(system: System, terms, h, r, constant_sq: Fraction) -> boo
 
 
 def main_lemma_hypothesis(system: System, v1, v2, h, r, constant_sq: Fraction):
-    """(holds, details) for the product bound of ``lemma_terms`` at (h, r),
-    ``constant_sq`` being ``lemma_constant_sq`` in general and 1/4 in the
-    sharpened 3D form, decided by ``lemma_bound_holds``."""
+    """(holds, details) for the product bound of ``lemma_terms`` at (h, r), decided by
+    ``lemma_bound_holds``, ``constant_sq`` being ``lemma_constant_sq`` in general and
+    ``SHARP_3D_CONSTANT_SQ`` in the sharpened 3D form."""
     terms, details = lemma_terms(system, v1, v2)
     return lemma_bound_holds(system, terms, h, r, constant_sq), details
 
@@ -249,7 +245,7 @@ def main_lemma_transfer_3d(system: System, v1: Sequence[int], v2: Sequence[int],
     to 1/2, admitting strictly more inputs."""
     if system.d != 3:
         raise Only3D("the sharpened constant is specific to d = 3")
-    cert = _main_lemma(system, v1, v2, h, r, Fraction(1, 4), budget)
+    cert = _main_lemma(system, v1, v2, h, r, SHARP_3D_CONSTANT_SQ, budget)
     cert.kind = "lemma3d"
     return cert
 
@@ -300,8 +296,8 @@ def _main_lemma(system, v1, v2, h, r, constant_sq, budget) -> Certificate:
     else:
         out = least_point(system, "dual", *bounds, budget=budget,
                           accept=lambda z: dot(z, v1) == 0 and dot(z, v2) == 0)
-    h_lo, r_lo = _land_in_dual_box(cert, system, *bounds, out)
-    cert.target = {"side": "dual", "h": str(max(h_lo)), "r": str(max(r_lo))}
+    hb, rb = _land_in_dual_box(cert, system, *bounds, out)
+    cert.target = {"side": "dual", "h": str(max(hb)), "r": str(max(rb))}
     return cert
 
 
@@ -315,7 +311,7 @@ def semicore_parameters(system: System, t, Phi, Psi, direction: int):
     n, m, d = system.n, system.m, system.d
     if d < 3:
         raise OnlyDimAtLeast3("the 1/(d-2) exponent needs d >= 3")
-    c = Radical(1 / lemma_constant_sq(d), 2)
+    c = lemma_c(d)
     t, Phi, Psi = Radical.of(t), Radical.of(Phi), Radical.of(Psi)
     e = Fraction(1, d - 2)
     if direction == 1:
@@ -399,7 +395,7 @@ def core_hypothesis_ok(system: System, phi: FunctionSpec, psi: FunctionSpec, t) 
     ``exact_le``.  Monotonicity of t*psi(t) is decided from the family shape.
     """
     d = system.d
-    bound = exact_div(1, exact_mul(Radical(1 / lemma_constant_sq(d), 2), delta_d(d)))
+    bound = exact_div(1, exact_mul(lemma_c(d), delta_d(d)))
     # The core parameters at h = t are phi(t) and the two arguments of psi.
     phit, arg2, arg1 = core_parameters(system, phi, t)
     noninc, nondec = _t_times_monotonicity(psi)
@@ -471,7 +467,7 @@ def alphas_core(
     bound and the lemma hypothesis read an enclosure at its pessimistic end.
     """
     n, m, d = system.n, system.m, system.d
-    c = Radical(1 / lemma_constant_sq(d), 2)
+    c = lemma_c(d)
     r, h_star, r_star = core_parameters(system, phi, h)
 
     # Hypothesis: one of the growth conditions must hold on the interval

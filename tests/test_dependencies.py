@@ -108,6 +108,28 @@ def test_only_the_verifier_defines_the_exact_kernel():
     assert transfer.non_collinear is harness.non_collinear is verify.non_collinear
 
 
+def _called(node, name):
+    """Is node a call of ``name``, bare or as an attribute such as X.name?"""
+    return isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                   getattr(node.func, "attr", None))
+
+
+def test_only_geometry_rounds_a_box_bound():
+    # a box bound is rounded to the integers the walk compares in geometry
+    # alone, and certificates state that box, so transfer neither floors a
+    # bound itself nor encloses one as a rational
+    calls = []
+    for path in sorted((ROOT / "src" / "diotrans").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if _called(node, "floor_within"):
+                calls.append(f"{path.stem} floor_within")
+            owner = getattr(getattr(node, "func", None), "value", None)
+            if (path.stem == "transfer" and _called(node, "of")
+                    and getattr(owner, "id", None) == "Enclosure"):
+                calls.append("transfer Enclosure.of")
+    assert calls and set(calls) == {"geometry floor_within"}, calls
+
+
 # Module-level names and class methods in src/ that nothing in src/
 # references and that diotrans.__all__ does not export, each with the reason
 # it stays.

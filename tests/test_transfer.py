@@ -2,12 +2,13 @@ import json
 import random
 import tracemalloc
 from fractions import Fraction
-from math import isqrt
+from itertools import product
+from math import floor, isqrt
 from pathlib import Path
 
 import pytest
 
-from diotrans import transfer
+from diotrans import harness, transfer
 from diotrans.errors import (
     DioTransError,
     HypothesisViolated,
@@ -18,7 +19,9 @@ from diotrans.errors import (
 )
 from diotrans.exactlinalg import gram_det
 from diotrans.functions import FunctionSpec, power_spec
-from diotrans.geometry import Box, System, best_approx_table, box_contains, in_box, least_point
+from diotrans.geometry import (
+    Box, System, _integer_bounds, best_approx_table, box_contains, in_box, least_point,
+)
 from diotrans.intervals import Enclosure
 from diotrans.presets import get_preset, random_rational_system, random_system
 from diotrans.radicals import Radical, exact_le, exact_max, exact_mul, exact_pow
@@ -29,6 +32,7 @@ from diotrans.transfer import (
     core_hypothesis_ok,
     core_parameters,
     lemma_bound_holds,
+    lemma_constant_sq,
     lemma_terms,
     mahler_transfer,
     mahler_transfer_asymmetric,
@@ -40,6 +44,7 @@ from diotrans.transfer import (
     transference_parameters,
     verify_certificate,
 )
+from diotrans.verify import _target_bounds
 
 
 def _half() -> System:
@@ -171,9 +176,12 @@ def test_asymmetric_k_out_of_range():
 
 def test_asymmetric_transfer_reads_enclosed_radii_at_their_lower_end():
     # the box searches read an enclosed bound at its lower end, so the
-    # landing is in the dual box of the enclosed bounds' lower ends
+    # landing is in the dual box of the enclosed bounds' lower ends, and the
+    # target is that box as the walk reads it: floor(lo) on y, floor(D lo) / D
+    # on the residuals
     system = get_preset("plastic").build()
     n, m, d = system.n, system.m, system.d
+    den = system.integer_form.den
     X, U = Enclosure(Fraction(3, 2), Fraction(8, 5)), Fraction(1, 2)
     ybase, vbase = transfer._base_radii(system, X, U)
     assert isinstance(ybase, Enclosure) and isinstance(vbase, Enclosure)
@@ -183,8 +191,151 @@ def test_asymmetric_transfer_reads_enclosed_radii_at_their_lower_end():
         lower = [(d - 1 if j == k else 1) * base.lo
                  for j, base in enumerate([vbase] * m + [ybase] * n)]
         assert in_box(system, "dual", cert.output_point, lower[m:], lower[:m])
-        assert [Fraction(b) for b in cert.target["hbounds"]] == lower[m:]
-        assert [Fraction(b) for b in cert.target["rbounds"]] == lower[:m]
+        assert [Fraction(b) for b in cert.target["hbounds"]] == [floor(b) for b in lower[m:]]
+        assert [Fraction(b) for b in cert.target["rbounds"]] == [
+            Fraction(floor(den * b), den) for b in lower[:m]]
+
+
+def _walk_box(system, hbounds, rbounds):
+    """The dual box as the walk reads it, in rationals: (floor(b), floor(D b) / D)."""
+    outer, thresholds = _integer_bounds(system, "dual", hbounds, rbounds)
+    den = system.integer_form.den
+    return [Fraction(b) for b in outer], [Fraction(t, den) for t in thresholds]
+
+
+def _stated_box(cert):
+    bounds = _target_bounds(cert.target, cert.n, cert.m)
+    return tuple([Fraction(b) for b in side] for side in bounds)
+
+
+def _lemma_instance(rng, d, gap):
+    """(system, v1, v2, h, r), first found: admitted by the general constant,
+    or with gap at d = 3 only by the sharpened one, as the campaigns build them."""
+    while True:
+        n = rng.randint(1, d - 1)
+        system = random_rational_system(rng, n, d - n, max_den=8)
+        pair = harness._witness_pair(system)
+        params = pair and harness._cheapest_lemma_params(system, *pair, lemma_constant_sq(d))
+        if params is None:
+            continue
+        if not gap:
+            return (system, *pair, *params)
+        terms, _ = lemma_terms(system, *pair)
+        h, r = params
+        while lemma_bound_holds(system, terms, h, r, transfer.SHARP_3D_CONSTANT_SQ):
+            if not lemma_bound_holds(system, terms, h, r, lemma_constant_sq(3)):
+                return system, *pair, h, r
+            h, r = h * Fraction(19, 20), r * Fraction(19, 20)
+
+
+def _transfers_with_their_boxes():
+    """(certificate, hbounds, rbounds) for every transfer kind: the dual box
+    the theorem guarantees, before any rounding."""
+    plastic = get_preset("plastic").build()
+    Y, V = transference_parameters(plastic, Fraction(10), Fraction(1, 3))
+    yield (mahler_transfer(plastic, Fraction(10), Fraction(1, 3)),
+           *Box(plastic, Y, V, "dual").bounds())
+    system = System(1, 2, ((Fraction(1, 3), Fraction(2, 7)),))
+    ybase, vbase = transfer._base_radii(system, Fraction(3), Fraction(1, 2))
+    for k in range(system.d):
+        bounds = [exact_mul(Fraction(2 if j == k else 1), base)
+                  for j, base in enumerate([vbase] * system.m + [ybase] * system.n)]
+        yield (mahler_transfer_asymmetric(system, Fraction(3), Fraction(1, 2), k),
+               bounds[system.m:], bounds[:system.m])
+    rng = random.Random(33)
+    for d, gap in ((3, False), (4, False), (3, True)):
+        system, v1, v2, h, r = _lemma_instance(rng, d, gap)
+        make = main_lemma_transfer_3d if gap else main_lemma_transfer
+        yield make(system, v1, v2, h, r), *Box(system, h, r, "dual").bounds()
+    records = best_approx_table(plastic, "primal", 5).records
+    for args in ((3, records[0].psi, records[1].psi, 1), (Fraction(1, 20), 5, 3, -1)):
+        h, r = semicore_parameters(plastic, *args)
+        yield semicore(plastic, *args, budget=10**6), *Box(plastic, h, r, "dual").bounds()
+    near = System(1, 2, ((Fraction(1, 3) + Fraction(1, 10**7),
+                          Fraction(1, 5) + Fraction(1, 10**12)),))
+    for system, phi, psi, h in (
+            (plastic, power_spec(1, Fraction(-1, 2)), power_spec(Fraction(1, 100), -2), 20),
+            (near, power_spec(Fraction(533, 100), -1), power_spec(Fraction(1, 100), -2), 10**4)):
+        r = core_parameters(system, phi, h)[0]
+        yield alphas_core(system, phi, psi, h, budget=10**6), *Box(system, h, r, "dual").bounds()
+
+
+def test_every_transfer_states_the_box_its_walk_read():
+    # the target is the theorem's dual box with y read at floor(b) and each
+    # residual at floor(D b) / D, the thresholds the walk compared with
+    kinds = []
+    for cert, hbounds, rbounds in _transfers_with_their_boxes():
+        system = System(cert.n, cert.m, cert.theta)
+        assert _stated_box(cert) == _walk_box(system, hbounds, rbounds), cert.kind
+        assert verify_certificate(cert)[0]
+        kinds.append(cert.params.get("route", cert.kind))
+    assert kinds == ["mahler"] + ["mahler_asymmetric"] * 3 + [
+        "main_lemma", "main_lemma", "lemma3d", "semicore1", "semicore2", "mahler", "dilation"]
+
+
+def _points_within(system, side, hbounds, rbounds, reach, inner_reach):
+    """The reference: the nonzero z = (x, y) with |x_j|, |y_i| and every
+    residual, Theta x + y or tTheta y - x, within its bound, each decided by
+    ``exact_le``, over every z whose outer coordinates (x on the primal
+    side, y on the dual) are at most ``reach`` and inner ones at most
+    ``inner_reach`` in absolute value."""
+    n, m, theta = system.n, system.m, system.theta
+    primal = side == "primal"
+    outer_bounds, inner_bounds = (rbounds, hbounds) if primal else (hbounds, rbounds)
+    points = set()
+    for outer in product(range(-reach, reach + 1), repeat=m if primal else n):
+        if not all(exact_le(abs(c), b) for c, b in zip(outer, outer_bounds)):
+            continue
+        for inner in product(range(-inner_reach, inner_reach + 1), repeat=n if primal else m):
+            x, y = (outer, inner) if primal else (inner, outer)
+            if primal:
+                resid = (sum(theta[i][j] * x[j] for j in range(m)) + y[i] for i in range(n))
+            else:
+                resid = (sum(theta[i][j] * y[i] for i in range(n)) - x[j] for j in range(m))
+            if any(x + y) and all(exact_le(abs(v), b) for v, b in zip(resid, inner_bounds)):
+                points.add(x + y)
+    return points
+
+
+def test_the_walks_rational_box_holds_the_theorems_lattice_points():
+    # floor(b) on the integer coordinates and floor(D b) / D on the
+    # residuals, which are integers over D, lose no point of the box and
+    # add none, for Fraction, Radical and Enclosure bounds on both sides
+    rng = random.Random(330)
+    seen = {}
+    for trial in range(160):
+        d = 2 + trial % 4
+        n = rng.randint(1, d - 1)
+        m = d - n
+        side = rng.choice(("primal", "dual"))
+        theta = [[Fraction(rng.randint(-4, 4), rng.randint(2, 5)) for _ in range(m)]
+                 for _ in range(n)]
+        system = System(n, m, theta)
+        den = system.integer_form.den
+        cap = 2 if d <= 3 else 1  # every bound is below cap + 1
+
+        def bound(kind):
+            q = Fraction(rng.randint(1, 2 * cap * den + den // 2), 2 * den)
+            if kind == "radical":
+                return Radical(q, rng.choice((2, 3)))
+            if kind == "enclosure":
+                return Enclosure(q, q + Fraction(rng.randint(0, 4), 10))
+            return q if rng.random() < 0.5 else Fraction(rng.randint(1, cap * den), den)
+
+        kinds = [rng.choice(("fraction", "radical", "enclosure")) for _ in range(d)]
+        hbounds, rbounds = [bound(k) for k in kinds[:n]], [bound(k) for k in kinds[n:]]
+        outer, thresholds = _integer_bounds(system, side, hbounds, rbounds)
+        inner = [Fraction(t, den) for t in thresholds]
+        rational = (inner, outer) if side == "primal" else (outer, inner)
+        # |inner coordinate| <= its bound plus the outer part of its residual
+        rows = theta if side == "primal" else list(zip(*theta))
+        reach = (cap, cap + 1 + int(cap * max(sum(map(abs, row)) for row in rows)))
+        theorem = _points_within(system, side, hbounds, rbounds, *reach)
+        assert _points_within(system, side, *rational, *reach) == theorem, (system, side)
+        for kind in kinds:
+            seen[(d, side, kind)] = seen.get((d, side, kind), 0) + 1
+        seen["points"] = seen.get("points", 0) + bool(theorem)
+    assert len(seen) == 4 * 2 * 3 + 1 and seen["points"] >= 100, seen
 
 
 def test_certificate_json_roundtrip():
@@ -215,7 +366,12 @@ OLDER_CERTIFICATE = {
 def test_certificate_with_recorded_checks_still_loads_and_verifies():
     cert = Certificate.from_json(json.dumps(OLDER_CERTIFICATE))
     assert verify_certificate(cert)[0]
-    assert cert.to_dict() == mahler_transfer(_half(), Fraction(10), Fraction(1, 10)).to_dict()
+    # a fresh certificate states the box its walk read: r = floor(2 / 10) / 2
+    fresh = mahler_transfer(_half(), Fraction(10), Fraction(1, 10)).to_dict()
+    assert fresh.pop("target") == {"h": "10", "r": "0", "side": "dual"}
+    older = cert.to_dict()
+    assert older.pop("target") == OLDER_CERTIFICATE["target"]
+    assert older == fresh
     assert "checks" not in cert.to_dict()
     failed = dict(OLDER_CERTIFICATE, output_point=[5, -10])
     assert not verify_certificate(Certificate.from_json(json.dumps(failed)))[0]
